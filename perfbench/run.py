@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one rewardsim benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload audit --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload audit --seed 1 --seconds 25 --trace 0
 
 Run from the root of a rewardsim checkout; the program is imported from
 its ``src`` directory.  The load is a closed loop: one process, one
@@ -9,7 +9,9 @@ thread, each scenario started after the previous one finished.  Set-up
 (importing rewardsim, generating, writing and loading the seeded
 inputs) is repeated and timed apart from the measured passes.  Passes
 over the inputs repeat for about ``--seconds``; every output is
-checked, and a wrong one counts as a failed op.
+checked, and a wrong one counts as a failed op.  Timings are scaled to
+the reference speed of a host-speed gauge read between the ops (see
+``gauge.py``), so a slow stretch of a shared host cancels out.
 
 With ``--trace 0`` the last line of standard output is a JSON object
 with the end-to-end metrics of ``BENCHMARK.json``.  With ``--trace 1``
@@ -40,12 +42,21 @@ WORK = ROOT / ".bench_work"
 SPEC = ROOT / "BENCHMARK.json"
 SETUP_REPEATS = 5
 
+# Times the import in a fresh interpreter, then scales it by the gauge
+# read in that interpreter (the child may run on another vCPU than the
+# parent): the median of five readings after one warm-up.  The gauge is
+# imported after the timed import, so the modules it shares with
+# rewardsim (json, fractions, dataclasses) are still timed.
 IMPORT_PROBE = (
     "import sys, time\n"
-    "sys.path.insert(0, sys.argv[1])\n"
+    "sys.path[:0] = sys.argv[1:3]\n"
     "t = time.perf_counter()\n"
     "import rewardsim, rewardsim.cli\n"
-    "print(time.perf_counter() - t)\n"
+    "seconds = time.perf_counter() - t\n"
+    "from perfbench import gauge\n"
+    "gauge.read()\n"
+    "readings = sorted(gauge.read() for _ in range(5))\n"
+    "print(seconds * gauge.NOMINAL_S / readings[2])\n"
 )
 
 
@@ -67,9 +78,10 @@ def percentile(values: list, q: float) -> float:
 
 
 def import_seconds() -> float:
-    """Import time of rewardsim in a fresh interpreter, timed inside it."""
+    """Import time of rewardsim in a fresh interpreter, timed inside it,
+    at the gauge's reference speed."""
     out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(SRC)],
+        [sys.executable, "-c", IMPORT_PROBE, str(SRC), str(ROOT)],
         capture_output=True, text=True, check=True, timeout=120,
     )
     return float(out.stdout)
@@ -118,9 +130,22 @@ def provenance(args, workload, scenarios: int) -> dict:
 
 
 def one_pass(workload, tally) -> None:
-    tally.passes.append([])
+    tally.start_pass()
     workload.run_pass(tally, first=len(tally.passes) == 1)
+    tally.tick()
     workload.hashed = True
+
+
+def setup_seconds(workload) -> float:
+    """One set-up of the inputs, at the gauge's reference speed: wall
+    time scaled by a gauge reading before and after it."""
+    from perfbench import gauge
+
+    before = gauge.read()
+    t0 = perf_counter()
+    workload.setup()
+    seconds = perf_counter() - t0
+    return seconds * gauge.NOMINAL_S * 2 / (before + gauge.read())
 
 
 def measure(workload, seconds: float, tracer=None) -> tuple:
@@ -153,11 +178,12 @@ def measure(workload, seconds: float, tracer=None) -> tuple:
 
 
 def end_to_end(tally, setup_s: float) -> dict:
-    best = tally.best_ms()
+    typical = tally.typical_ms()
     return {
         "setup_s": setup_s,
-        "scenarios_per_s": len(best) * 1000 / sum(best),
-        "scenario_p50_ms": statistics.median(best),
+        "scenarios_per_s": len(typical) * 1000 / sum(typical),
+        "scenario_p50_ms": statistics.median(typical),
+        "scenario_p99_ms": percentile(typical, 0.99),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -170,9 +196,9 @@ def layer_metrics(workload, seconds: float, layer_names: list) -> tuple:
 
     tracer = Tracer()
     plain, tally = measure(workload, seconds, tracer)
-    metrics = tracer.layer_metrics(layer_names, tally.count, tally.op_s)
-    plain_p50 = statistics.median(plain.best_ms())
-    traced_p50 = statistics.median(tally.best_ms())
+    metrics = tracer.layer_metrics(layer_names, tally.count, tally.raw_s)
+    plain_p50 = statistics.median(plain.typical_ms())
+    traced_p50 = statistics.median(tally.typical_ms())
     metrics["trace.overhead_ms"] = traced_p50 - plain_p50
     metrics["trace.overhead_share"] = (traced_p50 - plain_p50) / plain_p50
     return plain, tally, metrics, tracer
@@ -181,7 +207,7 @@ def layer_metrics(workload, seconds: float, layer_names: list) -> tuple:
 def run(args, sizes: dict | None = None) -> dict:
     """Set up and measure one workload; the result holds every metric,
     the checks' outcome, the output digest and provenance."""
-    from perfbench import workloads
+    from perfbench import gauge, workloads
 
     import rewardsim
 
@@ -194,11 +220,7 @@ def run(args, sizes: dict | None = None) -> dict:
     try:
         workload = workloads.WORKLOADS[args.workload](args.seed, workdir,
                                                       **(sizes or {}))
-        setup_times = []
-        for _ in range(SETUP_REPEATS):
-            t0 = perf_counter()
-            workload.setup()
-            setup_times.append(perf_counter() - t0)
+        setup_times = [setup_seconds(workload) for _ in range(SETUP_REPEATS)]
         import_times = [import_seconds() for _ in range(SETUP_REPEATS)]
         setup_s = statistics.median(import_times) + statistics.median(setup_times)
 
@@ -232,9 +254,11 @@ def run(args, sizes: dict | None = None) -> dict:
                         for name, unit in unit_of.items()},
             "scenarios": len(tally.passes[0]),
             "passes": len(tally.passes),
-            # reported, not a BENCHMARK.json metric: too unsteady to bound
-            "scenario_p99_ms": percentile(tally.best_ms(), 0.99),
-            "stages_best_s": {name: min(v) for name, v in sorted(tally.stages.items())},
+            # reported, not a BENCHMARK.json metric: raw wall time measures
+            # the host as much as the program
+            "wall_scenario_p50_ms": statistics.median(tally.typical_ms(raw=True)),
+            "host_slowdown": statistics.median(tally.refs) / gauge.NOMINAL_S,
+            "stages_s": tally.stage_s(),
             "setup": {"repeats": SETUP_REPEATS,
                       "import_s": statistics.median(import_times),
                       "inputs_s": statistics.median(setup_times)},
@@ -260,20 +284,23 @@ def print_report(result: dict) -> None:
           f"events per pass; {result['passes']} passes")
     print(f"  output_sha256 {result['output_sha256']}")
     print(f"  ops attempted {result['attempted']}, failed {result['failed']}")
+    per = f"n={result['scenarios']} scenarios, median of {result['passes']} passes"
+    print(f"  timings at the gauge's reference speed; this run's host was "
+          f"{result['host_slowdown']:.3f}x slower (median gauge reading)")
     for name, m in result["metrics"].items():
         if name == "setup_s":
             n = f"median of {SETUP_REPEATS} set-ups"
         elif name == "peak_rss_mb":
             n = "whole run"
         elif m["unit"] in ("ms", "1/s"):
-            n = f"n={result['scenarios']} scenarios, best of {result['passes']} passes"
+            n = per
         else:
             n = f"{result['passes']} passes"
         print(f"  {name:42s} {m['value']:>14.6g} {m['unit']:6s} {n}")
-    print(f"  {'scenario_p99_ms (not bounded)':42s} {result['scenario_p99_ms']:>14.6g} "
-          f"ms     n={result['scenarios']} scenarios, best of {result['passes']} passes")
-    for name, value in result["stages_best_s"].items():
-        print(f"  stage {name:36s} {value:>14.6g} s      fastest pass")
+    print(f"  {'wall_scenario_p50_ms (not scaled)':42s} "
+          f"{result['wall_scenario_p50_ms']:>14.6g} ms     {per}")
+    for name, value in result["stages_s"].items():
+        print(f"  stage {name:36s} {value:>14.6g} s      median pass")
     if "wait_s" in result:
         print("  wait_s 0 by construction: one thread, no queues or locks")
 

@@ -70,6 +70,25 @@ def test_traced_run_counts_layers_where_they_run():
     assert sweep["invariants.log_passes"]["value"] == 2.0  # two oracle passes
 
 
+def test_parts_are_scaled_by_the_gauge_readings_around_them(monkeypatch):
+    from perfbench import gauge
+    from perfbench.workloads import Tally
+
+    readings = iter([gauge.NOMINAL_S, 3 * gauge.NOMINAL_S])
+    monkeypatch.setattr(gauge, "read", lambda: next(readings))
+    monkeypatch.setattr(gauge, "CHUNK_S", 1e9)  # read only where the test says
+    tally = Tally()
+    tally.start_pass()
+    tally.part(0.010, "run_s")
+    tally.part(0.002, "matrix_s", scenario=False)
+    tally.close()
+    tally.tick()
+    # host twice as slow as the reference over the chunk: half the wall time
+    assert tally.typical_ms() == pytest.approx([5.0])
+    assert tally.typical_ms(raw=True) == pytest.approx([10.0])
+    assert tally.stage_s() == pytest.approx({"matrix_s": 0.001, "run_s": 0.005})
+
+
 @pytest.mark.parametrize("make", [
     lambda seed: gen.heavy_account(seed, 60, 200, "defensive-cycle"),
     lambda seed: gen.sweep_scenarios(seed, 30),

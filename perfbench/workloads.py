@@ -17,12 +17,15 @@ import hashlib
 import importlib
 import io
 import json
+import statistics
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
+from . import gauge
 from . import generators as gen
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,36 +52,94 @@ def rs(module: str):
 
 @dataclass
 class Tally:
-    """What the measured passes of one run did."""
+    """What the measured passes of one run did.
 
-    passes: list = field(default_factory=list)  # per pass: latencies in ms
+    A scenario's latency is the sum of its *parts*, each timed
+    separately.  After each part, once ``gauge.CHUNK_S`` has passed since
+    the last gauge reading, the gauge is read again, and the parts timed
+    since the previous reading are scaled by the mean of the two (see
+    ``gauge``).  Sample storage is flat arrays, so a run's memory does
+    not depend on how many passes the host's speed allowed.
+    """
+
+    passes: list = field(default_factory=list)  # per pass: ms per scenario
+    raw: list = field(default_factory=list)  # the same, wall time unscaled
+    stages: list = field(default_factory=list)  # per pass: stage -> s
+    refs: array = field(default_factory=lambda: array("d"))  # gauge readings, s
     count: int = 0  # scenario samples so far; the tracer's op id
     attempted: int = 0
     failed: int = 0
-    stages: dict = field(default_factory=lambda: defaultdict(list))  # name -> s
+    raw_s: float = 0.0  # wall time of every part
+    _open: bool = False  # a scenario has parts and is not closed yet
+    _last_ref: float = 0.0  # when the gauge was last read
+    _pending: list = field(default_factory=list)  # parts not yet scaled
 
-    def sample(self, seconds: float) -> None:
-        """One scenario's latency, in input order within the pass."""
-        self.passes[-1].append(seconds * 1000)
+    def start_pass(self) -> None:
+        self.passes.append(array("d"))
+        self.raw.append(array("d"))
+        self.stages.append(defaultdict(float))
+        self.tick()
+
+    def tick(self) -> None:
+        """Read the gauge and scale the parts timed since the last reading."""
+        reading = gauge.read()
+        if self._pending:
+            scale = gauge.NOMINAL_S * 2 / (self.refs[-1] + reading)
+            scenarios, stages = self.passes[-1], self.stages[-1]
+            for index, stage, seconds in self._pending:
+                if index >= 0:
+                    scenarios[index] += 1000 * seconds * scale
+                if stage:
+                    stages[stage] += seconds * scale
+            self._pending.clear()
+        self.refs.append(reading)
+        self._last_ref = perf_counter()
+
+    def part(self, seconds: float, stage: str = "", scenario: bool = True) -> None:
+        """A timed part of the current scenario, or with ``scenario``
+        off a timed stage outside every scenario."""
+        index = -1
+        if scenario:
+            if not self._open:
+                self.passes[-1].append(0.0)
+                self.raw[-1].append(0.0)
+                self._open = True
+            index = len(self.raw[-1]) - 1
+            self.raw[-1][index] += 1000 * seconds
+        self._pending.append((index, stage, seconds))
+        self.raw_s += seconds
+        if perf_counter() - self._last_ref >= gauge.CHUNK_S:
+            self.tick()
+
+    def close(self) -> None:
+        """End the current scenario's latency sample."""
+        self._open = False
         self.count += 1
+
+    def sample(self, seconds: float, stage: str = "") -> None:
+        """A scenario timed in one part."""
+        self.part(seconds, stage)
+        self.close()
 
     def op(self, ok: bool) -> None:
         self.attempted += 1
         if not ok:
             self.failed += 1
 
-    def best_ms(self) -> list:
-        """Each distinct scenario's fastest latency over the passes.
+    def typical_ms(self, raw: bool = False) -> list:
+        """Each distinct scenario's median latency over the passes, in ms.
 
-        Every pass runs the same scenarios in the same order.  Noise on a
-        shared host only ever adds time, so the fastest repeat is the
-        steadiest estimate of what the scenario costs.
+        Every pass runs the same scenarios in the same order.  Latencies
+        are at the gauge's reference speed unless ``raw``.
         """
-        return [min(repeats) for repeats in zip(*self.passes)]
+        return [statistics.median(repeats)
+                for repeats in zip(*(self.raw if raw else self.passes))]
 
-    @property
-    def op_s(self) -> float:
-        return sum(map(sum, self.passes)) / 1000
+    def stage_s(self) -> dict:
+        """Each stage's median time per pass, at the reference speed."""
+        names = sorted({name for totals in self.stages for name in totals})
+        return {name: statistics.median(t[name] for t in self.stages if name in t)
+                for name in names}
 
 
 def cli(argv: list) -> tuple[int, str]:
@@ -144,16 +205,15 @@ class Audit(Workload):
         t0 = perf_counter()
         sim_code, _ = cli(["simulate", "--scenario", str(self.scenario_path),
                            "--log-out", str(self.log_path)])
-        t1 = perf_counter()
+        tally.part(perf_counter() - t0, "simulate_s")
+        t0 = perf_counter()
         check_code, _ = cli(["check", "--log", str(self.log_path),
                              "--config", str(self.config_path)])
-        t2 = perf_counter()
+        tally.part(perf_counter() - t0, "check_s")
+        t0 = perf_counter()
         same = replay_matches(self.log_path, self.replay_path, self.config)
-        t3 = perf_counter()
-        tally.sample(t3 - t0)
-        tally.stages["simulate_s"].append(t1 - t0)
-        tally.stages["check_s"].append(t2 - t1)
-        tally.stages["replay_s"].append(t3 - t2)
+        tally.part(perf_counter() - t0, "replay_s")
+        tally.close()
         tally.op(sim_code == 0 and check_code == 0 and same)
         if self.recording(first):
             data = self.log_path.read_bytes()
@@ -193,32 +253,29 @@ class LongAccount(Workload):
     def run_pass(self, tally, first):
         harness, invariants = rs("harness"), rs("invariants")
         record = self.recording(first)
-        stages = defaultdict(float)
         events = 0
         for i, sc in enumerate(self.variants):
             log_path = self.workdir / f"long-{i}.jsonl"
             replay_path = self.workdir / f"long-{i}-replay.jsonl"
             t0 = perf_counter()
             report = harness.run(sc, daily_snapshots=False)
-            t1 = perf_counter()
+            tally.part(perf_counter() - t0, "run_s")
+            t0 = perf_counter()
             report.log.write_jsonl(log_path)
-            t2 = perf_counter()
+            tally.part(perf_counter() - t0, "write_s")
+            t0 = perf_counter()
             same = replay_matches(log_path, replay_path, sc.config)
-            t3 = perf_counter()
+            tally.part(perf_counter() - t0, "replay_s")
+            t0 = perf_counter()
             reward = invariants.net_reward_from_log(report.log)
             ok = (same and invariants.net_reward(report.ledger) == reward
                   and reward <= invariants.oracle_bound(report.log, sc.config))
-            t4 = perf_counter()
-            tally.sample(t4 - t0)
-            for stage, d in (("run_s", t1 - t0), ("write_s", t2 - t1),
-                             ("replay_s", t3 - t2), ("oracle_s", t4 - t3)):
-                stages[stage] += d
+            tally.part(perf_counter() - t0, "oracle_s")
+            tally.close()
             tally.op(ok)
             if record:
                 self.digest.update(log_path.read_bytes())
                 events += len(report.log)
-        for stage, d in stages.items():
-            tally.stages[stage].append(d)
         if record:
             self.events = events
 
@@ -244,25 +301,21 @@ class Sweep(Workload):
     def run_pass(self, tally, first):
         harness, invariants = rs("harness"), rs("invariants")
         record = self.recording(first)
-        run_s = check_s = 0.0
         events = 0
         for sc, refunds in self.pool:
             t0 = perf_counter()
             report = harness.run(sc, daily_snapshots=False)
-            t1 = perf_counter()
+            tally.part(perf_counter() - t0, "run_s")
+            t0 = perf_counter()
             reward = invariants.net_reward_from_log(report.log)
             bound = invariants.oracle_bound(report.log, sc.config)
             ok = reward <= bound and abs(reward - bound) <= refunds
-            t2 = perf_counter()
-            tally.sample(t2 - t0)
-            run_s += t1 - t0
-            check_s += t2 - t1
+            tally.part(perf_counter() - t0, "check_s")
+            tally.close()
             tally.op(ok)
             if record:
                 self.digest.update(log_bytes(report.log))
                 events += len(report.log)
-        tally.stages["run_s"].append(run_s)
-        tally.stages["check_s"].append(check_s)
         if record:
             self.events = events
 
@@ -282,12 +335,11 @@ class AttackGrid(Workload):
     def run_pass(self, tally, first):
         adversary, issuers = rs("adversary"), rs("issuers")
         record = self.recording(first)
-        battery_s = classify_s = 0.0
         events = 0
         if first:
             t0 = perf_counter()
             code, text = cli(["matrix"])
-            tally.stages["matrix_s"].append(perf_counter() - t0)
+            tally.part(perf_counter() - t0, "matrix_s", scenario=False)
             tally.op(code == 0 and text.encode() == MATRIX_GOLDEN.read_bytes())
             if record:
                 self.digest.update(text.encode())
@@ -299,12 +351,10 @@ class AttackGrid(Workload):
                 outcomes.append(adversary.run_ddra(
                     variant, timing=timing, purchase_minor=purchase,
                     cycles=cell["cycles"], refund_fraction=fraction))
-                d = perf_counter() - t0
-                tally.sample(d)
-                battery_s += d
+                tally.sample(perf_counter() - t0, "battery_s")
             t0 = perf_counter()
             label = issuers.classify(issuers.get_variant(variant), outcomes)
-            classify_s += perf_counter() - t0
+            tally.part(perf_counter() - t0, "classify_s", scenario=False)
             ok = label == gen.EXPECTED_LABELS[variant]
             if variant == "A":
                 per_cycle = min(ATTACK_RATE.numerator * purchase
@@ -316,8 +366,6 @@ class AttackGrid(Workload):
                 for o in outcomes:
                     self.digest.update(log_bytes(o.report.log))
                     events += len(o.report.log)
-        tally.stages["battery_s"].append(battery_s)
-        tally.stages["classify_s"].append(classify_s)
         if record:
             self.events = events
 
