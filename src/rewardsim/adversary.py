@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .harness import Scenario, ScenarioEvent, SimulationReport, run
-from .invariants import CLAW_KINDS, GRANT_KINDS, net_reward_from_log, oracle_bound
+from .invariants import (
+    CLAW_KINDS,
+    GRANT_KINDS,
+    REVERSAL_KINDS,
+    net_reward_from_log,
+    oracle_bound,
+)
 from .ledger import EngineConfig
 
 SAME_CYCLE = "same-cycle"
@@ -108,7 +114,7 @@ def _refund_clawback_lags(report: SimulationReport) -> list:
     for i, ev in enumerate(report.log):
         if ev.kind in GRANT_KINDS:
             granted[ev.txn_id] = granted.get(ev.txn_id, 0) + ev.amount_minor
-        elif ev.kind in ("refund-posted", "chargeback-posted"):
+        elif ev.kind in REVERSAL_KINDS:
             if granted.get(ev.txn_id, 0) <= 0:
                 continue
             claw_day = next(

@@ -45,6 +45,27 @@ def _load_config(path) -> EngineConfig:
         return EngineConfig.from_json_dict(json.load(fh))
 
 
+def _print_violations(snapshots, verdicts, lag_note: str = "") -> bool:
+    """Print one line per failed check; True when every check passed."""
+    ok = True
+    for s in snapshots:
+        if not s.ok:
+            ok = False
+            print(
+                f"INTEGRITY VIOLATION day {s.day}: net reward "
+                f"{format_usd(s.net_reward)} exceeds bound {format_usd(s.bound)}"
+            )
+    for v in verdicts:
+        if not v.ok:
+            ok = False
+            where = "never" if v.restored_day is None else f"day {v.restored_day}"
+            print(
+                f"CONSISTENCY VIOLATION txn {v.txn_id}: refund on day "
+                f"{v.refund_day} restored {where}{lag_note}"
+            )
+    return ok
+
+
 def cmd_simulate(args) -> int:
     scenario = Scenario.load(args.scenario)
     report = run(scenario)
@@ -64,20 +85,7 @@ def cmd_simulate(args) -> int:
         print(f"balance: {format_usd(report.ledger.balance)}")
         print(f"redeemed: {format_usd(report.ledger.redeemed_total)}")
         print(f"net reward: {format_usd(report.net_reward)}")
-        bad = [s for s in report.snapshots if not s.ok]
-        for s in bad:
-            print(
-                f"INTEGRITY VIOLATION day {s.day}: net reward "
-                f"{format_usd(s.net_reward)} exceeds bound {format_usd(s.bound)}"
-            )
-        stale = [v for v in report.rrc if not v.ok]
-        for v in stale:
-            where = "never" if v.restored_day is None else f"day {v.restored_day}"
-            print(
-                f"CONSISTENCY VIOLATION txn {v.txn_id}: refund on day "
-                f"{v.refund_day} restored {where}"
-            )
-        if not bad and not stale:
+        if _print_violations(report.snapshots, report.rrc):
             print("invariants: ok")
     if any(not s.ok for s in report.snapshots) or any(not v.ok for v in report.rrc):
         return EXIT_VIOLATION
@@ -130,23 +138,7 @@ def cmd_check(args) -> int:
         delta = default_consistency_window(config)
     snapshots = integrity_series(log, config)
     verdicts = check_rrc(log, delta, config)
-    ok = True
-    for s in snapshots:
-        if not s.ok:
-            ok = False
-            print(
-                f"INTEGRITY VIOLATION day {s.day}: net reward "
-                f"{format_usd(s.net_reward)} exceeds bound {format_usd(s.bound)}"
-            )
-    for v in verdicts:
-        if not v.ok:
-            ok = False
-            where = "never" if v.restored_day is None else f"day {v.restored_day}"
-            print(
-                f"CONSISTENCY VIOLATION txn {v.txn_id}: refund on day "
-                f"{v.refund_day} restored {where} (allowed lag {delta}d)"
-            )
-    if ok:
+    if _print_violations(snapshots, verdicts, f" (allowed lag {delta}d)"):
         print(f"checked {len(log)} events: invariants hold (allowed lag {delta}d)")
         return EXIT_OK
     return EXIT_VIOLATION

@@ -58,11 +58,6 @@ class ReconcileReport:
     hold_until: int | None = None
 
 
-def reward_rate(category: str, config: EngineConfig):
-    """Configured rate for a category; unknown categories earn nothing."""
-    return config.rate(category)
-
-
 def reward_on_settlement(
     ledger,
     records: dict,
@@ -71,18 +66,18 @@ def reward_on_settlement(
     log: EventLog,
     day: int,
     kind: str = "settle",
-    amount_override: int | None = None,
     presettle_refunded: int = 0,
 ) -> int:
     """Credit the settlement reward for one transaction.
 
-    ``amount_override`` is the refund-adjusted eligible amount when called
-    from reconciliation; the transaction's own amount is never mutated.
-    Returns the reward granted (0 when the rate or cap headroom is zero).
+    The reward is computed on the amount less ``presettle_refunded``, the
+    principal refunded while the transaction was pending; the
+    transaction's own amount is never mutated.  Returns the reward
+    granted (0 when the rate or cap headroom is zero).
     """
     if txn.id in records:
         raise AlreadySettled(f"transaction {txn.id} already has a reward record")
-    base = txn.amount if amount_override is None else amount_override
+    base = txn.amount - presettle_refunded
     if base <= 0:
         raise ValueError("settlement base must be positive")
 
@@ -117,12 +112,42 @@ def reward_on_settlement(
     return r
 
 
+def settle_pending(
+    ledger,
+    records: dict,
+    txn: Transaction,
+    refunded: int,
+    config: EngineConfig,
+    log: EventLog,
+    day: int,
+    kind: str = "settle",
+) -> int | None:
+    """Settle a PENDING transaction net of the ``refunded`` principal
+    that came back while it was pending, and return the reward granted.
+
+    A transaction refunded in full is cancelled instead and returns
+    None: it becomes REFUNDED with a zero reward record.
+    """
+    if refunded < txn.amount:
+        return reward_on_settlement(
+            ledger, records, txn, config, log, day, kind,
+            presettle_refunded=refunded,
+        )
+    transition(txn, TransactionStatus.REFUNDED)
+    records[txn.id] = RewardRecord(
+        reward_current=0,
+        reward_original=0,
+        total_refunded=txn.amount,
+        claw_base=txn.amount,
+    )
+    return None
+
+
 def _clawback(
     ledger,
     record: RewardRecord,
     txn: Transaction,
     x: int,
-    config: EngineConfig,
     log: EventLog,
     day: int,
     current_period: int,
@@ -161,8 +186,18 @@ def _clawback(
             category=txn.category,
             period=txn.period,
         )
-    record.total_refunded += x
     return applied
+
+
+def refund_principal(record: RewardRecord, txn: Transaction, x: int) -> None:
+    """Count ``x`` more refunded principal and advance the lifecycle:
+    PART_REF, then REFUNDED once the whole amount is back.  The reward
+    is left as it is."""
+    record.total_refunded += x
+    if txn.status is TransactionStatus.SETTLED:
+        transition(txn, TransactionStatus.PART_REF)
+    if record.total_refunded == txn.amount:
+        transition(txn, TransactionStatus.REFUNDED)
 
 
 def reward_on_refund(
@@ -194,16 +229,10 @@ def reward_on_refund(
         )
 
     r_claw = _clawback(
-        ledger, record, txn, x, config, log, day, current_period, kind,
+        ledger, record, txn, x, log, day, current_period, kind,
         floor_balance_at_zero,
     )
-
-    if record.total_refunded == txn.amount:
-        if txn.status is TransactionStatus.SETTLED:
-            transition(txn, TransactionStatus.PART_REF)
-        transition(txn, TransactionStatus.REFUNDED)
-    else:
-        transition(txn, TransactionStatus.PART_REF)
+    refund_principal(record, txn, x)
     return r_claw
 
 
@@ -225,9 +254,10 @@ def reward_on_chargeback(
     r_claw = 0
     if remaining > 0:
         r_claw = _clawback(
-            ledger, record, txn, remaining, config, log, day, current_period,
+            ledger, record, txn, remaining, log, day, current_period,
             "chargeback", floor_balance_at_zero,
         )
+    record.total_refunded = txn.amount
     transition(txn, TransactionStatus.CHARGEBACK)
     return r_claw
 
@@ -281,23 +311,26 @@ def statement_cycle_reconcile(
     day: int,
     grace_days: int = 0,
     floor_balance_at_zero: bool = False,
+    user: str = "",
 ) -> ReconcileReport:
     """Close period ``period`` in three phases.
 
-    Phase 1 nets same-period pending refunds into each transaction's
-    eligible amount (the original amount is preserved).  Phase 2 claws
-    back late refunds against prior-period settled transactions.  Phase 3
-    settles what is still PENDING on its eligible amount.  Finally the
-    redemption hold is pushed out by ``grace_days``.
+    Phase 1 takes each transaction's same-period pending refunds out of
+    ``pending_refunds`` (the original amount is preserved).  Phase 2
+    claws back late refunds against prior-period settled transactions.
+    Phase 3 settles what is still PENDING net of its pending refunds, or
+    cancels it when they cover it in full.  Finally the redemption hold
+    is pushed out by ``grace_days``; ``user`` is named on its event.
     """
     report = ReconcileReport(period=period)
     period_txns = [
         t for t in all_txns.values() if t.period == period
     ]
 
+    presettle_refunded = {}
     for txn in period_txns:
-        x = pending_refunds.get(txn.id, 0)
-        txn.eligible = txn.amount - x
+        x = pending_refunds.pop(txn.id, 0)
+        presettle_refunded[txn.id] = x
         if x > 0:
             report.same_period_deductions.append((txn.id, x))
 
@@ -314,23 +347,12 @@ def statement_cycle_reconcile(
     for txn in period_txns:
         if txn.status is not TransactionStatus.PENDING:
             continue
-        if txn.eligible > 0:
-            r = reward_on_settlement(
-                ledger, records, txn, config, log, day,
-                kind="reconcile-settle",
-                amount_override=txn.eligible,
-                presettle_refunded=txn.amount - txn.eligible,
-            )
+        r = settle_pending(
+            ledger, records, txn, presettle_refunded[txn.id], config, log, day,
+            kind="reconcile-settle",
+        )
+        if r is not None:
             report.settled.append((txn.id, r))
-        else:
-            # fully refunded before settlement: cancel, no reward ever
-            transition(txn, TransactionStatus.REFUNDED)
-            records[txn.id] = RewardRecord(
-                reward_current=0,
-                reward_original=0,
-                total_refunded=txn.amount,
-                claw_base=txn.amount,
-            )
 
     new_hold = day + grace_days
     if ledger.redemption_hold_until != new_hold:
@@ -340,7 +362,7 @@ def statement_cycle_reconcile(
                 day=day,
                 kind="hold-set",
                 txn_id="",
-                user=next(iter(all_txns.values())).user if all_txns else "",
+                user=user,
                 amount_minor=0,
                 category="",
                 period=period,

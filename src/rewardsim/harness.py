@@ -18,16 +18,7 @@ from fractions import Fraction
 
 from . import engine
 from .invariants import check_rrc, integrity_series, net_reward, net_spend
-from .issuers import (
-    ADJ_IMMEDIATE,
-    ADJ_NONE,
-    ADJ_SAME_CYCLE_ONLY,
-    ADJ_STATEMENT_CLOSE,
-    INSTANT,
-    NEG_ZERO_FLOORED,
-    IssuerVariant,
-    get_variant,
-)
+from .issuers import ADJ_IMMEDIATE, ADJ_NONE, IssuerVariant, get_variant
 from .ledger import (
     EngineConfig,
     EventLog,
@@ -188,6 +179,7 @@ class Simulation:
         self.ledger = UserLedger()
         self.records: dict[str, RewardRecord] = {}
         self.txns: dict[str, Transaction] = {}
+        self.reversed: dict[str, int] = {}  # principal refunded or charged back
         self.pending_refunds: dict[str, int] = {}
         self.late_refunds: list = []
         self.log = EventLog()
@@ -199,11 +191,6 @@ class Simulation:
             self.last_intent_day = day
 
     # -- intent handlers ------------------------------------------------
-
-    def _refunded_principal(self, txn: Transaction) -> int:
-        if txn.id in self.records:
-            return self.records[txn.id].total_refunded
-        return self.pending_refunds.get(txn.id, 0)
 
     def _require_txn(self, txn_id: str) -> Transaction:
         try:
@@ -227,7 +214,7 @@ class Simulation:
             day=day, kind="purchase", txn_id=txn_id, user=self.user,
             amount_minor=amount, category=category, period=period,
         )
-        if self.variant.reward_timing == INSTANT:
+        if self.variant.instant:
             due = day + self.config.delivery_delay_days
             if due == day:
                 self._settle_instant(day, txn)
@@ -236,29 +223,21 @@ class Simulation:
 
     def _settle_instant(self, day: int, txn: Transaction) -> None:
         # refunds can land before a delayed settlement; net them out first
-        x = self.pending_refunds.pop(txn.id, 0)
-        if x >= txn.amount:
-            transition(txn, TransactionStatus.REFUNDED)
-            self.records[txn.id] = RewardRecord(
-                reward_current=0, reward_original=0,
-                total_refunded=txn.amount, claw_base=txn.amount,
-            )
-            return
-        engine.reward_on_settlement(
-            self.ledger, self.records, txn, self.config, self.log, day,
-            amount_override=None if x == 0 else txn.amount - x,
-            presettle_refunded=x,
+        engine.settle_pending(
+            self.ledger, self.records, txn, self.pending_refunds.pop(txn.id, 0),
+            self.config, self.log, day,
         )
 
     def refund(self, day: int, txn_id: str, x: int) -> None:
         txn = self._require_txn(txn_id)
         if x <= 0:
             raise ScenarioInvalid(f"refund amount must be positive, got {x}")
-        deferred = sum(amt for tid, amt in self.late_refunds if tid == txn_id)
-        if self._refunded_principal(txn) + deferred + x > txn.amount:
+        reversed_so_far = self.reversed.get(txn_id, 0)
+        if reversed_so_far + x > txn.amount:
             raise ScenarioInvalid(
                 f"refund {x} exceeds remaining principal on {txn_id!r}"
             )
+        self.reversed[txn_id] = reversed_so_far + x
         self._note_intent(day)
         self.log.emit(
             day=day, kind="refund-posted", txn_id=txn_id, user=self.user,
@@ -268,28 +247,17 @@ class Simulation:
             self.pending_refunds[txn_id] = self.pending_refunds.get(txn_id, 0) + x
             return
         adjustment = self.variant.refund_adjustment
-        if adjustment in (ADJ_NONE, ADJ_SAME_CYCLE_ONLY):
-            # settled means prior-cycle for same-cycle-only variants, so
-            # both paths keep the reward and move principal state only
-            self._principal_only_refund(txn, x)
+        if adjustment == ADJ_NONE:
+            # a settled reward is never adjusted
+            engine.refund_principal(self.records[txn_id], txn, x)
         elif adjustment == ADJ_IMMEDIATE:
             engine.reward_on_refund(
                 self.ledger, self.records, txn, x, self.config, self.log, day,
                 current_period=self.config.period_of_day(day),
-                floor_balance_at_zero=self._floors_at_zero,
+                floor_balance_at_zero=self.variant.floors_at_zero,
             )
-        elif adjustment == ADJ_STATEMENT_CLOSE:
-            self.late_refunds.append((txn_id, x))
         else:
-            raise ScenarioInvalid(f"unhandled refund adjustment {adjustment!r}")
-
-    def _principal_only_refund(self, txn: Transaction, x: int) -> None:
-        record = self.records[txn.id]
-        record.total_refunded += x
-        if txn.status is TransactionStatus.SETTLED:
-            transition(txn, TransactionStatus.PART_REF)
-        if record.total_refunded == txn.amount:
-            transition(txn, TransactionStatus.REFUNDED)
+            self.late_refunds.append((txn_id, x))
 
     def chargeback(self, day: int, txn_id: str) -> None:
         txn = self._require_txn(txn_id)
@@ -298,22 +266,24 @@ class Simulation:
                 f"chargeback requires a settled transaction, {txn_id!r} is "
                 f"{txn.status.value}"
             )
-        remaining = txn.amount - self._refunded_principal(txn)
+        remaining = txn.amount - self.reversed.get(txn_id, 0)
+        self.reversed[txn_id] = txn.amount
         self._note_intent(day)
         self.log.emit(
             day=day, kind="chargeback-posted", txn_id=txn_id, user=self.user,
             amount_minor=-remaining, category=txn.category, period=txn.period,
         )
-        if self.variant.refund_adjustment in (ADJ_NONE, ADJ_SAME_CYCLE_ONLY):
+        if self.variant.refund_adjustment == ADJ_NONE:
             record = self.records[txn_id]
             record.total_refunded += remaining
             transition(txn, TransactionStatus.CHARGEBACK)
         else:
-            # forced reversals never wait for the cycle close
+            # forced reversals never wait for the cycle close; the claw
+            # covers refunds still deferred to it, which then lapse
             engine.reward_on_chargeback(
                 self.ledger, self.records, txn, self.config, self.log, day,
                 current_period=self.config.period_of_day(day),
-                floor_balance_at_zero=self._floors_at_zero,
+                floor_balance_at_zero=self.variant.floors_at_zero,
             )
 
     def redeem_request(self, day: int, y: int) -> bool:
@@ -332,10 +302,6 @@ class Simulation:
 
     # -- clock ----------------------------------------------------------
 
-    @property
-    def _floors_at_zero(self) -> bool:
-        return self.variant.negative_balance == NEG_ZERO_FLOORED
-
     def close_period(self, period: int) -> None:
         day = self.config.close_day(period)
         grace = self.config.grace_days if self.variant.uses_grace_hold else 0
@@ -343,7 +309,8 @@ class Simulation:
         engine.statement_cycle_reconcile(
             self.ledger, self.records, self.txns, self.pending_refunds, late,
             period, self.config, self.log, day,
-            grace_days=grace, floor_balance_at_zero=self._floors_at_zero,
+            grace_days=grace, floor_balance_at_zero=self.variant.floors_at_zero,
+            user=self.user,
         )
         if self.variant.auto_redeem_at_close and self.ledger.balance > 0:
             y = self.ledger.balance
@@ -421,14 +388,14 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     return report
 
 
-INTENT_KINDS = frozenset({"purchase", "refund-posted", "chargeback-posted", "redeem-request"})
-
 _INTENT_TO_SCENARIO = {
     "purchase": "purchase",
     "refund-posted": "refund",
     "chargeback-posted": "chargeback",
     "redeem-request": "redeem-request",
 }
+
+INTENT_KINDS = frozenset(_INTENT_TO_SCENARIO)
 
 
 def scenario_from_log(log: EventLog, config: EngineConfig, label: str,

@@ -1,8 +1,11 @@
 """Issuer behavior variants and the comparative classification matrix.
 
-Each variant is a fixed tuple of four behavioral dimensions.  The same
-simulation core runs every variant; only the dispatch described by the
-tuple differs.  ``classify`` maps a standard attack battery to the
+Each variant is policy data over three dimensions: when a settlement
+reward is credited (``instant`` or at the statement close), when a
+refund claws a granted reward back (``refund_adjustment``), and whether
+a clawback may drive the balance below zero (``floors_at_zero``).  The
+simulation reads these fields directly; the matrix labels are derived
+from them.  ``classify`` maps a standard attack battery to the
 checkmark / cross / tilde labels of the comparison matrix.
 """
 
@@ -10,28 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# reward_timing: when settlement rewards are credited
-INSTANT = "instant"
-STATEMENT_CLOSE = "statement-close"
-
-# refund_adjustment: when (whether) granted rewards are clawed back
+# refund_adjustment: when (whether) granted rewards are clawed back.
+# Same-cycle netting of pending refunds happens before any grant, so a
+# variant that only nets same-cycle refunds (B) never adjusts a grant.
 ADJ_NONE = "none"
-ADJ_SAME_CYCLE_ONLY = "same-cycle-only"
 ADJ_IMMEDIATE = "immediate"
 ADJ_STATEMENT_CLOSE = "statement-close"
-
-# negative_balance handling
-NEG_UNSUPPORTED = "unsupported"
-NEG_ZERO_FLOORED = "zero-floored"
-NEG_INDEFINITE = "indefinite"
 
 
 @dataclass(frozen=True)
 class IssuerVariant:
     name: str
-    reward_timing: str
+    instant: bool  # credit at settlement; False: at the statement close
     refund_adjustment: str
-    negative_balance: str
+    floors_at_zero: bool = False  # clawback debt beyond the balance is dropped
     auto_redeem_at_close: bool = False
     uses_grace_hold: bool = False
 
@@ -39,17 +34,17 @@ class IssuerVariant:
 VARIANTS = {
     v.name: v
     for v in [
-        IssuerVariant("A", INSTANT, ADJ_NONE, NEG_UNSUPPORTED),
-        IssuerVariant("B", STATEMENT_CLOSE, ADJ_SAME_CYCLE_ONLY, NEG_UNSUPPORTED,
-                      auto_redeem_at_close=True),
-        IssuerVariant("C", INSTANT, ADJ_IMMEDIATE, NEG_INDEFINITE),
-        IssuerVariant("D", STATEMENT_CLOSE, ADJ_STATEMENT_CLOSE, NEG_INDEFINITE),
-        IssuerVariant("E", STATEMENT_CLOSE, ADJ_STATEMENT_CLOSE, NEG_INDEFINITE),
-        IssuerVariant("F", INSTANT, ADJ_STATEMENT_CLOSE, NEG_INDEFINITE),
-        IssuerVariant("V3a", INSTANT, ADJ_IMMEDIATE, NEG_ZERO_FLOORED),
-        IssuerVariant("defensive-instant", INSTANT, ADJ_IMMEDIATE, NEG_INDEFINITE),
-        IssuerVariant("defensive-cycle", STATEMENT_CLOSE, ADJ_STATEMENT_CLOSE,
-                      NEG_INDEFINITE, uses_grace_hold=True),
+        # name, instant, refund_adjustment, then the flags that are set
+        IssuerVariant("A", True, ADJ_NONE),
+        IssuerVariant("B", False, ADJ_NONE, auto_redeem_at_close=True),
+        IssuerVariant("C", True, ADJ_IMMEDIATE),
+        IssuerVariant("D", False, ADJ_STATEMENT_CLOSE),
+        IssuerVariant("E", False, ADJ_STATEMENT_CLOSE),
+        IssuerVariant("F", True, ADJ_STATEMENT_CLOSE),
+        IssuerVariant("V3a", True, ADJ_IMMEDIATE, floors_at_zero=True),
+        IssuerVariant("defensive-instant", True, ADJ_IMMEDIATE),
+        IssuerVariant("defensive-cycle", False, ADJ_STATEMENT_CLOSE,
+                      uses_grace_hold=True),
     ]
 }
 
@@ -65,21 +60,19 @@ def get_variant(name: str) -> IssuerVariant:
         ) from None
 
 
-# Display labels for the descriptive matrix dimensions.  Same-cycle-only
-# adjustment displays as "None": once a reward has been granted it is
-# never adjusted (same-cycle netting happens before the grant).
-_TIMING_LABEL = {INSTANT: "Instant", STATEMENT_CLOSE: "Stmt. close"}
 _ADJUST_LABEL = {
     ADJ_NONE: "None",
-    ADJ_SAME_CYCLE_ONLY: "None",
     ADJ_IMMEDIATE: "Immediate",
     ADJ_STATEMENT_CLOSE: "Stmt. close",
 }
-_NEG_LABEL = {
-    NEG_UNSUPPORTED: "N/A",
-    NEG_ZERO_FLOORED: "Floored at zero",
-    NEG_INDEFINITE: "Indefinite",
-}
+
+
+def _negative_balance_label(variant: IssuerVariant) -> str:
+    # a variant that never claws back never has a negative balance to handle
+    if variant.refund_adjustment == ADJ_NONE:
+        return "N/A"
+    return "Floored at zero" if variant.floors_at_zero else "Indefinite"
+
 
 PASS = "✓"  # check mark
 FAIL = "×"  # multiplication sign
@@ -131,13 +124,13 @@ def comparison_matrix(battery: dict) -> list[dict]:
     for name in names:
         variant = get_variant(name)
         label = classify(variant, battery[name])
-        neg = _NEG_LABEL[variant.negative_balance]
+        neg = _negative_balance_label(variant)
         if name == "F":
             neg += "*"
         rows.append(
             {
                 "variant": name,
-                "reward_timing": _TIMING_LABEL[variant.reward_timing],
+                "reward_timing": "Instant" if variant.instant else "Stmt. close",
                 "refund_adjustment": _ADJUST_LABEL[variant.refund_adjustment],
                 "negative_balance": neg,
                 "reward_integrity": label,

@@ -62,7 +62,6 @@ class Transaction:
     category: str
     period: int  # billing-period index of the purchase
     status: TransactionStatus = TransactionStatus.PENDING
-    eligible: int = 0  # reconciliation-local scratch, never the new amount
 
     def __post_init__(self):
         if self.amount <= 0:
@@ -92,9 +91,6 @@ class RewardRecord:
     reward_original: int
     total_refunded: int
     claw_base: int
-
-    def clawed_so_far(self) -> int:
-        return self.reward_original - self.reward_current
 
 
 @dataclass
@@ -130,8 +126,6 @@ EVENT_KINDS = frozenset(
 REWARD_DELTA_KINDS = frozenset(
     {"settle", "refund", "chargeback", "redeem", "reconcile-settle", "reconcile-clawback"}
 )
-
-CLAWBACK_KINDS = frozenset({"refund", "chargeback", "reconcile-clawback"})
 
 
 @dataclass(frozen=True)
@@ -241,10 +235,6 @@ class EventLog:
                     raise ParseError(line_no, "integer field holds a non-integer")
                 log.append(ev)
         return log
-
-
-def append_event(log: EventLog, event: RewardEvent) -> None:
-    log.append(event)
 
 
 class ConfigError(Exception):

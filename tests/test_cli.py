@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from rewardsim import EngineConfig, EventLog, Scenario, ScenarioEvent, run
@@ -144,6 +148,28 @@ class TestCheck:
         assert code == EXIT_VIOLATION
         assert "VIOLATION" in capsys.readouterr().out
 
+    def test_violation_lines_of_simulate_and_check(self, tmp_path, capsys):
+        # both commands print the same violations; check adds the lag it used
+        scenario_path, sc = write_scenario(tmp_path, variant="A")
+        log_path = tmp_path / "log.jsonl"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(sc.config.to_json_dict()))
+        sim_code = main(["simulate", "--scenario", str(scenario_path),
+                         "--log-out", str(log_path)])
+        sim_out = capsys.readouterr().out.splitlines()
+        check_code = main(["check", "--log", str(log_path), "--config", str(cfg_path)])
+        check_out = capsys.readouterr().out.splitlines()
+        assert (sim_code, check_code) == (EXIT_VIOLATION, EXIT_VIOLATION)
+        assert sim_out[-2:] == [
+            "INTEGRITY VIOLATION day 5: net reward $5.00 exceeds bound $0.00",
+            "CONSISTENCY VIOLATION txn t1: refund on day 5 restored never",
+        ]
+        assert check_out == [
+            "INTEGRITY VIOLATION day 5: net reward $5.00 exceeds bound $0.00",
+            "CONSISTENCY VIOLATION txn t1: refund on day 5 restored never "
+            "(allowed lag 30d)",
+        ]
+
     def test_corrupt_log_exits_1(self, tmp_path, capsys):
         log_path = tmp_path / "corrupt.jsonl"
         log_path.write_text("{broken\n")
@@ -177,3 +203,17 @@ class TestImpact:
     def test_bad_rate_exits_1(self, capsys):
         code = main(["impact", "--p", "2.0"])
         assert code == EXIT_INPUT
+
+
+class TestScripts:
+    def test_walkthrough_script_runs(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_walkthrough.py")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        states = [line for line in proc.stdout.splitlines() if "status=" in line]
+        assert "current=  $0.00" in states[-1]
+        assert states[-1].endswith("status=REFUNDED")

@@ -255,6 +255,13 @@ class TestReconcile:
         assert ledger.balance == 0
         assert records["t1"].reward_original == 0
 
+    def test_close_consumes_pending_refunds(self):
+        ledger, records, log, cfg = fresh(variant="defensive-cycle")
+        pending = {"a": 4000, "b": 10000}
+        txns = {"a": make_txn("a"), "b": make_txn("b")}
+        statement_cycle_reconcile(ledger, records, txns, pending, [], 0, cfg, log, 30)
+        assert pending == {}
+
     def test_late_refunds_claw_at_close(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn(period=0)

@@ -106,6 +106,26 @@ class TestRun:
         assert report.net_reward == 0
         assert any(e.kind == "chargeback" for e in report.log)
 
+    @pytest.mark.parametrize("variant", ["D", "F", "defensive-cycle"])
+    def test_chargeback_after_deferred_refund_reverses_the_rest(self, variant):
+        # the day-35 refund waits for the day-60 close; the chargeback
+        # between them may reverse only the 6000 not yet refunded
+        report = run(scenario([ev(1, "purchase", "t1", 10000),
+                               ev(35, "refund", "t1", 4000),
+                               ev(40, "chargeback", "t1")], variant=variant))
+        posted = [e.amount_minor for e in report.log if e.kind == "chargeback-posted"]
+        assert posted == [-6000]
+        assert report.net_spend == 0
+        assert report.net_reward == 0
+
+    def test_hold_set_names_the_scenario_user(self):
+        # the first close comes before any purchase exists
+        sc = scenario([ev(1, "redeem-request", amount=100),
+                       ev(40, "purchase", "t1", 10000)], variant="defensive-cycle")
+        sc.user = "alice"
+        holds = [e for e in run(sc).log if e.kind == "hold-set"]
+        assert holds and all(e.user == "alice" for e in holds)
+
 
 class TestValidation:
     @pytest.mark.parametrize(
