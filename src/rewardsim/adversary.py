@@ -108,24 +108,24 @@ def build_ddra_scenario(
 
 
 def _refund_clawback_lags(report: SimulationReport) -> list:
-    """Per rewarded-then-refunded transaction, days from refund to clawback."""
+    """Per rewarded-then-refunded transaction, days from refund to clawback.
+
+    One forward pass: a reversal waits on its transaction until that
+    transaction's next clawback event; one that never sees one lags None.
+    """
     granted: dict[str, int] = {}
+    waiting: dict[str, list] = {}  # txn_id -> [(index into lags, reversal day)]
     lags = []
-    for i, ev in enumerate(report.log):
+    for ev in report.log:
         if ev.kind in GRANT_KINDS:
             granted[ev.txn_id] = granted.get(ev.txn_id, 0) + ev.amount_minor
         elif ev.kind in REVERSAL_KINDS:
-            if granted.get(ev.txn_id, 0) <= 0:
-                continue
-            claw_day = next(
-                (
-                    later.day
-                    for later in report.log.events[i + 1:]
-                    if later.kind in CLAW_KINDS and later.txn_id == ev.txn_id
-                ),
-                None,
-            )
-            lags.append(None if claw_day is None else claw_day - ev.day)
+            if granted.get(ev.txn_id, 0) > 0:
+                waiting.setdefault(ev.txn_id, []).append((len(lags), ev.day))
+                lags.append(None)
+        elif ev.kind in CLAW_KINDS:
+            for i, day in waiting.pop(ev.txn_id, ()):
+                lags[i] = ev.day - day
     return lags
 
 

@@ -32,7 +32,14 @@ from .harness import (
 )
 from .invariants import check_rrc, integrity_series
 from .issuers import MATRIX_VARIANTS, comparison_matrix, render_matrix
-from .ledger import ConfigError, EngineConfig, EventLog, ParseError, SequenceGap
+from .ledger import (
+    ConfigError,
+    EngineConfig,
+    EventLog,
+    LogInvalid,
+    ParseError,
+    SequenceGap,
+)
 from .money import format_usd
 
 EXIT_OK = 0
@@ -219,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ParseError, SequenceGap,
+    except (OSError, json.JSONDecodeError, ParseError, SequenceGap, LogInvalid,
             ScenarioInvalid, ConfigError, KeyError, ValueError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,6 @@ class ReconcileReport:
     same_period_deductions: list = field(default_factory=list)  # (txn_id, deducted)
     late_clawbacks: list = field(default_factory=list)  # (txn_id, clawback)
     settled: list = field(default_factory=list)  # (txn_id, reward)
-    hold_until: int | None = None
 
 
 def reward_on_settlement(
@@ -246,8 +245,9 @@ def reward_on_chargeback(
     current_period: int,
     floor_balance_at_zero: bool = False,
 ) -> int:
-    """Full-amount reversal from SETTLED, through the same clawback math."""
-    if txn.status is not TransactionStatus.SETTLED:
+    """Reverse all principal not yet refunded, from SETTLED or PART_REF,
+    through the same clawback math."""
+    if txn.status not in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
         return 0
     record = records[txn.id]
     remaining = txn.amount - record.total_refunded
@@ -367,5 +367,4 @@ def statement_cycle_reconcile(
                 category="",
                 period=period,
             )
-    report.hold_until = ledger.redemption_hold_until
     return report

@@ -261,10 +261,10 @@ class Simulation:
 
     def chargeback(self, day: int, txn_id: str) -> None:
         txn = self._require_txn(txn_id)
-        if txn.status is not TransactionStatus.SETTLED:
+        if txn.status not in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
             raise ScenarioInvalid(
-                f"chargeback requires a settled transaction, {txn_id!r} is "
-                f"{txn.status.value}"
+                f"chargeback requires a settled or partly refunded transaction, "
+                f"{txn_id!r} is {txn.status.value}"
             )
         remaining = txn.amount - self.reversed.get(txn_id, 0)
         self.reversed[txn_id] = txn.amount

@@ -9,14 +9,23 @@ Two checks run over the audit trail alone, never over engine internals:
   re-aligned with the reduced spend within a stated number of days.
 
 Both recompute entitlements from the principal-flow events, so they act
-as independent oracles for the engine's own arithmetic.
+as independent oracles for the engine's own arithmetic.  Both questions
+are asked "as of" every day of the log, and both are answered by one
+streaming fold over it (``_fold``).  The one-shot aggregates
+(``net_spend``, ``oracle_bound``, ...) stay single lean passes: on a
+short log they are cheaper than the fold.
+
+An event that reverses, grants or claws for a transaction with no
+purchase, or a second purchase of one id, raises ``LogInvalid`` naming
+the event's seq.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
-from .ledger import EngineConfig, EventLog, REWARD_DELTA_KINDS
+from .ledger import EngineConfig, EventLog, LogInvalid, REWARD_DELTA_KINDS
 from .money import rate_ceil
 
 # principal-flow kinds: purchases positive, reversals negative
@@ -53,30 +62,42 @@ class _TxnFlow:
     amount: int = 0
     category: str = ""
     period: int = 0
-    purchase_day: int = 0
     refunded: int = 0
     granted: int = 0
     clawed: int = 0
+    ceiling: int = 0  # ceil(rate * remaining principal); kept by the fold only
+
+
+def _duplicate_purchase(ev) -> LogInvalid:
+    return LogInvalid(ev.seq, f"duplicate purchase of transaction {ev.txn_id!r}")
+
+
+def _no_purchase(ev) -> LogInvalid:
+    return LogInvalid(
+        ev.seq, f"{ev.kind} for transaction {ev.txn_id!r} with no purchase"
+    )
 
 
 def _flows(log: EventLog, as_of_day: int | None = None) -> dict:
     flows: dict[str, _TxnFlow] = {}
-    for ev in log:
-        if as_of_day is not None and ev.day > as_of_day:
-            continue
-        if ev.kind == "purchase":
-            flows[ev.txn_id] = _TxnFlow(
-                amount=ev.amount_minor,
-                category=ev.category,
-                period=ev.period,
-                purchase_day=ev.day,
-            )
-        elif ev.kind in REVERSAL_KINDS:
-            flows[ev.txn_id].refunded += -ev.amount_minor
-        elif ev.kind in GRANT_KINDS:
-            flows[ev.txn_id].granted += ev.amount_minor
-        elif ev.kind in CLAW_KINDS:
-            flows[ev.txn_id].clawed += -ev.amount_minor
+    try:
+        for ev in log:
+            if as_of_day is not None and ev.day > as_of_day:
+                continue
+            if ev.kind == "purchase":
+                if ev.txn_id in flows:
+                    raise _duplicate_purchase(ev)
+                flows[ev.txn_id] = _TxnFlow(
+                    amount=ev.amount_minor, category=ev.category, period=ev.period
+                )
+            elif ev.kind in REVERSAL_KINDS:
+                flows[ev.txn_id].refunded += -ev.amount_minor
+            elif ev.kind in GRANT_KINDS:
+                flows[ev.txn_id].granted += ev.amount_minor
+            elif ev.kind in CLAW_KINDS:
+                flows[ev.txn_id].clawed += -ev.amount_minor
+    except KeyError:
+        raise _no_purchase(ev) from None
     return flows
 
 
@@ -171,16 +192,136 @@ def check_integrity(
     )
 
 
+class _Fold:
+    """Log state as of the end of a day, advanced one event at a time.
+
+    Every running total changes by the delta of the one transaction or
+    (period, category) bucket an event touches, so each event costs O(1)
+    and the whole log one pass.  Open reversals wait per transaction and
+    are resolved at the end of the first day on which both RRC
+    conditions hold (see ``check_rrc``).
+    """
+
+    def __init__(self, config: EngineConfig):
+        self.config = config
+        self.terms: dict[str, tuple] = {}  # category -> (rate, cap)
+        self.flows: dict[str, _TxnFlow] = {}
+        self.buckets: dict[tuple, tuple] = {}  # (period, category) -> (spend, capped ceil)
+        self.entitled = 0  # sum of bucket terms: the entitlement bound
+        self.ceiling = 0  # sum of per-txn ceilings: the oracle bound
+        self.reward = 0  # net reward: grants less clawbacks
+        self.snapshots: list[IntegritySnapshot] = []
+        self.reversals: list = []  # [seq, txn_id, day, restored day or None]
+        self.open: dict[str, list] = {}  # txn_id -> its unresolved reversals
+        self.touched: set = set()  # txns with open reversals touched today
+        self.ready: set = set()  # txns with open reversals whose reward fits
+
+    def apply(self, ev) -> None:
+        kind = ev.kind
+        if kind == "purchase":
+            if ev.txn_id in self.flows:
+                raise _duplicate_purchase(ev)
+            flow = _TxnFlow(amount=ev.amount_minor, category=ev.category,
+                            period=ev.period)
+            self.flows[ev.txn_id] = flow
+            self._principal(flow, ev.amount_minor)
+            return
+        if kind in REVERSAL_KINDS:
+            flow = self._flow(ev)
+            flow.refunded -= ev.amount_minor
+            self._principal(flow, ev.amount_minor)
+            rev = [ev.seq, ev.txn_id, ev.day, None]
+            self.reversals.append(rev)
+            self.open.setdefault(ev.txn_id, []).append(rev)
+        elif kind in GRANT_KINDS:
+            self._flow(ev).granted += ev.amount_minor
+            self.reward += ev.amount_minor
+        elif kind in CLAW_KINDS:
+            self._flow(ev).clawed -= ev.amount_minor
+            self.reward += ev.amount_minor
+        else:
+            return
+        if ev.txn_id in self.open:
+            self.touched.add(ev.txn_id)
+
+    def _flow(self, ev) -> _TxnFlow:
+        try:
+            return self.flows[ev.txn_id]
+        except KeyError:
+            raise _no_purchase(ev) from None
+
+    def _principal(self, flow: _TxnFlow, delta: int) -> None:
+        """Move ``delta`` of principal into or out of ``flow``'s bucket."""
+        terms = self.terms.get(flow.category)
+        if terms is None:
+            terms = (self.config.rate(flow.category), self.config.cap(flow.category))
+            self.terms[flow.category] = terms
+        rate, cap = terms
+        key = (flow.period, flow.category)
+        spend, old = self.buckets.get(key, (0, 0))
+        spend += delta
+        new = rate_ceil(rate, max(spend, 0))
+        if cap is not None:
+            new = min(new, cap)
+        self.buckets[key] = (spend, new)
+        self.entitled += new - old
+        ceiling = rate_ceil(rate, max(flow.amount - flow.refunded, 0))
+        self.ceiling += ceiling - flow.ceiling
+        flow.ceiling = ceiling
+
+    def close_day(self, day: int) -> None:
+        self.snapshots.append(IntegritySnapshot(
+            day=day, net_reward=self.reward, bound=self.entitled,
+            ok=self.reward <= self.entitled,
+        ))
+        # a txn's own RRC test reads only its flow, so only txns touched
+        # today can change their answer
+        for txn_id in self.touched:
+            flow = self.flows[txn_id]
+            if flow.granted - flow.clawed <= flow.ceiling:
+                self.ready.add(txn_id)
+            else:
+                self.ready.discard(txn_id)
+        self.touched.clear()
+        if self.ready and self.reward <= self.ceiling:
+            for txn_id in self.ready:
+                for rev in self.open.pop(txn_id):
+                    rev[3] = day
+            self.ready.clear()
+
+
+def _fold(log: EventLog, config: EngineConfig) -> _Fold:
+    """One pass over ``log`` in day order, closing each day it names.
+
+    The sort is stable, so events keep log order within a day, and it
+    costs O(n) on a log that is already in day order.
+    """
+    fold = _Fold(config)
+    day = None
+    for ev in sorted(log, key=attrgetter("day")):
+        if ev.day != day:
+            if day is not None:
+                fold.close_day(day)
+            day = ev.day
+        fold.apply(ev)
+    if day is not None:
+        fold.close_day(day)
+    return fold
+
+
 def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
-    """Integrity snapshots at every day on which anything happened."""
-    days = sorted({ev.day for ev in log})
-    return [check_integrity(log, config, as_of_day=d) for d in days]
+    """Integrity snapshots at every day on which anything happened.
+
+    Each snapshot equals ``check_integrity(log, config, as_of_day=day)``:
+    all events dated up to and including that day count.
+    """
+    return _fold(log, config).snapshots
 
 
 def check_rrc(
     log: EventLog, delta_days: int, config: EngineConfig
 ) -> list[RrcVerdict]:
-    """Refund-reward consistency: one verdict per reversal event.
+    """Refund-reward consistency: one verdict per reversal event, in log order.
 
     A reversal on day d is restored on the first day d' >= d where both
     hold, evaluated on the log state as of d':
@@ -193,30 +334,11 @@ def check_rrc(
     reward is never re-aligned (no clawback path exists) gets
     restored_day None and fails for any delta.
     """
-    reversals = [ev for ev in log if ev.kind in REVERSAL_KINDS]
-    if not reversals:
-        return []
-    days = sorted({ev.day for ev in log})
-    verdicts = []
-    for rev in reversals:
-        restored: int | None = None
-        for d in days:
-            if d < rev.day:
-                continue
-            flows = _flows(log, as_of_day=d)
-            flow = flows[rev.txn_id]
-            remaining = max(flow.amount - flow.refunded, 0)
-            txn_bound = rate_ceil(config.rate(flow.category), remaining)
-            if flow.granted - flow.clawed > txn_bound:
-                continue
-            if net_reward_from_log(log, as_of_day=d) > oracle_bound(
-                log, config, as_of_day=d
-            ):
-                continue
-            restored = d
-            break
-        ok = restored is not None and restored - rev.day <= delta_days
-        verdicts.append(
-            RrcVerdict(txn_id=rev.txn_id, refund_day=rev.day, restored_day=restored, ok=ok)
+    reversals = sorted(_fold(log, config).reversals, key=itemgetter(0))
+    return [
+        RrcVerdict(
+            txn_id=txn_id, refund_day=day, restored_day=restored,
+            ok=restored is not None and restored - day <= delta_days,
         )
-    return verdicts
+        for _, txn_id, day, restored in reversals
+    ]

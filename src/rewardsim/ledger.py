@@ -32,6 +32,7 @@ LEGAL_TRANSITIONS = frozenset(
         (TransactionStatus.SETTLED, TransactionStatus.CHARGEBACK),
         (TransactionStatus.PART_REF, TransactionStatus.PART_REF),
         (TransactionStatus.PART_REF, TransactionStatus.REFUNDED),
+        (TransactionStatus.PART_REF, TransactionStatus.CHARGEBACK),
     }
 )
 
@@ -45,6 +46,14 @@ class IllegalTransition(Exception):
 
 class SequenceGap(Exception):
     """Event appended out of sequence."""
+
+
+class LogInvalid(Exception):
+    """A log event contradicts the events before it, named by its seq."""
+
+    def __init__(self, seq: int, message: str):
+        super().__init__(f"seq {seq}: {message}")
+        self.seq = seq
 
 
 class ParseError(Exception):
@@ -155,6 +164,10 @@ class RewardEvent:
         )
 
 
+_INT_FIELDS = ("seq", "day", "amount_minor", "period")
+_TEXT_FIELDS = ("kind", "txn_id", "user", "category")
+
+
 class EventLog:
     """Append-only, contiguously sequenced event log."""
 
@@ -228,12 +241,26 @@ class EventLog:
                         category=raw["category"],
                         period=raw["period"],
                     )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except KeyError as exc:
+                    raise ParseError(line_no, f"missing field {exc}") from exc
+                except (json.JSONDecodeError, TypeError) as exc:
                     raise ParseError(line_no, str(exc)) from exc
-                if any(not isinstance(getattr(ev, f), int) for f in
-                       ("seq", "day", "amount_minor", "period")):
-                    raise ParseError(line_no, "integer field holds a non-integer")
-                log.append(ev)
+                for name in _INT_FIELDS:
+                    value = getattr(ev, name)
+                    # bool is an int subclass; JSON true is not a number
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise ParseError(
+                            line_no, f"{name} must be an integer, got {value!r}"
+                        )
+                for name in _TEXT_FIELDS:
+                    if not isinstance(getattr(ev, name), str):
+                        raise ParseError(line_no, f"{name} must be a string")
+                if ev.kind not in EVENT_KINDS:
+                    raise ParseError(line_no, f"unknown event kind {ev.kind!r}")
+                try:
+                    log.append(ev)
+                except SequenceGap as exc:
+                    raise SequenceGap(f"line {line_no}: {exc}") from None
         return log
 
 

@@ -36,14 +36,16 @@ def rate_floor(rate: Fraction, amount: int) -> int:
     Settlement rewards round down so the granted reward never exceeds
     the published entitlement.
     """
-    if rate < 0:
+    # a Fraction's denominator is positive: its sign is its numerator's,
+    # and reading it skips Fraction's slow rich comparison
+    if rate.numerator < 0:
         raise ValueError(f"rate must be non-negative, got {rate}")
     return (rate.numerator * amount) // rate.denominator
 
 
 def rate_ceil(rate: Fraction, amount: int) -> int:
     """Smallest whole number of minor units not below rate * amount."""
-    if rate < 0:
+    if rate.numerator < 0:
         raise ValueError(f"rate must be non-negative, got {rate}")
     return -((-rate.numerator * amount) // rate.denominator)
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from rewardsim import EngineConfig, EventLog, Scenario, ScenarioEvent, run
 from rewardsim.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 
@@ -26,6 +28,15 @@ def write_scenario(tmp_path, variant="defensive-instant", events=None,
     path = tmp_path / "scenario.json"
     sc.save(path)
     return path, sc
+
+
+def log_line(n, kind, txn_id="t1", amount=10000, **overrides):
+    """The JSONL line of event ``n`` (seq and day both ``n``);
+    ``overrides`` replace fields as they are."""
+    raw = {"seq": n, "day": n, "kind": kind, "txn_id": txn_id, "user": "u1",
+           "amount_minor": amount, "category": "GROCERY", "period": 0}
+    raw.update(overrides)
+    return json.dumps(raw)
 
 
 class TestSimulate:
@@ -169,6 +180,49 @@ class TestCheck:
             "CONSISTENCY VIOLATION txn t1: refund on day 5 restored never "
             "(allowed lag 30d)",
         ]
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ([log_line(1, "purchase"), log_line(2, "refund-posted", "zz", -100)],
+             "error: seq 2: refund-posted for transaction 'zz' with no purchase"),
+            ([log_line(1, "purchase"), log_line(2, "settle", "zz", 5)],
+             "error: seq 2: settle for transaction 'zz' with no purchase"),
+            ([log_line(1, "purchase"), log_line(2, "refund", "zz", -5)],
+             "error: seq 2: refund for transaction 'zz' with no purchase"),
+            ([log_line(1, "purchase"), log_line(2, "purchase", amount=500)],
+             "error: seq 2: duplicate purchase of transaction 't1'"),
+            ([log_line(1, "purchase"), log_line(2, "mystery")],
+             "error: line 2: unknown event kind 'mystery'"),
+            ([log_line(1, "purchase"), log_line(3, "settle", amount=5)],
+             "error: line 2: expected seq 2, got 3"),
+            ([json.dumps({"day": 0, "kind": "purchase"})],
+             "error: line 1: missing field 'seq'"),
+            ([log_line(1, "purchase", seq=True)],
+             "error: line 1: seq must be an integer, got True"),
+            ([log_line(1, "purchase"), log_line(2, "settle", day=False)],
+             "error: line 2: day must be an integer, got False"),
+            ([log_line(1, "purchase", amount_minor=True)],
+             "error: line 1: amount_minor must be an integer, got True"),
+            ([log_line(1, "purchase", period=True)],
+             "error: line 1: period must be an integer, got True"),
+        ],
+        ids=["reversal-no-purchase", "grant-no-purchase", "claw-no-purchase",
+             "duplicate-purchase", "unknown-kind", "seq-gap", "missing-field",
+             "bool-seq", "bool-day", "bool-amount", "bool-period"],
+    )
+    def test_bad_log_exits_1_with_located_message(self, tmp_path, capsys, lines,
+                                                   message):
+        log_path = tmp_path / "bad.jsonl"
+        log_path.write_text("".join(line + "\n" for line in lines))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(EngineConfig(
+            reward_rate={"GROCERY": Fraction(5, 100)}).to_json_dict()))
+        code = main(["check", "--log", str(log_path), "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
 
     def test_corrupt_log_exits_1(self, tmp_path, capsys):
         log_path = tmp_path / "corrupt.jsonl"

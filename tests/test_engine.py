@@ -186,6 +186,18 @@ class TestChargeback:
         assert ledger.balance == 0
         assert txn.status is TransactionStatus.CHARGEBACK
 
+    def test_partly_refunded_reverses_the_rest(self):
+        ledger, records, log, cfg = fresh()
+        txn = make_txn()
+        reward_on_settlement(ledger, records, txn, cfg, log, 1)
+        assert reward_on_refund(ledger, records, txn, 4000, cfg, log, 2,
+                                current_period=0) == 200
+        c = reward_on_chargeback(ledger, records, txn, cfg, log, 5, current_period=0)
+        assert c == 300
+        assert ledger.balance == 0
+        assert records["t1"].total_refunded == 10000
+        assert txn.status is TransactionStatus.CHARGEBACK
+
     def test_noop_unless_settled(self):
         ledger, records, log, cfg = fresh()
         txn = make_txn()

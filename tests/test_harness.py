@@ -16,6 +16,7 @@ from rewardsim import (
     run,
     scenario_from_log,
 )
+from rewardsim.issuers import VARIANTS
 
 
 def config(variant="defensive-instant", **kw):
@@ -117,6 +118,17 @@ class TestRun:
         assert posted == [-6000]
         assert report.net_spend == 0
         assert report.net_reward == 0
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_chargeback_after_partial_refund_is_accepted(self, variant):
+        # immediate and no-clawback variants have moved t1 to PART_REF by
+        # day 40, statement-close ones still hold it SETTLED
+        report = run(scenario([ev(1, "purchase", "t1", 10000),
+                               ev(35, "refund", "t1", 4000),
+                               ev(40, "chargeback", "t1")], variant=variant))
+        posted = [e.amount_minor for e in report.log if e.kind == "chargeback-posted"]
+        assert posted == [-6000]
+        assert report.net_spend == 0
 
     def test_hold_set_names_the_scenario_user(self):
         # the first close comes before any purchase exists

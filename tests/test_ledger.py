@@ -52,6 +52,13 @@ class TestTransaction:
         transition(t, TransactionStatus.SETTLED)
         transition(t, TransactionStatus.CHARGEBACK)
 
+    def test_chargeback_from_partly_refunded(self):
+        t = make_txn()
+        transition(t, TransactionStatus.SETTLED)
+        transition(t, TransactionStatus.PART_REF)
+        transition(t, TransactionStatus.CHARGEBACK)
+        assert t.status is TransactionStatus.CHARGEBACK
+
     @pytest.mark.parametrize(
         "src,dst",
         [
@@ -59,7 +66,7 @@ class TestTransaction:
             (TransactionStatus.SETTLED, TransactionStatus.PENDING),
             (TransactionStatus.REFUNDED, TransactionStatus.SETTLED),
             (TransactionStatus.CHARGEBACK, TransactionStatus.REFUNDED),
-            (TransactionStatus.PART_REF, TransactionStatus.CHARGEBACK),
+            (TransactionStatus.PART_REF, TransactionStatus.SETTLED),
             (TransactionStatus.SETTLED, TransactionStatus.REFUNDED),
         ],
     )
