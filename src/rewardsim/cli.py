@@ -30,7 +30,7 @@ from .harness import (
     leakage_estimate,
     run,
 )
-from .invariants import check_rrc, integrity_series
+from .invariants import check_log
 from .issuers import MATRIX_VARIANTS, comparison_matrix, render_matrix
 from .ledger import (
     ConfigError,
@@ -78,12 +78,13 @@ def cmd_simulate(args) -> int:
     report = run(scenario)
     if args.log_out:
         report.log.write_jsonl(args.log_out)
+    doc = report.to_json_dict() if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
         print(f"scenario: {report.label}")
         print(f"variant: {scenario.config.variant}")
@@ -143,8 +144,7 @@ def cmd_check(args) -> int:
     delta = args.delta_days
     if delta is None:
         delta = default_consistency_window(config)
-    snapshots = integrity_series(log, config)
-    verdicts = check_rrc(log, delta, config)
+    snapshots, verdicts = check_log(log, delta, config)
     if _print_violations(snapshots, verdicts, f" (allowed lag {delta}d)"):
         print(f"checked {len(log)} events: invariants hold (allowed lag {delta}d)")
         return EXIT_OK

@@ -312,6 +312,7 @@ def statement_cycle_reconcile(
     grace_days: int = 0,
     floor_balance_at_zero: bool = False,
     user: str = "",
+    period_txns: list | None = None,
 ) -> ReconcileReport:
     """Close period ``period`` in three phases.
 
@@ -321,11 +322,18 @@ def statement_cycle_reconcile(
     Phase 3 settles what is still PENDING net of its pending refunds, or
     cancels it when they cover it in full.  Finally the redemption hold
     is pushed out by ``grace_days``; ``user`` is named on its event.
+
+    ``period_txns`` lists the transactions of ``period`` in purchase
+    order; a caller that keeps them indexed by period passes the list,
+    otherwise they are filtered out of ``all_txns``.
+
+    Phase 3 also settles an instant variant's purchase whose delivery
+    delay runs past this close: it credits today as ``reconcile-settle``
+    rather than on its due day (purchase on day 2, delay 40: day 30).
     """
     report = ReconcileReport(period=period)
-    period_txns = [
-        t for t in all_txns.values() if t.period == period
-    ]
+    if period_txns is None:
+        period_txns = [t for t in all_txns.values() if t.period == period]
 
     presettle_refunded = {}
     for txn in period_txns:

@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import engine
-from .invariants import check_rrc, integrity_series, net_reward, net_spend
+from .invariants import check_log, net_reward, net_spend
 from .issuers import ADJ_IMMEDIATE, ADJ_NONE, IssuerVariant, get_variant
 from .ledger import (
     EngineConfig,
@@ -43,6 +43,26 @@ class ScenarioEvent:
     txn_id: str = ""
     amount_minor: int = 0
     category: str = ""
+
+
+def _check_event_types(index: int, ev: ScenarioEvent) -> None:
+    """Raise the located error for the first field of the wrong type.
+
+    bool is an int subclass, and a float day or amount would reach the
+    ledger; both are rejected before any event runs.
+    """
+    for name in ("day", "amount_minor"):
+        value = getattr(ev, name)
+        if type(value) is not int:
+            raise ScenarioInvalid(
+                f"event {index}: {name} must be an integer, got {value!r}"
+            )
+    for name in ("kind", "txn_id", "category"):
+        value = getattr(ev, name)
+        if type(value) is not str:
+            raise ScenarioInvalid(
+                f"event {index}: {name} must be a string, got {value!r}"
+            )
 
 
 @dataclass
@@ -74,6 +94,11 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "Scenario":
+        """Load a scenario, rejecting any ``day`` or ``amount_minor`` that
+        is not a JSON integer and any text field that is not a string,
+        named by the event's index."""
+        if type(raw) is not dict:
+            raise ScenarioInvalid("a scenario must be a JSON object")
         if raw.get("schema") != 1:
             raise ScenarioInvalid(f"unsupported scenario schema: {raw.get('schema')!r}")
         try:
@@ -87,12 +112,20 @@ class Scenario:
                 )
                 for e in raw.get("events", [])
             ]
+            for index, ev in enumerate(events):
+                if not (type(ev.day) is int and type(ev.amount_minor) is int
+                        and type(ev.kind) is str and type(ev.txn_id) is str
+                        and type(ev.category) is str):
+                    _check_event_types(index, ev)
+            user = raw.get("user", "u1")
+            if type(user) is not str:
+                raise ScenarioInvalid(f"user must be a string, got {user!r}")
             return cls(
                 label=raw["label"],
                 config=EngineConfig.from_json_dict(raw["config"]),
                 events=events,
                 auto_redeem=raw.get("auto_redeem", False),
-                user=raw.get("user", "u1"),
+                user=user,
             )
         except (KeyError, TypeError) as exc:
             raise ScenarioInvalid(str(exc)) from exc
@@ -155,7 +188,7 @@ class SimulationReport:
                 }
                 for v in self.rrc
             ],
-            "events": [json.loads(ev.to_json_line()) for ev in self.log],
+            "events": [ev.to_json_dict() for ev in self.log],
         }
 
 
@@ -179,6 +212,7 @@ class Simulation:
         self.ledger = UserLedger()
         self.records: dict[str, RewardRecord] = {}
         self.txns: dict[str, Transaction] = {}
+        self.period_txns: dict[int, list] = {}  # period -> its purchases
         self.reversed: dict[str, int] = {}  # principal refunded or charged back
         self.pending_refunds: dict[str, int] = {}
         self.late_refunds: list = []
@@ -209,6 +243,7 @@ class Simulation:
             category=category, period=period,
         )
         self.txns[txn_id] = txn
+        self.period_txns.setdefault(period, []).append(txn)
         self._note_intent(day)
         self.log.emit(
             day=day, kind="purchase", txn_id=txn_id, user=self.user,
@@ -310,7 +345,7 @@ class Simulation:
             self.ledger, self.records, self.txns, self.pending_refunds, late,
             period, self.config, self.log, day,
             grace_days=grace, floor_balance_at_zero=self.variant.floors_at_zero,
-            user=self.user,
+            user=self.user, period_txns=self.period_txns.get(period, []),
         )
         if self.variant.auto_redeem_at_close and self.ledger.balance > 0:
             y = self.ledger.balance
@@ -383,8 +418,9 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         final_day=max(final_day, 0),
     )
     if daily_snapshots:
-        report.snapshots = integrity_series(sim.log, config)
-        report.rrc = check_rrc(sim.log, default_consistency_window(config), config)
+        report.snapshots, report.rrc = check_log(
+            sim.log, default_consistency_window(config), config
+        )
     return report
 
 

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 
 class TransactionStatus(Enum):
@@ -149,23 +151,48 @@ class RewardEvent:
     period: int
 
     def to_json_line(self) -> str:
-        # field order is part of the wire format
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "day": self.day,
-                "kind": self.kind,
-                "txn_id": self.txn_id,
-                "user": self.user,
-                "amount_minor": self.amount_minor,
-                "category": self.category,
-                "period": self.period,
-            }
+        # field order, separators and ASCII escaping are the wire format:
+        # the bytes of json.dumps(self.to_json_dict()) at a fifth of the
+        # cost, for the int and str fields that scenario and log loading
+        # admit
+        return (
+            f'{{"seq": {self.seq}, "day": {self.day}, '
+            f'"kind": {_quote(self.kind)}, "txn_id": {_quote(self.txn_id)}, '
+            f'"user": {_quote(self.user)}, "amount_minor": {self.amount_minor}, '
+            f'"category": {_quote(self.category)}, "period": {self.period}}}'
         )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "seq": self.seq,
+            "day": self.day,
+            "kind": self.kind,
+            "txn_id": self.txn_id,
+            "user": self.user,
+            "amount_minor": self.amount_minor,
+            "category": self.category,
+            "period": self.period,
+        }
 
 
 _INT_FIELDS = ("seq", "day", "amount_minor", "period")
 _TEXT_FIELDS = ("kind", "txn_id", "user", "category")
+# the eight fields in wire order; a missing one raises KeyError naming it
+_wire_values = itemgetter(
+    "seq", "day", "kind", "txn_id", "user", "amount_minor", "category", "period"
+)
+
+
+def _check_types(line_no: int, ev: RewardEvent) -> None:
+    """Raise the located error for the first field of the wrong type."""
+    for name in _INT_FIELDS:
+        value = getattr(ev, name)
+        # bool is an int subclass; JSON true is not a number
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(line_no, f"{name} must be an integer, got {value!r}")
+    for name in _TEXT_FIELDS:
+        if not isinstance(getattr(ev, name), str):
+            raise ParseError(line_no, f"{name} must be a string")
 
 
 class EventLog:
@@ -203,64 +230,50 @@ class EventLog:
         category: str = "",
         period: int = 0,
     ) -> RewardEvent:
+        # the next seq is the length: append and read_jsonl keep seqs
+        # contiguous from 1
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        events = self.events
         ev = RewardEvent(
-            seq=self.last_seq + 1,
-            day=day,
-            kind=kind,
-            txn_id=txn_id,
-            user=user,
-            amount_minor=amount_minor,
-            category=category,
-            period=period,
+            len(events) + 1, day, kind, txn_id, user, amount_minor, category, period
         )
-        self.append(ev)
+        events.append(ev)
         return ev
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
-            for ev in self.events:
-                fh.write(ev.to_json_line() + "\n")
+            fh.writelines(ev.to_json_line() + "\n" for ev in self.events)
 
     @classmethod
     def read_jsonl(cls, path) -> "EventLog":
         log = cls()
+        events = log.events
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    raw = json.loads(line)
-                    ev = RewardEvent(
-                        seq=raw["seq"],
-                        day=raw["day"],
-                        kind=raw["kind"],
-                        txn_id=raw["txn_id"],
-                        user=raw["user"],
-                        amount_minor=raw["amount_minor"],
-                        category=raw["category"],
-                        period=raw["period"],
-                    )
+                    values = _wire_values(json.loads(line))
                 except KeyError as exc:
                     raise ParseError(line_no, f"missing field {exc}") from exc
                 except (json.JSONDecodeError, TypeError) as exc:
                     raise ParseError(line_no, str(exc)) from exc
-                for name in _INT_FIELDS:
-                    value = getattr(ev, name)
-                    # bool is an int subclass; JSON true is not a number
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ParseError(
-                            line_no, f"{name} must be an integer, got {value!r}"
-                        )
-                for name in _TEXT_FIELDS:
-                    if not isinstance(getattr(ev, name), str):
-                        raise ParseError(line_no, f"{name} must be a string")
-                if ev.kind not in EVENT_KINDS:
-                    raise ParseError(line_no, f"unknown event kind {ev.kind!r}")
-                try:
-                    log.append(ev)
-                except SequenceGap as exc:
-                    raise SequenceGap(f"line {line_no}: {exc}") from None
+                ev = RewardEvent(*values)
+                seq, day, kind, txn_id, user, amount, category, period = values
+                if not (type(seq) is int and type(day) is int
+                        and type(amount) is int and type(period) is int
+                        and type(kind) is str and type(txn_id) is str
+                        and type(user) is str and type(category) is str):
+                    _check_types(line_no, ev)
+                if kind not in EVENT_KINDS:
+                    raise ParseError(line_no, f"unknown event kind {kind!r}")
+                if seq != len(events) + 1:
+                    raise SequenceGap(
+                        f"line {line_no}: expected seq {len(events) + 1}, got {seq}"
+                    )
+                events.append(ev)
         return log
 
 

@@ -82,6 +82,24 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("amount_minor", True), ("day", 1.5)])
+    def test_non_integer_scenario_field_exits_1(self, tmp_path, capsys, field,
+                                                value):
+        # a bool amount used to run and log "amount_minor": true, which
+        # check then rejected; a float day was silently dropped
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        raw["events"][0][field] = value
+        path.write_text(json.dumps(raw))
+        log_path = tmp_path / "log.jsonl"
+        code = main(["simulate", "--scenario", str(path), "--log-out", str(log_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            f"error: event 0: {field} must be an integer, got {value!r}"
+        ]
+        assert not log_path.exists()
+
 
 class TestAttack:
     def test_vulnerable_issuer_exits_2(self, capsys):

@@ -16,6 +16,7 @@ from rewardsim import (
     run,
     scenario_from_log,
 )
+from rewardsim import engine
 from rewardsim.issuers import VARIANTS
 
 
@@ -138,6 +139,40 @@ class TestRun:
         holds = [e for e in run(sc).log if e.kind == "hold-set"]
         assert holds and all(e.user == "alice" for e in holds)
 
+    @pytest.mark.parametrize("variant", ["A", "C", "defensive-instant"])
+    def test_delivery_delay_past_a_close_settles_at_the_close(self, variant):
+        # decided rule: the day-30 close settles every PENDING purchase of
+        # period 0, so a 40-day delay does not reach its day-42 due date
+        report = run(scenario([ev(2, "purchase", "t1", 10000)], variant=variant,
+                              delivery_delay_days=40))
+        assert [(e.day, e.kind, e.amount_minor) for e in report.log] == [
+            (2, "purchase", 10000), (30, "reconcile-settle", 500),
+        ]
+        assert report.integrity_ok
+
+
+class TestPeriodIndex:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_indexed_close_equals_the_filtered_one(self, variant, monkeypatch):
+        # each close receives exactly the transactions the filter over
+        # every transaction would pick, in the same order
+        reconcile = engine.statement_cycle_reconcile
+        seen = []
+
+        def checked(ledger, records, all_txns, *args, period_txns, **kw):
+            period = args[2]
+            expected = [t for t in all_txns.values() if t.period == period]
+            assert period_txns == expected
+            seen.append(len(expected))
+            return reconcile(ledger, records, all_txns, *args,
+                             period_txns=period_txns, **kw)
+
+        monkeypatch.setattr(engine, "statement_cycle_reconcile", checked)
+        events = [ev(d, "purchase", f"t{d}", 1000 + d) for d in range(0, 200, 7)]
+        events += [ev(d + 3, "refund", f"t{d}", 500) for d in range(0, 200, 21)]
+        run(scenario(events, variant=variant, delivery_delay_days=9))
+        assert sum(seen) == len(range(0, 200, 7))
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -180,6 +215,33 @@ class TestScenarioJson:
         path.write_text(json.dumps({"schema": 99, "label": "x"}))
         with pytest.raises(ScenarioInvalid):
             Scenario.load(path)
+
+    @pytest.mark.parametrize("value", [1.5, 1000.5, True, "5"],
+                             ids=["1.5", "1000.5", "true", "string"])
+    @pytest.mark.parametrize("field", ["day", "amount_minor"])
+    def test_non_integer_day_or_amount_rejected(self, field, value):
+        raw = scenario([ev(1, "purchase", "t1", 10000),
+                        ev(3, "refund", "t1", 1000)]).to_json_dict()
+        raw["events"][1][field] = value
+        with pytest.raises(ScenarioInvalid) as exc:
+            Scenario.from_json_dict(raw)
+        assert str(exc.value) == (
+            f"event 1: {field} must be an integer, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("field", ["kind", "txn_id", "category"])
+    def test_non_string_text_field_rejected(self, field):
+        raw = scenario([ev(1, "purchase", "t1", 10000)]).to_json_dict()
+        raw["events"][0][field] = 7
+        with pytest.raises(ScenarioInvalid, match=f"event 0: {field} must be a string"):
+            Scenario.from_json_dict(raw)
+
+    @pytest.mark.parametrize("raw", [[], {"schema": 1, "label": "x", "config": {},
+                                          "user": 1, "events": []}],
+                             ids=["not-an-object", "int-user"])
+    def test_malformed_scenario_rejected(self, raw):
+        with pytest.raises(ScenarioInvalid):
+            Scenario.from_json_dict(raw)
 
 
 class TestReplay:

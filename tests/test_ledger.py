@@ -92,6 +92,9 @@ class TestEventLog:
         log = EventLog()
         with pytest.raises(ValueError):
             log.emit(day=0, kind="mystery", txn_id="", user="u1", amount_minor=0)
+        assert len(log) == 0
+        ev = log.emit(day=0, kind="purchase", txn_id="t1", user="u1", amount_minor=1)
+        assert ev.seq == 1
 
     def test_jsonl_round_trip(self, tmp_path):
         log = EventLog()
