@@ -334,20 +334,7 @@ def check_rrc(
     reward is never re-aligned (no clawback path exists) gets
     restored_day None and fails for any delta.
     """
-    return _verdicts(_fold(log, config), delta_days)
-
-
-def check_log(
-    log: EventLog, delta_days: int, config: EngineConfig
-) -> tuple[list[IntegritySnapshot], list[RrcVerdict]]:
-    """Both checks from one fold: ``integrity_series(log, config)`` and
-    ``check_rrc(log, delta_days, config)``."""
-    fold = _fold(log, config)
-    return fold.snapshots, _verdicts(fold, delta_days)
-
-
-def _verdicts(fold: _Fold, delta_days: int) -> list[RrcVerdict]:
-    reversals = sorted(fold.reversals, key=itemgetter(0))
+    reversals = sorted(_fold(log, config).reversals, key=itemgetter(0))
     return [
         RrcVerdict(
             txn_id=txn_id, refund_day=day, restored_day=restored,

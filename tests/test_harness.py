@@ -224,7 +224,7 @@ class TestScenarioJson:
                         ev(3, "refund", "t1", 1000)]).to_json_dict()
         raw["events"][1][field] = value
         with pytest.raises(ScenarioInvalid) as exc:
-            Scenario.from_json_dict(raw)
+            run(Scenario.from_json_dict(raw))
         assert str(exc.value) == (
             f"event 1: {field} must be an integer, got {value!r}"
         )
@@ -234,7 +234,12 @@ class TestScenarioJson:
         raw = scenario([ev(1, "purchase", "t1", 10000)]).to_json_dict()
         raw["events"][0][field] = 7
         with pytest.raises(ScenarioInvalid, match=f"event 0: {field} must be a string"):
-            Scenario.from_json_dict(raw)
+            run(Scenario.from_json_dict(raw))
+
+    def test_python_built_scenario_checked_too(self):
+        # a float day used to log nothing and report integrity_ok
+        with pytest.raises(ScenarioInvalid, match="event 0: day must be an integer"):
+            run(scenario([ev(1.5, "purchase", "t1", 10000)]))
 
     @pytest.mark.parametrize("raw", [[], {"schema": 1, "label": "x", "config": {},
                                           "user": 1, "events": []}],
