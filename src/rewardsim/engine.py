@@ -8,7 +8,7 @@ steps: same inputs, same outputs, no clocks and no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ledger import (
     EngineConfig,
@@ -47,14 +47,6 @@ class RedeemDenied(Exception):
 class RedeemDecision:
     allowed: bool
     reason: str  # "ok" | "grace-hold" | "insufficient-balance"
-
-
-@dataclass
-class ReconcileReport:
-    period: int
-    same_period_deductions: list = field(default_factory=list)  # (txn_id, deducted)
-    late_clawbacks: list = field(default_factory=list)  # (txn_id, clawback)
-    settled: list = field(default_factory=list)  # (txn_id, reward)
 
 
 def reward_on_settlement(
@@ -120,26 +112,26 @@ def settle_pending(
     log: EventLog,
     day: int,
     kind: str = "settle",
-) -> int | None:
+) -> None:
     """Settle a PENDING transaction net of the ``refunded`` principal
-    that came back while it was pending, and return the reward granted.
+    that came back while it was pending.
 
-    A transaction refunded in full is cancelled instead and returns
-    None: it becomes REFUNDED with a zero reward record.
+    A transaction refunded in full is cancelled instead: it becomes
+    REFUNDED with a zero reward record.
     """
     if refunded < txn.amount:
-        return reward_on_settlement(
+        reward_on_settlement(
             ledger, records, txn, config, log, day, kind,
             presettle_refunded=refunded,
         )
-    transition(txn, TransactionStatus.REFUNDED)
-    records[txn.id] = RewardRecord(
-        reward_current=0,
-        reward_original=0,
-        total_refunded=txn.amount,
-        claw_base=txn.amount,
-    )
-    return None
+    else:
+        transition(txn, TransactionStatus.REFUNDED)
+        records[txn.id] = RewardRecord(
+            reward_current=0,
+            reward_original=0,
+            total_refunded=txn.amount,
+            claw_base=txn.amount,
+        )
 
 
 def _clawback(
@@ -302,8 +294,8 @@ def redeem(
 def statement_cycle_reconcile(
     ledger,
     records: dict,
-    all_txns: dict,
-    pending_refunds: dict,
+    period_txns: list,
+    refunded: dict,
     late_refunds: list,
     period: int,
     config: EngineConfig,
@@ -312,55 +304,35 @@ def statement_cycle_reconcile(
     grace_days: int = 0,
     floor_balance_at_zero: bool = False,
     user: str = "",
-    period_txns: list | None = None,
-) -> ReconcileReport:
-    """Close period ``period`` in three phases.
+) -> None:
+    """Close period ``period`` in two phases.
 
-    Phase 1 takes each transaction's same-period pending refunds out of
-    ``pending_refunds`` (the original amount is preserved).  Phase 2
-    claws back late refunds against prior-period settled transactions.
-    Phase 3 settles what is still PENDING net of its pending refunds, or
-    cancels it when they cover it in full.  Finally the redemption hold
+    Phase 1 claws back ``late_refunds``, (transaction, amount) pairs
+    refunded after their transaction settled.  Phase 2 settles each
+    transaction of ``period_txns`` (the period's purchases, in purchase
+    order) that is still PENDING, net of the principal ``refunded``
+    names for it, or cancels it when that covers it in full;
+    ``refunded`` is read, never changed.  Finally the redemption hold
     is pushed out by ``grace_days``; ``user`` is named on its event.
 
-    ``period_txns`` lists the transactions of ``period`` in purchase
-    order; a caller that keeps them indexed by period passes the list,
-    otherwise they are filtered out of ``all_txns``.
-
-    Phase 3 also settles an instant variant's purchase whose delivery
+    Phase 2 also settles an instant variant's purchase whose delivery
     delay runs past this close: it credits today as ``reconcile-settle``
     rather than on its due day (purchase on day 2, delay 40: day 30).
     """
-    report = ReconcileReport(period=period)
-    if period_txns is None:
-        period_txns = [t for t in all_txns.values() if t.period == period]
-
-    presettle_refunded = {}
-    for txn in period_txns:
-        x = pending_refunds.pop(txn.id, 0)
-        presettle_refunded[txn.id] = x
-        if x > 0:
-            report.same_period_deductions.append((txn.id, x))
-
-    for txn_id, x in late_refunds:
-        txn = all_txns[txn_id]
+    for txn, x in late_refunds:
         if txn.status in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
-            clawed = reward_on_refund(
+            reward_on_refund(
                 ledger, records, txn, x, config, log, day,
                 current_period=period, kind="reconcile-clawback",
                 floor_balance_at_zero=floor_balance_at_zero,
             )
-            report.late_clawbacks.append((txn.id, clawed))
 
     for txn in period_txns:
-        if txn.status is not TransactionStatus.PENDING:
-            continue
-        r = settle_pending(
-            ledger, records, txn, presettle_refunded[txn.id], config, log, day,
-            kind="reconcile-settle",
-        )
-        if r is not None:
-            report.settled.append((txn.id, r))
+        if txn.status is TransactionStatus.PENDING:
+            settle_pending(
+                ledger, records, txn, refunded.get(txn.id, 0), config, log, day,
+                kind="reconcile-settle",
+            )
 
     new_hold = day + grace_days
     if ledger.redemption_hold_until != new_hold:
@@ -375,4 +347,3 @@ def statement_cycle_reconcile(
                 category="",
                 period=period,
             )
-    return report

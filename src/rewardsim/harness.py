@@ -89,14 +89,20 @@ class Scenario:
                 )
                 for e in raw.get("events", [])
             ]
-            user = raw.get("user", "u1")
-            if type(user) is not str:
-                raise ScenarioInvalid(f"user must be a string, got {user!r}")
+            label, user = raw["label"], raw.get("user", "u1")
+            auto_redeem = raw.get("auto_redeem", False)
+            for name, value, kind, noun in (
+                ("label", label, str, "a string"),
+                ("user", user, str, "a string"),
+                ("auto_redeem", auto_redeem, bool, "true or false"),
+            ):
+                if type(value) is not kind:
+                    raise ScenarioInvalid(f"{name} must be {noun}, got {value!r}")
             return cls(
-                label=raw["label"],
+                label=label,
                 config=EngineConfig.from_json_dict(raw["config"]),
                 events=events,
-                auto_redeem=raw.get("auto_redeem", False),
+                auto_redeem=auto_redeem,
                 user=user,
             )
         except (KeyError, TypeError) as exc:
@@ -186,15 +192,16 @@ class Simulation:
         self.txns: dict[str, Transaction] = {}
         self.period_txns: dict[int, list] = {}  # period -> its purchases
         self.reversed: dict[str, int] = {}  # principal refunded or charged back
-        self.pending_refunds: dict[str, int] = {}
-        self.late_refunds: list = []
+        self.late_refunds: list = []  # (txn, amount) deferred to the close
         self.log = EventLog()
-        self.last_intent_day: int | None = None
+        # the horizon: one full period past the period of the last intent
+        self.final_day = -1
         self._due_settlements: list = []  # (due_day, txn_id)
 
     def _note_intent(self, day: int) -> None:
-        if self.last_intent_day is None or day > self.last_intent_day:
-            self.last_intent_day = day
+        horizon = self.config.close_day(self.config.period_of_day(day) + 1)
+        if horizon > self.final_day:
+            self.final_day = horizon
 
     # -- intent handlers ------------------------------------------------
 
@@ -231,7 +238,7 @@ class Simulation:
     def _settle_instant(self, day: int, txn: Transaction) -> None:
         # refunds can land before a delayed settlement; net them out first
         engine.settle_pending(
-            self.ledger, self.records, txn, self.pending_refunds.pop(txn.id, 0),
+            self.ledger, self.records, txn, self.reversed.get(txn.id, 0),
             self.config, self.log, day,
         )
 
@@ -251,8 +258,7 @@ class Simulation:
             amount_minor=-x, category=txn.category, period=txn.period,
         )
         if txn.status is TransactionStatus.PENDING:
-            self.pending_refunds[txn_id] = self.pending_refunds.get(txn_id, 0) + x
-            return
+            return  # netted out of the settlement through ``reversed``
         adjustment = self.variant.refund_adjustment
         if adjustment == ADJ_NONE:
             # a settled reward is never adjusted
@@ -264,7 +270,7 @@ class Simulation:
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
         else:
-            self.late_refunds.append((txn_id, x))
+            self.late_refunds.append((txn, x))
 
     def chargeback(self, day: int, txn_id: str) -> None:
         txn = self._require_txn(txn_id)
@@ -314,10 +320,10 @@ class Simulation:
         grace = self.config.grace_days if self.variant.uses_grace_hold else 0
         late, self.late_refunds = self.late_refunds, []
         engine.statement_cycle_reconcile(
-            self.ledger, self.records, self.txns, self.pending_refunds, late,
-            period, self.config, self.log, day,
+            self.ledger, self.records, self.period_txns.get(period, []),
+            self.reversed, late, period, self.config, self.log, day,
             grace_days=grace, floor_balance_at_zero=self.variant.floors_at_zero,
-            user=self.user, period_txns=self.period_txns.get(period, []),
+            user=self.user,
         )
         if self.variant.auto_redeem_at_close and self.ledger.balance > 0:
             y = self.ledger.balance
@@ -359,18 +365,16 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         if ev.day < 0:
             raise ScenarioInvalid(f"negative day {ev.day}")
     events = sorted(scenario.events, key=lambda e: e.day)
-
-    def horizon(last_intent_day: int) -> int:
-        return config.close_day(config.period_of_day(last_intent_day) + 1)
-
-    final_day = horizon(events[-1].day) if events else -1
+    if events:
+        # the last scenario intent bounds the run before it posts
+        sim._note_intent(events[-1].day)
 
     by_day: dict[int, list] = {}
     for ev in events:
         by_day.setdefault(ev.day, []).append(ev)
 
     day = 0
-    while day <= final_day:
+    while day <= sim.final_day:
         if day > 0 and day % config.period_length_days == 0:
             sim.close_period(day // config.period_length_days - 1)
         while sim._due_settlements and sim._due_settlements[0][0] <= day:
@@ -388,12 +392,9 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             elif ev.kind == "redeem-request":
                 sim.redeem_request(day, ev.amount_minor)
         if scenario.auto_redeem:
+            # a sweep posts an intent, which moves the horizon as any
+            # scenario intent does, so a replay runs the same closes
             sim._sweep_policy(day)
-        # policy sweeps append intents mid-run; the horizon must cover
-        # them the same way it covers scenario intents, or replays of
-        # the log would run a different number of closes
-        if sim.last_intent_day is not None:
-            final_day = max(final_day, horizon(sim.last_intent_day))
         day += 1
 
     report = SimulationReport(
@@ -401,7 +402,7 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         config=config,
         ledger=sim.ledger,
         log=sim.log,
-        final_day=max(final_day, 0),
+        final_day=max(sim.final_day, 0),
     )
     if daily_snapshots:
         report.snapshots = integrity_series(sim.log, config)

@@ -11,9 +11,11 @@ Two checks run over the audit trail alone, never over engine internals:
 Both recompute entitlements from the principal-flow events, so they act
 as independent oracles for the engine's own arithmetic.  Both questions
 are asked "as of" every day of the log, and both are answered by one
-streaming fold over it (``_fold``).  The one-shot aggregates
-(``net_spend``, ``oracle_bound``, ...) stay single lean passes: on a
-short log they are cheaper than the fold.
+streaming fold over it (``_fold``); so are the one-day questions of
+``entitlement_bound`` and ``check_integrity``.  The aggregates the
+simulation reads on every run (``net_spend``, ``oracle_bound``,
+``net_reward_from_log``) stay single lean passes: on a short log they
+are cheaper than the fold.
 
 An event that reverses, grants or claws for a transaction with no
 purchase, or a second purchase of one id, raises ``LogInvalid`` naming
@@ -33,6 +35,7 @@ PRINCIPAL_KINDS = frozenset({"purchase", "refund-posted", "chargeback-posted"})
 REVERSAL_KINDS = frozenset({"refund-posted", "chargeback-posted"})
 GRANT_KINDS = frozenset({"settle", "reconcile-settle"})
 CLAW_KINDS = frozenset({"refund", "chargeback", "reconcile-clawback"})
+REWARD_KINDS = GRANT_KINDS | CLAW_KINDS
 
 
 @dataclass
@@ -79,23 +82,22 @@ def _no_purchase(ev) -> LogInvalid:
 
 
 def _flows(log: EventLog, as_of_day: int | None = None) -> dict:
+    """Each purchase's amount, category and reversed principal."""
     flows: dict[str, _TxnFlow] = {}
     try:
         for ev in log:
             if as_of_day is not None and ev.day > as_of_day:
                 continue
-            if ev.kind == "purchase":
+            kind = ev.kind
+            if kind == "purchase":
                 if ev.txn_id in flows:
                     raise _duplicate_purchase(ev)
-                flows[ev.txn_id] = _TxnFlow(
-                    amount=ev.amount_minor, category=ev.category, period=ev.period
-                )
-            elif ev.kind in REVERSAL_KINDS:
-                flows[ev.txn_id].refunded += -ev.amount_minor
-            elif ev.kind in GRANT_KINDS:
-                flows[ev.txn_id].granted += ev.amount_minor
-            elif ev.kind in CLAW_KINDS:
-                flows[ev.txn_id].clawed += -ev.amount_minor
+                flows[ev.txn_id] = _TxnFlow(amount=ev.amount_minor,
+                                            category=ev.category)
+            elif kind in REVERSAL_KINDS:
+                flows[ev.txn_id].refunded -= ev.amount_minor
+            elif kind in REWARD_KINDS and ev.txn_id not in flows:
+                raise _no_purchase(ev)
     except KeyError:
         raise _no_purchase(ev) from None
     return flows
@@ -140,18 +142,7 @@ def entitlement_bound(
     bucket's entitlement rounds up, so the bound never trips on the
     engine's own downward rounding.
     """
-    buckets: dict[tuple, int] = {}
-    for flow in _flows(log, as_of_day).values():
-        key = (flow.period, flow.category)
-        buckets[key] = buckets.get(key, 0) + flow.amount - flow.refunded
-    bound = 0
-    for (_, category), spend in buckets.items():
-        r = rate_ceil(config.rate(category), max(spend, 0))
-        cap = config.cap(category)
-        if cap is not None:
-            r = min(r, cap)
-        bound += r
-    return bound
+    return _fold(_up_to(log, as_of_day), config).entitled
 
 
 def oracle_bound(
@@ -171,24 +162,16 @@ def oracle_bound(
 
 
 def check_integrity(
-    log: EventLog,
-    config: EngineConfig,
-    as_of_day: int | None = None,
-    ledger=None,
+    log: EventLog, config: EngineConfig, as_of_day: int | None = None
 ) -> IntegritySnapshot:
-    """One point-in-time reward-integrity check.
-
-    When a ledger is given, its balance plus redeemed total is checked;
-    otherwise the net reward is recomputed from the log.
-    """
+    """One point-in-time reward-integrity check of the log's net reward,
+    as of ``as_of_day`` (default: the log's last day)."""
     if as_of_day is None:
         as_of_day = max((ev.day for ev in log), default=0)
-    reward = (
-        net_reward(ledger) if ledger is not None else net_reward_from_log(log, as_of_day)
-    )
-    bound = entitlement_bound(log, config, as_of_day)
+    fold = _fold(_up_to(log, as_of_day), config)
     return IntegritySnapshot(
-        day=as_of_day, net_reward=reward, bound=bound, ok=reward <= bound
+        day=as_of_day, net_reward=fold.reward, bound=fold.entitled,
+        ok=fold.reward <= fold.entitled,
     )
 
 
@@ -290,8 +273,14 @@ class _Fold:
             self.ready.clear()
 
 
-def _fold(log: EventLog, config: EngineConfig) -> _Fold:
-    """One pass over ``log`` in day order, closing each day it names.
+def _up_to(log: EventLog, as_of_day: int | None):
+    """The events of ``log`` dated up to ``as_of_day``, or all of them."""
+    return log if as_of_day is None else [ev for ev in log if ev.day <= as_of_day]
+
+
+def _fold(log, config: EngineConfig) -> _Fold:
+    """One pass over the events of ``log`` in day order, closing each day
+    it names.
 
     The sort is stable, so events keep log order within a day, and it
     costs O(n) on a log that is already in day order.

@@ -15,6 +15,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
+from .issuers import VARIANTS
+
 
 class TransactionStatus(Enum):
     PENDING = "PENDING"
@@ -299,12 +301,34 @@ class EngineConfig:
     delivery_delay_days: int = 0
 
     def __post_init__(self):
+        # checked by type, not by isinstance: bool is an int subclass, and
+        # a float rate or day count would reach the ledger's arithmetic
+        for name in ("reward_rate", "monthly_cap"):
+            value = getattr(self, name)
+            if type(value) is not dict:
+                raise ConfigError(f"{name} must be a mapping, got {value!r}")
+            for cat in value:
+                if type(cat) is not str:
+                    raise ConfigError(f"{name} category must be a string, got {cat!r}")
         for cat, rate in self.reward_rate.items():
+            if type(rate) is not Fraction:
+                raise ConfigError(f"rate for {cat!r} must be a Fraction, got {rate!r}")
             if not 0 <= rate <= 1:
                 raise ConfigError(f"rate for {cat!r} outside [0,1]: {rate}")
         for cat, cap in self.monthly_cap.items():
+            if type(cap) is not int:
+                raise ConfigError(f"cap for {cat!r} must be an integer, got {cap!r}")
             if cap < 0:
                 raise ConfigError(f"cap for {cat!r} negative: {cap}")
+        for name in ("b_min", "grace_days", "period_length_days",
+                     "delivery_delay_days"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if type(self.variant) is not str or self.variant not in VARIANTS:
+            raise ConfigError(
+                f"variant must be one of {sorted(VARIANTS)}, got {self.variant!r}"
+            )
         if self.period_length_days <= 0:
             raise ConfigError("period_length_days must be positive")
         if not 0 <= self.grace_days < self.period_length_days:
@@ -331,11 +355,17 @@ class EngineConfig:
 
     # JSON uses basis points for rates so files stay float-free.
     def to_json_dict(self) -> dict:
+        bps = {}
+        for c, r in sorted(self.reward_rate.items()):
+            whole = r * 10000
+            if whole.denominator != 1:
+                raise ConfigError(
+                    f"rate for {c!r} is not a whole number of basis points: {r}"
+                )
+            bps[c] = whole.numerator
         return {
             "variant": self.variant,
-            "reward_rate_bps": {
-                c: int(r * 10000) for c, r in sorted(self.reward_rate.items())
-            },
+            "reward_rate_bps": bps,
             "monthly_cap_minor": dict(sorted(self.monthly_cap.items())),
             "b_min_minor": self.b_min,
             "grace_days": self.grace_days,
@@ -345,10 +375,19 @@ class EngineConfig:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "EngineConfig":
-        rates = {
-            c: Fraction(bps, 10000)
-            for c, bps in raw.get("reward_rate_bps", {}).items()
-        }
+        """Load the JSON layout; every field is checked as in ``__init__``."""
+        if type(raw) is not dict:
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        for name in ("reward_rate_bps", "monthly_cap_minor"):
+            if type(raw.get(name, {})) is not dict:
+                raise ConfigError(f"{name} must be a JSON object, got {raw[name]!r}")
+        rates = {}
+        for c, bps in raw.get("reward_rate_bps", {}).items():
+            if type(bps) is not int:
+                raise ConfigError(
+                    f"reward_rate_bps for {c!r} must be an integer, got {bps!r}"
+                )
+            rates[c] = Fraction(bps, 10000)
         return cls(
             reward_rate=rates,
             monthly_cap=dict(raw.get("monthly_cap_minor", {})),

@@ -100,6 +100,33 @@ class TestSimulate:
         ]
         assert not log_path.exists()
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ([], "error: config must be a JSON object, got []"),
+            ({"reward_rate_bps": 500},
+             "error: reward_rate_bps must be a JSON object, got 500"),
+            ({"period_length_days": 30.0},
+             "error: period_length_days must be an integer, got 30.0"),
+            ({"grace_days": True}, "error: grace_days must be an integer, got True"),
+        ],
+        ids=["list", "rate-map", "float-period", "bool-grace"],
+    )
+    def test_bad_config_exits_1(self, tmp_path, capsys, config, message):
+        # a list config used to end in an AttributeError traceback, and
+        # a 30.0-day period ran and wrote "period": 0.0 into the log
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        raw["config"] = config
+        path.write_text(json.dumps(raw))
+        log_path = tmp_path / "log.jsonl"
+        code = main(["simulate", "--scenario", str(path), "--log-out", str(log_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+        assert not log_path.exists()
+
 
 class TestAttack:
     def test_vulnerable_issuer_exits_2(self, capsys):
@@ -237,6 +264,33 @@ class TestCheck:
         cfg_path.write_text(json.dumps(EngineConfig(
             reward_rate={"GROCERY": Fraction(5, 100)}).to_json_dict()))
         code = main(["check", "--log", str(log_path), "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ([], "error: config must be a JSON object, got []"),
+            ({"monthly_cap_minor": [5000]},
+             "error: monthly_cap_minor must be a JSON object, got [5000]"),
+            ({"reward_rate_bps": {"GROCERY": "500"}},
+             "error: reward_rate_bps for 'GROCERY' must be an integer, got '500'"),
+            ({"delivery_delay_days": 1.5},
+             "error: delivery_delay_days must be an integer, got 1.5"),
+            ({"variant": "Z"},
+             "error: variant must be one of ['A', 'B', 'C', 'D', 'E', 'F', "
+             "'V3a', 'defensive-cycle', 'defensive-instant'], got 'Z'"),
+        ],
+        ids=["list", "cap-map", "text-bps", "float-delay", "unknown-variant"],
+    )
+    def test_bad_config_exits_1(self, tmp_path, capsys, config, message):
+        # --delta-days keeps check from looking the variant up itself
+        log_path, cfg_path = self.make_log(tmp_path)
+        cfg_path.write_text(json.dumps(config))
+        code = main(["check", "--log", str(log_path), "--config", str(cfg_path),
+                     "--delta-days", "5"])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT
         assert captured.err.splitlines() == [message]

@@ -114,7 +114,7 @@ def test_reader_errors_match_reference(tmp_path, lines):
 
 
 GOLDEN = ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
-          "cross_cycle_B", "empty"]
+          "cross_cycle_B", "empty", "close_refunds_cycle", "delayed_refund_instant"]
 
 
 @pytest.mark.parametrize("name", GOLDEN)

@@ -246,13 +246,14 @@ class TestReconcile:
     def test_pending_refund_nets_before_settlement(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn()
-        txns = {"t1": txn}
-        report = statement_cycle_reconcile(
-            ledger, records, txns, {"t1": 4000}, [], 0, cfg, log, day=30,
+        statement_cycle_reconcile(
+            ledger, records, [txn], {"t1": 4000}, [], 0, cfg, log, day=30,
             grace_days=7,
         )
-        assert report.settled == [("t1", 300)]  # 5% of the 60.00 kept
-        assert report.same_period_deductions == [("t1", 4000)]
+        assert [(e.day, e.kind, e.txn_id, e.amount_minor) for e in log] == [
+            (30, "reconcile-settle", "t1", 300),  # 5% of the 60.00 kept
+            (30, "hold-set", "", 0),
+        ]
         assert ledger.balance == 300
         assert records["t1"].claw_base == 6000
         assert records["t1"].total_refunded == 4000
@@ -261,35 +262,45 @@ class TestReconcile:
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn()
         statement_cycle_reconcile(
-            ledger, records, {"t1": txn}, {"t1": 10000}, [], 0, cfg, log, 30
+            ledger, records, [txn], {"t1": 10000}, [], 0, cfg, log, 30
         )
         assert txn.status is TransactionStatus.REFUNDED
         assert ledger.balance == 0
         assert records["t1"].reward_original == 0
+        assert len(log) == 0
 
-    def test_close_consumes_pending_refunds(self):
+    def test_close_leaves_refunded_unchanged(self):
+        # the tally is the simulation's live one: the close reads it and
+        # must not consume it
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
-        pending = {"a": 4000, "b": 10000}
-        txns = {"a": make_txn("a"), "b": make_txn("b")}
-        statement_cycle_reconcile(ledger, records, txns, pending, [], 0, cfg, log, 30)
-        assert pending == {}
+        refunded = {"a": 4000, "b": 10000, "elsewhere": 500}
+        txns = [make_txn("a"), make_txn("b")]
+        statement_cycle_reconcile(ledger, records, txns, refunded, [], 0, cfg, log, 30)
+        assert refunded == {"a": 4000, "b": 10000, "elsewhere": 500}
+        assert [(e.kind, e.txn_id, e.amount_minor) for e in log] == [
+            ("reconcile-settle", "a", 300),
+        ]
+        assert txns[1].status is TransactionStatus.REFUNDED
 
     def test_late_refunds_claw_at_close(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn(period=0)
         reward_on_settlement(ledger, records, txn, cfg, log, 30, kind="reconcile-settle")
-        report = statement_cycle_reconcile(
-            ledger, records, {"t1": txn}, {}, [("t1", 5000)], 1, cfg, log, 60
+        statement_cycle_reconcile(
+            ledger, records, [], {"t1": 5000}, [(txn, 5000)], 1, cfg, log, 60
         )
-        assert report.late_clawbacks == [("t1", 250)]
+        assert [(e.day, e.kind, e.txn_id, e.amount_minor) for e in log][1:] == [
+            (60, "reconcile-clawback", "t1", -250),
+        ]
         assert ledger.balance == 250
-        assert log.events[-1].kind == "reconcile-clawback"
+        assert records["t1"].reward_current == 250
+        assert txn.status is TransactionStatus.PART_REF
 
     def test_hold_event_emitted_once_per_change(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn()
         statement_cycle_reconcile(
-            ledger, records, {"t1": txn}, {}, [], 0, cfg, log, 30, grace_days=7
+            ledger, records, [txn], {}, [], 0, cfg, log, 30, grace_days=7
         )
         assert ledger.redemption_hold_until == 37
         assert [e.kind for e in log][-1] == "hold-set"
@@ -300,7 +311,7 @@ class TestReconcile:
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn(amount=10000)
         statement_cycle_reconcile(
-            ledger, records, {"t1": txn}, {"t1": 3000}, [], 0, cfg, log, 30
+            ledger, records, [txn], {"t1": 3000}, [], 0, cfg, log, 30
         )
         assert ledger.balance == 350
         reward_on_refund(ledger, records, txn, 7000, cfg, log, 40, current_period=1)

@@ -154,18 +154,20 @@ class TestRun:
 class TestPeriodIndex:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_indexed_close_equals_the_filtered_one(self, variant, monkeypatch):
-        # each close receives exactly the transactions the filter over
-        # every transaction would pick, in the same order
+        # each close receives exactly the transactions whose purchase
+        # events name its period, in purchase order
         reconcile = engine.statement_cycle_reconcile
         seen = []
 
-        def checked(ledger, records, all_txns, *args, period_txns, **kw):
-            period = args[2]
-            expected = [t for t in all_txns.values() if t.period == period]
-            assert period_txns == expected
+        def checked(ledger, records, period_txns, refunded, late, period,
+                    config, log, *args, **kw):
+            expected = [(e.txn_id, e.amount_minor) for e in log
+                        if e.kind == "purchase" and e.period == period]
+            assert [(t.id, t.amount) for t in period_txns] == expected
+            assert all(t.period == period for t in period_txns)
             seen.append(len(expected))
-            return reconcile(ledger, records, all_txns, *args,
-                             period_txns=period_txns, **kw)
+            return reconcile(ledger, records, period_txns, refunded, late,
+                             period, config, log, *args, **kw)
 
         monkeypatch.setattr(engine, "statement_cycle_reconcile", checked)
         events = [ev(d, "purchase", f"t{d}", 1000 + d) for d in range(0, 200, 7)]
@@ -246,6 +248,17 @@ class TestScenarioJson:
                              ids=["not-an-object", "int-user"])
     def test_malformed_scenario_rejected(self, raw):
         with pytest.raises(ScenarioInvalid):
+            Scenario.from_json_dict(raw)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("label", 7, "label must be a string, got 7"),
+        ("auto_redeem", "no", "auto_redeem must be true or false, got 'no'"),
+        ("auto_redeem", 1, "auto_redeem must be true or false, got 1"),
+    ], ids=["int-label", "text-auto-redeem", "int-auto-redeem"])
+    def test_scenario_field_types_checked(self, field, value, message):
+        # a text auto_redeem used to switch the sweep policy on
+        raw = {"schema": 1, "label": "x", "config": {}, "events": [], field: value}
+        with pytest.raises(ScenarioInvalid, match=f"^{message}$"):
             Scenario.from_json_dict(raw)
 
 

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+
+import reference_invariants as ref
 from rewardsim import (
     EngineConfig,
     EventLog,
@@ -14,6 +18,7 @@ from rewardsim import (
     oracle_bound,
     run,
 )
+from test_invariants_fold import logs_and_configs
 
 
 def simple_log():
@@ -165,3 +170,31 @@ class TestRrc:
 
     def test_empty_log_has_no_verdicts(self):
         assert check_rrc(EventLog(), 0, EngineConfig()) == []
+
+
+def assert_one_day_checks_match(log, config):
+    days = sorted({ev.day for ev in log})
+    for day in [None, -1, *days, days[-1] + 1 if days else 0]:
+        assert entitlement_bound(log, config, day) == ref.entitlement_bound(
+            log, config, day)
+        assert check_integrity(log, config, day) == ref.check_integrity(
+            log, config, day)
+        assert oracle_bound(log, config, day) == ref.oracle_bound(log, config, day)
+
+
+class TestOneDayChecksAgainstReference:
+    # entitlement_bound and check_integrity answer from the fold over the
+    # events up to the day; the rescanning originals must agree
+    @pytest.mark.parametrize(
+        "name", ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
+                 "cross_cycle_B", "empty", "close_refunds_cycle",
+                 "delayed_refund_instant"],
+    )
+    def test_fixtures(self, fixtures_dir, name):
+        sc = Scenario.load(fixtures_dir / f"{name}.json")
+        assert_one_day_checks_match(run(sc, daily_snapshots=False).log, sc.config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(logs_and_configs())
+    def test_arbitrary_logs(self, log_and_config):
+        assert_one_day_checks_match(*log_and_config)

@@ -188,3 +188,68 @@ class TestEngineConfig:
         cfg = EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)})
         raw = cfg.to_json_dict()
         assert raw["reward_rate_bps"] == {"GROCERY": 500}
+
+    @pytest.mark.parametrize(
+        "kw,field",
+        [
+            ({"reward_rate": {"G": 0.05}}, "rate for 'G'"),
+            ({"reward_rate": {"G": 1}}, "rate for 'G'"),
+            ({"reward_rate": [("G", Fraction(1, 20))]}, "reward_rate"),
+            ({"reward_rate": {5: Fraction(1, 20)}}, "reward_rate category"),
+            ({"monthly_cap": {"G": 50.0}}, "cap for 'G'"),
+            ({"monthly_cap": {"G": True}}, "cap for 'G'"),
+            ({"monthly_cap": None}, "monthly_cap"),
+            ({"b_min": True}, "b_min"),
+            ({"grace_days": 7.0}, "grace_days"),
+            ({"period_length_days": 30.0}, "period_length_days"),
+            ({"period_length_days": True}, "period_length_days"),
+            ({"delivery_delay_days": "0"}, "delivery_delay_days"),
+            ({"variant": None}, "variant"),
+            ({"variant": "Z"}, "variant"),
+        ],
+        ids=["float-rate", "int-rate", "rate-pairs", "int-category", "float-cap",
+             "bool-cap", "no-cap-map", "bool-b-min", "float-grace", "float-period",
+             "bool-period", "text-delay", "no-variant", "unknown-variant"],
+    )
+    def test_python_built_config_checked(self, kw, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            EngineConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "raw,field",
+        [
+            ([], "config"),
+            ("defensive-cycle", "config"),
+            ({"reward_rate_bps": []}, "reward_rate_bps"),
+            ({"monthly_cap_minor": 5000}, "monthly_cap_minor"),
+            ({"reward_rate_bps": {"G": 5.5}}, "reward_rate_bps for 'G'"),
+            ({"reward_rate_bps": {"G": True}}, "reward_rate_bps for 'G'"),
+            ({"monthly_cap_minor": {"G": "5000"}}, "cap for 'G'"),
+            ({"period_length_days": 30.0}, "period_length_days"),
+            ({"grace_days": False}, "grace_days"),
+            ({"b_min_minor": None}, "b_min"),
+            ({"variant": ["A"]}, "variant"),
+            ({"variant": "defensive"}, "variant"),
+        ],
+        ids=["list", "text", "rate-list", "int-cap-map", "float-bps", "bool-bps",
+             "text-cap", "float-period", "bool-grace", "null-b-min", "list-variant",
+             "unknown-variant"],
+    )
+    def test_json_config_checked(self, raw, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            EngineConfig.from_json_dict(raw)
+
+    def test_rate_off_the_basis_point_grid_is_not_saved(self):
+        # 1/3 used to be written as 3333 bps, so save -> load -> replay
+        # ran a different rate
+        cfg = EngineConfig(reward_rate={"G": Fraction(5, 100), "X": Fraction(1, 3)})
+        with pytest.raises(ConfigError, match="rate for 'X' is not a whole number "
+                                              "of basis points: 1/3"):
+            cfg.to_json_dict()
+
+    @pytest.mark.parametrize("bps", [0, 1, 333, 2500, 9999, 10000])
+    def test_whole_basis_points_round_trip(self, bps):
+        cfg = EngineConfig(reward_rate={"G": Fraction(bps, 10000)})
+        raw = cfg.to_json_dict()
+        assert raw["reward_rate_bps"] == {"G": bps}
+        assert EngineConfig.from_json_dict(raw) == cfg
