@@ -76,6 +76,7 @@ def build_ddra_scenario(
     """
     config = attack_config(variant)
     length = config.period_length_days
+    refund_minor = int(refund_fraction * purchase_minor)
     events = []
     for k in range(cycles):
         txn_id = f"t{k:03d}"
@@ -94,9 +95,9 @@ def build_ddra_scenario(
             )
         )
         if r_day is not None:
-            x = int(refund_fraction * purchase_minor)
             events.append(
-                ScenarioEvent(day=r_day, kind="refund", txn_id=txn_id, amount_minor=x)
+                ScenarioEvent(day=r_day, kind="refund", txn_id=txn_id,
+                              amount_minor=refund_minor)
             )
     return Scenario(
         label=f"ddra-{variant}-{timing}",

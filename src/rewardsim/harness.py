@@ -1,12 +1,12 @@
-"""Scenario model, deterministic day-driven simulation, and log replay.
+"""Scenario model, deterministic event-driven simulation, and log replay.
 
 A scenario is a labelled list of (day, kind, ...) intents plus an engine
-configuration.  The simulation walks days in order: statement closes
-fire at the start of their day, then the day's intents in input order,
-then the optional sweep-everything redemption policy.  Every intent is
-logged before its effects, so the log alone reconstructs the run:
-``replay`` re-executes the intent events and must reproduce the log
-byte for byte.
+configuration.  The simulation visits, in order, only the days on which
+state can change: statement closes fire at the start of their day, then
+the instant settlements due, then the day's intents in input order, then
+the optional sweep-everything redemption policy.  Every intent is logged
+before its effects, so the log alone reconstructs the run: ``replay``
+re-executes the intent events and must reproduce the log byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +34,20 @@ SCENARIO_KINDS = ("purchase", "refund", "chargeback", "redeem-request")
 
 class ScenarioInvalid(Exception):
     pass
+
+
+# the keys of a scenario file and of its events; any other key is a typo
+# that would otherwise run with a default
+_SCENARIO_KEYS = frozenset({"schema", "label", "config", "auto_redeem", "user", "events"})
+_EVENT_KEYS = frozenset({"day", "kind", "txn_id", "amount_minor", "category"})
+
+
+def _check_utf8(text: str, what: str) -> None:
+    """Reject text that cannot be written out, such as a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ScenarioInvalid(f"{what} is not valid UTF-8 text: {text!r}") from None
 
 
 @dataclass
@@ -78,17 +92,26 @@ class Scenario:
             raise ScenarioInvalid("a scenario must be a JSON object")
         if raw.get("schema") != 1:
             raise ScenarioInvalid(f"unsupported scenario schema: {raw.get('schema')!r}")
+        if not _SCENARIO_KEYS.issuperset(raw):
+            unknown = next(k for k in raw if k not in _SCENARIO_KEYS)
+            raise ScenarioInvalid(f"unknown scenario key {unknown!r}")
         try:
-            events = [
-                ScenarioEvent(
+            events = []
+            for index, e in enumerate(raw.get("events", [])):
+                if type(e) is not dict:
+                    raise ScenarioInvalid(
+                        f"event {index} must be a JSON object, got {e!r}"
+                    )
+                if not _EVENT_KEYS.issuperset(e):
+                    unknown = next(k for k in e if k not in _EVENT_KEYS)
+                    raise ScenarioInvalid(f"event {index}: unknown key {unknown!r}")
+                events.append(ScenarioEvent(
                     day=e["day"],
                     kind=e["kind"],
                     txn_id=e.get("txn_id", ""),
                     amount_minor=e.get("amount_minor", 0),
                     category=e.get("category", ""),
-                )
-                for e in raw.get("events", [])
-            ]
+                ))
             label, user = raw["label"], raw.get("user", "u1")
             auto_redeem = raw.get("auto_redeem", False)
             for name, value, kind, noun in (
@@ -98,6 +121,9 @@ class Scenario:
             ):
                 if type(value) is not kind:
                     raise ScenarioInvalid(f"{name} must be {noun}, got {value!r}")
+            if not (label.isascii() and user.isascii()):
+                _check_utf8(label, "label")
+                _check_utf8(user, "user")
             return cls(
                 label=label,
                 config=EngineConfig.from_json_dict(raw["config"]),
@@ -181,7 +207,7 @@ def default_consistency_window(config: EngineConfig) -> int:
 
 
 class Simulation:
-    """Single-user, day-driven run of one scenario under one variant."""
+    """Single-user run of one scenario under one variant."""
 
     def __init__(self, config: EngineConfig, user: str = "u1"):
         self.config = config
@@ -342,6 +368,23 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     The horizon runs one full period past the period of the last intent,
     so every deferred settlement, clawback, and hold has resolved when
     the report is produced.  An empty scenario produces an empty log.
+
+    Each visited day runs, in order, the statement close due that day,
+    the instant settlements due, the day's intents in input order, and
+    the sweep policy.  The clock is event-driven: from a visited day it
+    jumps to the earliest of the next statement close, the next intent
+    day, the next due settlement and, with the sweep on, the end of a
+    grace hold that lies ahead.  The sweep is a no-op on every day
+    skipped, because:
+
+    - balance, hold and cap state change only on visited days;
+    - ``can_redeem`` depends on the day only through ``today < hold``,
+      which changes value on the hold day, a visited one;
+    - the sweep asks for the whole balance, so its ``b_min`` test
+      (``0 >= b_min``) does not depend on the day.
+
+    A sweep that redeems moves the horizon, so ``sim.final_day`` is read
+    again after every visit.
     """
     sim = Simulation(scenario.config, user=scenario.user)
     config = scenario.config
@@ -360,6 +403,8 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
                 raise ScenarioInvalid(
                     f"event {index}: {name} must be a string, got {value!r}"
                 )
+            if not value.isascii():
+                _check_utf8(value, f"event {index}: {name}")
         if ev.kind not in SCENARIO_KINDS:
             raise ScenarioInvalid(f"unknown scenario event kind {ev.kind!r}")
         if ev.day < 0:
@@ -373,29 +418,45 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     for ev in events:
         by_day.setdefault(ev.day, []).append(ev)
 
+    length = config.period_length_days
+    due = sim._due_settlements
+    intent_days = iter(by_day)  # ascending: the events are sorted
+    next_intent = next(intent_days, None)
     day = 0
     while day <= sim.final_day:
-        if day > 0 and day % config.period_length_days == 0:
-            sim.close_period(day // config.period_length_days - 1)
-        while sim._due_settlements and sim._due_settlements[0][0] <= day:
-            _, txn_id = sim._due_settlements.pop(0)
+        if day > 0 and day % length == 0:
+            sim.close_period(day // length - 1)
+        while due and due[0][0] <= day:
+            _, txn_id = due.pop(0)
             txn = sim.txns[txn_id]
             if txn.status is TransactionStatus.PENDING:
                 sim._settle_instant(day, txn)
-        for ev in by_day.get(day, []):
-            if ev.kind == "purchase":
-                sim.purchase(day, ev.txn_id, ev.amount_minor, ev.category)
-            elif ev.kind == "refund":
-                sim.refund(day, ev.txn_id, ev.amount_minor)
-            elif ev.kind == "chargeback":
-                sim.chargeback(day, ev.txn_id)
-            elif ev.kind == "redeem-request":
-                sim.redeem_request(day, ev.amount_minor)
+        if day == next_intent:
+            for ev in by_day[day]:
+                if ev.kind == "purchase":
+                    sim.purchase(day, ev.txn_id, ev.amount_minor, ev.category)
+                elif ev.kind == "refund":
+                    sim.refund(day, ev.txn_id, ev.amount_minor)
+                elif ev.kind == "chargeback":
+                    sim.chargeback(day, ev.txn_id)
+                elif ev.kind == "redeem-request":
+                    sim.redeem_request(day, ev.amount_minor)
+            next_intent = next(intent_days, None)
         if scenario.auto_redeem:
             # a sweep posts an intent, which moves the horizon as any
             # scenario intent does, so a replay runs the same closes
             sim._sweep_policy(day)
-        day += 1
+        # jump to the next day on which state can change
+        nxt = (day // length + 1) * length
+        if next_intent is not None and next_intent < nxt:
+            nxt = next_intent
+        if due and due[0][0] < nxt:
+            nxt = due[0][0]
+        if scenario.auto_redeem:
+            hold = sim.ledger.redemption_hold_until
+            if hold is not None and day < hold < nxt:
+                nxt = hold
+        day = nxt
 
     report = SimulationReport(
         label=scenario.label,

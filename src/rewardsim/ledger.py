@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
+from typing import NamedTuple
 
 from .issuers import VARIANTS
 
@@ -141,8 +142,9 @@ REWARD_DELTA_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RewardEvent:
+class RewardEvent(NamedTuple):
+    """One log event: an immutable named tuple, fields in wire order."""
+
     seq: int
     day: int
     kind: str
@@ -165,16 +167,7 @@ class RewardEvent:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "day": self.day,
-            "kind": self.kind,
-            "txn_id": self.txn_id,
-            "user": self.user,
-            "amount_minor": self.amount_minor,
-            "category": self.category,
-            "period": self.period,
-        }
+        return self._asdict()
 
 
 _INT_FIELDS = ("seq", "day", "amount_minor", "period")
@@ -262,7 +255,7 @@ class EventLog:
                     raise ParseError(line_no, f"missing field {exc}") from exc
                 except (json.JSONDecodeError, TypeError) as exc:
                     raise ParseError(line_no, str(exc)) from exc
-                ev = RewardEvent(*values)
+                ev = RewardEvent._make(values)
                 seq, day, kind, txn_id, user, amount, category, period = values
                 if not (type(seq) is int and type(day) is int
                         and type(amount) is int and type(period) is int
@@ -281,6 +274,14 @@ class EventLog:
 
 class ConfigError(Exception):
     pass
+
+
+# the keys of EngineConfig's JSON layout; any other key is a typo that
+# would otherwise run with a default
+_CONFIG_KEYS = frozenset({
+    "variant", "reward_rate_bps", "monthly_cap_minor", "b_min_minor",
+    "grace_days", "period_length_days", "delivery_delay_days",
+})
 
 
 @dataclass
@@ -378,6 +379,9 @@ class EngineConfig:
         """Load the JSON layout; every field is checked as in ``__init__``."""
         if type(raw) is not dict:
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        if not _CONFIG_KEYS.issuperset(raw):
+            unknown = next(k for k in raw if k not in _CONFIG_KEYS)
+            raise ConfigError(f"unknown config key {unknown!r}")
         for name in ("reward_rate_bps", "monthly_cap_minor"):
             if type(raw.get(name, {})) is not dict:
                 raise ConfigError(f"{name} must be a JSON object, got {raw[name]!r}")

@@ -109,8 +109,9 @@ class TestSimulate:
             ({"period_length_days": 30.0},
              "error: period_length_days must be an integer, got 30.0"),
             ({"grace_days": True}, "error: grace_days must be an integer, got True"),
+            ({"grace_day": 3}, "error: unknown config key 'grace_day'"),
         ],
-        ids=["list", "rate-map", "float-period", "bool-grace"],
+        ids=["list", "rate-map", "float-period", "bool-grace", "unknown-key"],
     )
     def test_bad_config_exits_1(self, tmp_path, capsys, config, message):
         # a list config used to end in an AttributeError traceback, and
@@ -125,6 +126,79 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert captured.err.splitlines() == [message]
         assert captured.out == ""
+        assert not log_path.exists()
+
+    @pytest.mark.parametrize(
+        "where,key,message",
+        [
+            ("event", "categroy", "error: event 0: unknown key 'categroy'"),
+            ("scenario", "auto_redeam", "error: unknown scenario key 'auto_redeam'"),
+        ],
+        ids=["event", "scenario"],
+    )
+    def test_unknown_key_exits_1(self, tmp_path, capsys, where, key, message):
+        # a misspelt key used to be dropped, and the run took the default
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        target = raw["events"][0] if where == "event" else raw
+        target[key] = 3
+        path.write_text(json.dumps(raw))
+        log_path = tmp_path / "log.jsonl"
+        code = main(["simulate", "--scenario", str(path), "--log-out", str(log_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+        assert not log_path.exists()
+
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("label", "label is not valid UTF-8 text"),
+            ("user", "user is not valid UTF-8 text"),
+            ("kind", "event 0: kind is not valid UTF-8 text"),
+            ("txn_id", "event 0: txn_id is not valid UTF-8 text"),
+            ("category", "event 0: category is not valid UTF-8 text"),
+        ],
+        ids=["label", "user", "kind", "txn_id", "category"],
+    )
+    def test_lone_surrogate_exits_1_before_writing(self, tmp_path, capsys, field,
+                                                    message):
+        # a lone surrogate used to run and write the log, then fail to
+        # print the text report
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        if field in ("label", "user"):
+            raw[field] = "t\ud800"
+        else:
+            raw["events"][0][field] = "t\ud800"
+        path.write_text(json.dumps(raw))
+        log_path = tmp_path / "log.jsonl"
+        code = main(["simulate", "--scenario", str(path), "--log-out", str(log_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [f"error: {message}: 't\\ud800'"]
+        assert captured.out == ""
+        assert not log_path.exists()
+
+    def test_lone_surrogate_label_in_a_process(self, tmp_path):
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        raw["label"] = "\ud800"
+        path.write_text(json.dumps(raw))
+        log_path = tmp_path / "log.jsonl"
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rewardsim.cli", "simulate", "--scenario",
+             str(path), "--log-out", str(log_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.splitlines() == [
+            "error: label is not valid UTF-8 text: '\\ud800'"
+        ]
+        assert proc.stdout == ""
         assert not log_path.exists()
 
 
@@ -282,8 +356,10 @@ class TestCheck:
             ({"variant": "Z"},
              "error: variant must be one of ['A', 'B', 'C', 'D', 'E', 'F', "
              "'V3a', 'defensive-cycle', 'defensive-instant'], got 'Z'"),
+            ({"variant": "C", "grace_day": 3}, "error: unknown config key 'grace_day'"),
         ],
-        ids=["list", "cap-map", "text-bps", "float-delay", "unknown-variant"],
+        ids=["list", "cap-map", "text-bps", "float-delay", "unknown-variant",
+             "unknown-key"],
     )
     def test_bad_config_exits_1(self, tmp_path, capsys, config, message):
         # --delta-days keeps check from looking the variant up itself

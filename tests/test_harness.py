@@ -261,6 +261,11 @@ class TestScenarioJson:
         with pytest.raises(ScenarioInvalid, match=f"^{message}$"):
             Scenario.from_json_dict(raw)
 
+    def test_non_ascii_text_accepted(self):
+        # the lone-surrogate check must not reject ordinary non-ASCII text
+        report = run(scenario([ev(1, "purchase", "t\u00e9", 10000, "épicerie")]))
+        assert [e.txn_id for e in report.log] == ["t\u00e9"]
+
 
 class TestReplay:
     def replay_round_trip(self, sc):

@@ -134,6 +134,58 @@ class TestEventLog:
             EventLog.read_jsonl(path)
 
 
+class TestRewardEvent:
+    WIRE_ORDER = ["seq", "day", "kind", "txn_id", "user", "amount_minor",
+                  "category", "period"]
+
+    def event(self, **kw):
+        values = dict(seq=1, day=3, kind="settle", txn_id="t1", user="u1",
+                      amount_minor=500, category="GROCERY", period=0)
+        values.update(kw)
+        return RewardEvent(**values)
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = self.event(), self.event()
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != self.event(amount_minor=499)
+
+    @pytest.mark.parametrize("name", WIRE_ORDER)
+    def test_fields_cannot_be_assigned(self, name):
+        ev = self.event()
+        with pytest.raises(AttributeError):
+            setattr(ev, name, 0)
+        assert ev == self.event()
+
+    def test_json_dict_has_the_eight_fields_in_wire_order(self):
+        raw = self.event().to_json_dict()
+        assert type(raw) is dict
+        assert list(raw) == self.WIRE_ORDER
+        assert raw == {"seq": 1, "day": 3, "kind": "settle", "txn_id": "t1",
+                       "user": "u1", "amount_minor": 500, "category": "GROCERY",
+                       "period": 0}
+        assert json.dumps(raw) == self.event().to_json_line()
+
+    def test_read_back_event_equals_the_emitted_one(self, tmp_path):
+        log = EventLog()
+        emitted = [
+            log.emit(day=2, kind="purchase", txn_id="t1", user="u1",
+                     amount_minor=10000, category="GROCERY", period=0),
+            log.emit(day=2, kind="settle", txn_id="t1", user="u1",
+                     amount_minor=500, category="GROCERY", period=0),
+            log.emit(day=9, kind="redeem", txn_id="", user="u1",
+                     amount_minor=-500),
+        ]
+        path = tmp_path / "log.jsonl"
+        log.write_jsonl(path)
+        loaded = list(EventLog.read_jsonl(path))
+        assert loaded == emitted
+        for ev in emitted:
+            values = [json.loads(ev.to_json_line())[k] for k in self.WIRE_ORDER]
+            assert RewardEvent(*values) == ev
+
+
 class TestEngineConfig:
     def test_wildcard_rate_and_cap(self):
         cfg = EngineConfig(
