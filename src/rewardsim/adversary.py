@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .harness import Scenario, ScenarioEvent, SimulationReport, run
-from .invariants import (
-    CLAW_KINDS,
-    GRANT_KINDS,
-    REVERSAL_KINDS,
-    net_reward_from_log,
-    oracle_bound,
-)
-from .ledger import EngineConfig
+from .invariants import net_reward_from_log, oracle_bound
+from .ledger import CLAW_KINDS, GRANT_KINDS, REVERSAL_KINDS, EngineConfig
 
 SAME_CYCLE = "same-cycle"
 CROSS_CYCLE = "cross-cycle"
@@ -50,13 +44,13 @@ class AttackOutcome:
     report: SimulationReport | None = None
 
 
-def attack_config(variant: str, period_length_days: int = 30) -> EngineConfig:
+def attack_config(variant: str) -> EngineConfig:
     return EngineConfig(
         reward_rate={ATTACK_CATEGORY: ATTACK_RATE},
         monthly_cap={ATTACK_CATEGORY: ATTACK_CAP_MINOR},
         b_min=0,
         grace_days=7,
-        period_length_days=period_length_days,
+        period_length_days=30,
         variant=variant,
     )
 

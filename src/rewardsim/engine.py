@@ -308,7 +308,8 @@ def statement_cycle_reconcile(
     """Close period ``period`` in two phases.
 
     Phase 1 claws back ``late_refunds``, (transaction, amount) pairs
-    refunded after their transaction settled.  Phase 2 settles each
+    refunded after their transaction settled; ``reward_on_refund``
+    skips a transaction charged back since.  Phase 2 settles each
     transaction of ``period_txns`` (the period's purchases, in purchase
     order) that is still PENDING, net of the principal ``refunded``
     names for it, or cancels it when that covers it in full;
@@ -320,12 +321,11 @@ def statement_cycle_reconcile(
     rather than on its due day (purchase on day 2, delay 40: day 30).
     """
     for txn, x in late_refunds:
-        if txn.status in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
-            reward_on_refund(
-                ledger, records, txn, x, config, log, day,
-                current_period=period, kind="reconcile-clawback",
-                floor_balance_at_zero=floor_balance_at_zero,
-            )
+        reward_on_refund(
+            ledger, records, txn, x, config, log, day,
+            current_period=period, kind="reconcile-clawback",
+            floor_balance_at_zero=floor_balance_at_zero,
+        )
 
     for txn in period_txns:
         if txn.status is TransactionStatus.PENDING:

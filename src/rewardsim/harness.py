@@ -12,7 +12,7 @@ re-executes the intent events and must reproduce the log byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -74,16 +74,7 @@ class Scenario:
             "config": self.config.to_json_dict(),
             "auto_redeem": self.auto_redeem,
             "user": self.user,
-            "events": [
-                {
-                    "day": e.day,
-                    "kind": e.kind,
-                    "txn_id": e.txn_id,
-                    "amount_minor": e.amount_minor,
-                    "category": e.category,
-                }
-                for e in self.events
-            ],
+            "events": [asdict(e) for e in self.events],
         }
 
     @classmethod
@@ -95,8 +86,11 @@ class Scenario:
         if not _SCENARIO_KEYS.issuperset(raw):
             unknown = next(k for k in raw if k not in _SCENARIO_KEYS)
             raise ScenarioInvalid(f"unknown scenario key {unknown!r}")
+        for key in ("label", "config"):
+            if key not in raw:
+                raise ScenarioInvalid(f"missing scenario key {key!r}")
+        events = []
         try:
-            events = []
             for index, e in enumerate(raw.get("events", [])):
                 if type(e) is not dict:
                     raise ScenarioInvalid(
@@ -105,34 +99,28 @@ class Scenario:
                 if not _EVENT_KEYS.issuperset(e):
                     unknown = next(k for k in e if k not in _EVENT_KEYS)
                     raise ScenarioInvalid(f"event {index}: unknown key {unknown!r}")
-                events.append(ScenarioEvent(
-                    day=e["day"],
-                    kind=e["kind"],
-                    txn_id=e.get("txn_id", ""),
-                    amount_minor=e.get("amount_minor", 0),
-                    category=e.get("category", ""),
-                ))
-            label, user = raw["label"], raw.get("user", "u1")
-            auto_redeem = raw.get("auto_redeem", False)
-            for name, value, kind, noun in (
-                ("label", label, str, "a string"),
-                ("user", user, str, "a string"),
-                ("auto_redeem", auto_redeem, bool, "true or false"),
-            ):
-                if type(value) is not kind:
-                    raise ScenarioInvalid(f"{name} must be {noun}, got {value!r}")
-            if not (label.isascii() and user.isascii()):
-                _check_utf8(label, "label")
-                _check_utf8(user, "user")
-            return cls(
-                label=label,
-                config=EngineConfig.from_json_dict(raw["config"]),
-                events=events,
-                auto_redeem=auto_redeem,
-                user=user,
-            )
-        except (KeyError, TypeError) as exc:
+                for key in ("day", "kind"):
+                    if key not in e:
+                        raise ScenarioInvalid(f"event {index}: missing key {key!r}")
+                events.append(ScenarioEvent(**e))
+        except TypeError as exc:  # events is not iterable
             raise ScenarioInvalid(str(exc)) from exc
+        # absent optional keys take the dataclass defaults
+        scenario = cls(
+            config=EngineConfig.from_json_dict(raw["config"]), events=events,
+            **{k: raw[k] for k in ("label", "auto_redeem", "user") if k in raw},
+        )
+        for name, kind, noun in (
+            ("label", str, "a string"),
+            ("user", str, "a string"),
+            ("auto_redeem", bool, "true or false"),
+        ):
+            value = getattr(scenario, name)
+            if type(value) is not kind:
+                raise ScenarioInvalid(f"{name} must be {noun}, got {value!r}")
+        _check_utf8(scenario.label, "label")
+        _check_utf8(scenario.user, "user")
+        return scenario
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -179,19 +167,8 @@ class SimulationReport:
                 "net_reward_minor": self.net_reward,
                 "net_spend_minor": self.net_spend,
             },
-            "integrity": [
-                {"day": s.day, "net_reward": s.net_reward, "bound": s.bound, "ok": s.ok}
-                for s in self.snapshots
-            ],
-            "consistency": [
-                {
-                    "txn_id": v.txn_id,
-                    "refund_day": v.refund_day,
-                    "restored_day": v.restored_day,
-                    "ok": v.ok,
-                }
-                for v in self.rrc
-            ],
+            "integrity": [asdict(s) for s in self.snapshots],
+            "consistency": [asdict(v) for v in self.rrc],
             "events": [ev.to_json_dict() for ev in self.log],
         }
 
@@ -325,7 +302,7 @@ class Simulation:
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
 
-    def redeem_request(self, day: int, y: int) -> bool:
+    def redeem_request(self, day: int, y: int) -> None:
         if y <= 0:
             raise ScenarioInvalid(f"redemption amount must be positive, got {y}")
         self._note_intent(day)
@@ -337,7 +314,6 @@ class Simulation:
         decision = engine.can_redeem(self.ledger, y, day, self.config)
         if decision.allowed:
             engine.redeem(self.ledger, y, day, self.config, self.log, self.user)
-        return decision.allowed
 
     # -- clock ----------------------------------------------------------
 
@@ -388,8 +364,11 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     """
     sim = Simulation(scenario.config, user=scenario.user)
     config = scenario.config
-    # checked before the sort, so a text day cannot fail inside it; bool
-    # is an int subclass, and a float day or amount would reach the ledger
+    # every event is checked before any runs, and before the days sort, so
+    # a text day cannot fail inside it; bool is an int subclass, and a
+    # float day or amount would reach the ledger.  Grouping in input order
+    # and sorting the days equals a stable sort by day, then grouping.
+    by_day: dict[int, list] = {}
     for index, ev in enumerate(scenario.events):
         for name in ("day", "amount_minor"):
             value = getattr(ev, name)
@@ -409,18 +388,15 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             raise ScenarioInvalid(f"unknown scenario event kind {ev.kind!r}")
         if ev.day < 0:
             raise ScenarioInvalid(f"negative day {ev.day}")
-    events = sorted(scenario.events, key=lambda e: e.day)
-    if events:
-        # the last scenario intent bounds the run before it posts
-        sim._note_intent(events[-1].day)
-
-    by_day: dict[int, list] = {}
-    for ev in events:
         by_day.setdefault(ev.day, []).append(ev)
+    days = sorted(by_day)
+    if days:
+        # the last scenario intent bounds the run before it posts
+        sim._note_intent(days[-1])
 
     length = config.period_length_days
     due = sim._due_settlements
-    intent_days = iter(by_day)  # ascending: the events are sorted
+    intent_days = iter(days)
     next_intent = next(intent_days, None)
     day = 0
     while day <= sim.final_day:
@@ -478,8 +454,6 @@ _INTENT_TO_SCENARIO = {
     "redeem-request": "redeem-request",
 }
 
-INTENT_KINDS = frozenset(_INTENT_TO_SCENARIO)
-
 
 def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
                       user: str = "u1") -> Scenario:
@@ -491,12 +465,13 @@ def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
     """
     events = []
     for ev in log:
-        if ev.kind not in INTENT_KINDS:
+        kind = _INTENT_TO_SCENARIO.get(ev.kind)
+        if kind is None:
             continue
         events.append(
             ScenarioEvent(
                 day=ev.day,
-                kind=_INTENT_TO_SCENARIO[ev.kind],
+                kind=kind,
                 txn_id=ev.txn_id,
                 amount_minor=abs(ev.amount_minor),
                 category=ev.category,

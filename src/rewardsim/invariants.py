@@ -27,15 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
-from .ledger import EngineConfig, EventLog, LogInvalid, REWARD_DELTA_KINDS
+from .ledger import (
+    CLAW_KINDS,
+    GRANT_KINDS,
+    PRINCIPAL_KINDS,
+    REVERSAL_KINDS,
+    REWARD_KINDS,
+    EngineConfig,
+    EventLog,
+    LogInvalid,
+)
 from .money import rate_ceil
-
-# principal-flow kinds: purchases positive, reversals negative
-PRINCIPAL_KINDS = frozenset({"purchase", "refund-posted", "chargeback-posted"})
-REVERSAL_KINDS = frozenset({"refund-posted", "chargeback-posted"})
-GRANT_KINDS = frozenset({"settle", "reconcile-settle"})
-CLAW_KINDS = frozenset({"refund", "chargeback", "reconcile-clawback"})
-REWARD_KINDS = GRANT_KINDS | CLAW_KINDS
 
 
 @dataclass
@@ -52,10 +54,6 @@ class RrcVerdict:
     refund_day: int
     restored_day: int | None  # None: consistency never restored
     ok: bool
-
-    @property
-    def lag(self) -> int | None:
-        return None if self.restored_day is None else self.restored_day - self.refund_day
 
 
 @dataclass
@@ -127,8 +125,7 @@ def net_reward_from_log(log: EventLog, as_of_day: int | None = None) -> int:
     return sum(
         ev.amount_minor
         for ev in log
-        if ev.kind in REWARD_DELTA_KINDS
-        and ev.kind != "redeem"
+        if ev.kind in REWARD_KINDS
         and (as_of_day is None or ev.day <= as_of_day)
     )
 

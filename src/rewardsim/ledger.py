@@ -118,28 +118,19 @@ class UserLedger:
         return self.monthly_used.get((period, category), 0)
 
 
-EVENT_KINDS = frozenset(
-    {
-        # reward-layer events (each matches exactly one balance mutation,
-        # except hold-set which carries no delta)
-        "settle",
-        "refund",
-        "chargeback",
-        "redeem",
-        "reconcile-settle",
-        "reconcile-clawback",
-        "hold-set",
-        # principal/intent events, consumed by replay
-        "purchase",
-        "refund-posted",
-        "chargeback-posted",
-        "redeem-request",
-    }
-)
-
-REWARD_DELTA_KINDS = frozenset(
-    {"settle", "refund", "chargeback", "redeem", "reconcile-settle", "reconcile-clawback"}
-)
+# The event kinds by role.  Principal flow: purchases positive,
+# reversals negative.
+REVERSAL_KINDS = frozenset({"refund-posted", "chargeback-posted"})
+PRINCIPAL_KINDS = REVERSAL_KINDS | {"purchase"}
+# the intents a scenario posts, re-executed by replay
+INTENT_KINDS = PRINCIPAL_KINDS | {"redeem-request"}
+# reward grants (positive) and clawbacks (negative): the net reward
+GRANT_KINDS = frozenset({"settle", "reconcile-settle"})
+CLAW_KINDS = frozenset({"refund", "chargeback", "reconcile-clawback"})
+REWARD_KINDS = GRANT_KINDS | CLAW_KINDS
+# a redeem moves value from balance to redeemed and leaves the net
+# reward as it is; a hold-set carries no amount
+EVENT_KINDS = INTENT_KINDS | REWARD_KINDS | {"redeem", "hold-set"}
 
 
 class RewardEvent(NamedTuple):
@@ -179,15 +170,22 @@ _wire_values = itemgetter(
 
 
 def _check_types(line_no: int, ev: RewardEvent) -> None:
-    """Raise the located error for the first field of the wrong type."""
+    """Raise the located error for the first field of the wrong type, or
+    of text that is not valid UTF-8, such as a lone surrogate, which
+    neither the text output nor a replay can take."""
     for name in _INT_FIELDS:
         value = getattr(ev, name)
         # bool is an int subclass; JSON true is not a number
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParseError(line_no, f"{name} must be an integer, got {value!r}")
     for name in _TEXT_FIELDS:
-        if not isinstance(getattr(ev, name), str):
+        value = getattr(ev, name)
+        if not isinstance(value, str):
             raise ParseError(line_no, f"{name} must be a string")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(line_no, f"{name} is not valid UTF-8 text") from None
 
 
 class EventLog:
@@ -260,7 +258,9 @@ class EventLog:
                 if not (type(seq) is int and type(day) is int
                         and type(amount) is int and type(period) is int
                         and type(kind) is str and type(txn_id) is str
-                        and type(user) is str and type(category) is str):
+                        and type(user) is str and type(category) is str
+                        and kind.isascii() and txn_id.isascii()
+                        and user.isascii() and category.isascii()):
                     _check_types(line_no, ev)
                 if kind not in EVENT_KINDS:
                     raise ParseError(line_no, f"unknown event kind {kind!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from rewardsim.invariants import IntegritySnapshot, RrcVerdict
-from rewardsim.ledger import EngineConfig, EventLog, REWARD_DELTA_KINDS
+from rewardsim.ledger import EngineConfig, EventLog
 from rewardsim.money import rate_ceil
 
 # principal-flow kinds: purchases positive, reversals negative
@@ -24,6 +24,9 @@ PRINCIPAL_KINDS = frozenset({"purchase", "refund-posted", "chargeback-posted"})
 REVERSAL_KINDS = frozenset({"refund-posted", "chargeback-posted"})
 GRANT_KINDS = frozenset({"settle", "reconcile-settle"})
 CLAW_KINDS = frozenset({"refund", "chargeback", "reconcile-clawback"})
+REWARD_DELTA_KINDS = frozenset(
+    {"settle", "refund", "chargeback", "redeem", "reconcile-settle", "reconcile-clawback"}
+)
 
 
 @dataclass

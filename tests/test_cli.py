@@ -152,6 +152,28 @@ class TestSimulate:
         assert not log_path.exists()
 
     @pytest.mark.parametrize(
+        "where,key,message",
+        [
+            ("scenario", "label", "error: missing scenario key 'label'"),
+            ("scenario", "config", "error: missing scenario key 'config'"),
+            ("event", "day", "error: event 1: missing key 'day'"),
+            ("event", "kind", "error: event 1: missing key 'kind'"),
+        ],
+        ids=["label", "config", "day", "kind"],
+    )
+    def test_missing_key_exits_1(self, tmp_path, capsys, where, key, message):
+        # the message used to be the bare key, such as "error: 'day'"
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        del (raw["events"][1] if where == "event" else raw)[key]
+        path.write_text(json.dumps(raw))
+        code = main(["simulate", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "field,message",
         [
             ("label", "label is not valid UTF-8 text"),
@@ -325,10 +347,17 @@ class TestCheck:
              "error: line 1: amount_minor must be an integer, got True"),
             ([log_line(1, "purchase", period=True)],
              "error: line 1: period must be an integer, got True"),
+            # a log that violates both invariants: check used to print the
+            # integrity line, then fail on the text of the consistency line
+            ([log_line(1, "purchase", "t\ud800"),
+              log_line(2, "settle", "t\ud800", 500),
+              log_line(3, "refund-posted", "t\ud800", -10000)],
+             "error: line 1: txn_id is not valid UTF-8 text"),
         ],
         ids=["reversal-no-purchase", "grant-no-purchase", "claw-no-purchase",
              "duplicate-purchase", "unknown-kind", "seq-gap", "missing-field",
-             "bool-seq", "bool-day", "bool-amount", "bool-period"],
+             "bool-seq", "bool-day", "bool-amount", "bool-period",
+             "lone-surrogate"],
     )
     def test_bad_log_exits_1_with_located_message(self, tmp_path, capsys, lines,
                                                    message):

@@ -2,10 +2,10 @@
 
 ``reference_codec`` is the original ``json.dumps`` encoder and per-field
 reader.  The encoder must give the same bytes for any text and any int,
-the reader the same events for every well-formed file and the same
-exception type and message for every malformed one.  The golden logs in
-``tests/fixtures`` were written by that original codec; they catch a
-format drift that a round trip through one codec would hide.
+the reader the same events for every well-formed file of valid text and
+the same exception type and message for every malformed one.  The golden
+logs in ``tests/fixtures`` were written by that original codec; they
+catch a format drift that a round trip through one codec would hide.
 """
 
 import json
@@ -15,15 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_codec as ref
-from rewardsim import EventLog, RewardEvent, Scenario, run
+from rewardsim import EventLog, ParseError, RewardEvent, Scenario, run
 from rewardsim.cli import main
 from rewardsim.ledger import EVENT_KINDS
 
+# the characters JSON escapes
+escaped = st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\u2028\ufeff\U0001f600')
 # any code point, lone surrogates too, and the characters JSON escapes
 texts = st.text(st.one_of(
-    st.characters(),
-    st.characters(categories=["Cs"]),
-    st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\u2028\ufeff\U0001f600'),
+    st.characters(), st.characters(categories=["Cs"]), escaped,
+), max_size=10)
+# the text the reader accepts: no lone surrogates
+valid_texts = st.text(st.one_of(
+    st.characters(exclude_categories=["Cs"]), escaped,
 ), max_size=10)
 ints = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2**70))
 events = st.builds(RewardEvent, ints, ints, texts, texts, texts, ints, texts, ints)
@@ -37,9 +41,9 @@ def test_encoder_matches_json_dumps(ev):
 
 
 def wire_logs():
-    """Logs the reader accepts: contiguous seqs, known kinds, any text."""
-    event = st.tuples(ints, st.sampled_from(sorted(EVENT_KINDS)), texts, texts,
-                      ints, texts, ints)
+    """Logs the reader accepts: contiguous seqs, known kinds, valid text."""
+    event = st.tuples(ints, st.sampled_from(sorted(EVENT_KINDS)), valid_texts,
+                      valid_texts, ints, valid_texts, ints)
     return st.lists(event, max_size=8).map(lambda rows: [
         RewardEvent(seq, *row) for seq, row in enumerate(rows, start=1)
     ])
@@ -56,10 +60,8 @@ def test_writer_and_reader_match_reference(tmp_path_factory, evs):
     ref_path = path.with_suffix(".ref.jsonl")
     ref.write_jsonl(log, ref_path)
     assert path.read_bytes() == ref_path.read_bytes()
-    # equal, not always evs: JSON reads an escaped surrogate pair back
-    # as the one code point it encodes
     loaded = EventLog.read_jsonl(path)
-    assert loaded.events == ref.read_jsonl(path).events
+    assert loaded.events == ref.read_jsonl(path).events == evs
     loaded.write_jsonl(ref_path)
     assert ref_path.read_bytes() == path.read_bytes()
 
@@ -99,6 +101,18 @@ MALFORMED = {
     "seq-repeat": [line(), line(kind="settle")],
     "seq-zero": [line(seq=0)],
 }
+
+
+@pytest.mark.parametrize("name", ["kind", "txn_id", "user", "category"])
+def test_reader_rejects_text_that_is_not_utf8(tmp_path, name):
+    # the reference reader accepts a lone surrogate, which can be neither
+    # printed nor replayed
+    path = tmp_path / "bad.jsonl"
+    bad = line(**{"seq": 2, "kind": "settle", name: "t\ud800"})
+    path.write_text(line() + "\n" + bad + "\n")
+    with pytest.raises(ParseError) as got:
+        EventLog.read_jsonl(path)
+    assert str(got.value) == f"line 2: {name} is not valid UTF-8 text"
 
 
 @pytest.mark.parametrize("lines", MALFORMED.values(), ids=MALFORMED.keys())

@@ -261,6 +261,16 @@ class TestScenarioJson:
         with pytest.raises(ScenarioInvalid, match=f"^{message}$"):
             Scenario.from_json_dict(raw)
 
+    def test_absent_optional_keys_take_the_defaults(self):
+        raw = {"schema": 1, "label": "x", "config": {},
+               "events": [{"day": 1, "kind": "purchase"}]}
+        assert Scenario.from_json_dict(raw) == Scenario(
+            label="x", config=EngineConfig(),
+            events=[ScenarioEvent(day=1, kind="purchase")],
+        )
+        del raw["events"]
+        assert Scenario.from_json_dict(raw).events == []
+
     def test_non_ascii_text_accepted(self):
         # the lone-surrogate check must not reject ordinary non-ASCII text
         report = run(scenario([ev(1, "purchase", "t\u00e9", 10000, "épicerie")]))
