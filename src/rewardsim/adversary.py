@@ -3,18 +3,19 @@
 The attack repeats a four-step loop against an issuer variant: buy in a
 rewarded category, collect the reward, redeem it as soon as the gate
 allows, then refund the purchase.  Whether any value survives to
-quiescence, and how long clawback lags behind the refund, are the two
-numbers the comparison matrix is built from.
+quiescence, and how many days each refund leaves Refund Reward
+Consistency (RRC) unrestored, are the two numbers the comparison matrix
+is built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .harness import Scenario, ScenarioEvent, SimulationReport, run
-from .invariants import net_reward_from_log, oracle_bound
-from .ledger import CLAW_KINDS, GRANT_KINDS, REVERSAL_KINDS, EngineConfig
+from .invariants import check_rrc, net_reward_from_log, oracle_bound
+from .ledger import EngineConfig
 
 SAME_CYCLE = "same-cycle"
 CROSS_CYCLE = "cross-cycle"
@@ -39,9 +40,15 @@ class AttackOutcome:
     redeemed_minor: int
     balance_minor: int
     value_extracted: int
-    float_days: int | None  # None: clawback never posted
-    refund_clawback_lags: list = field(default_factory=list)
-    report: SimulationReport | None = None
+    report: SimulationReport
+
+    def restore_lags(self) -> list:
+        """Per reversal, days from refund until RRC is restored; None when
+        it never is."""
+        return [
+            None if v.restored_day is None else v.restored_day - v.refund_day
+            for v in check_rrc(self.report.log, 0, self.report.config)
+        ]
 
 
 def attack_config(variant: str) -> EngineConfig:
@@ -68,6 +75,8 @@ def build_ddra_scenario(
     Cross-cycle refunds land early in the following cycle, after any
     close-time settlement has already credited the reward.
     """
+    if cycles < 1:
+        raise ValueError(f"cycles must be at least 1, got {cycles}")
     config = attack_config(variant)
     length = config.period_length_days
     refund_minor = int(refund_fraction * purchase_minor)
@@ -102,38 +111,6 @@ def build_ddra_scenario(
     )
 
 
-def _refund_clawback_lags(report: SimulationReport) -> list:
-    """Per rewarded-then-refunded transaction, days from refund to clawback.
-
-    One forward pass: a reversal waits on its transaction until that
-    transaction's next clawback event; one that never sees one lags None.
-    """
-    granted: dict[str, int] = {}
-    waiting: dict[str, list] = {}  # txn_id -> [(index into lags, reversal day)]
-    lags = []
-    for ev in report.log:
-        if ev.kind in GRANT_KINDS:
-            granted[ev.txn_id] = granted.get(ev.txn_id, 0) + ev.amount_minor
-        elif ev.kind in REVERSAL_KINDS:
-            if granted.get(ev.txn_id, 0) > 0:
-                waiting.setdefault(ev.txn_id, []).append((len(lags), ev.day))
-                lags.append(None)
-        elif ev.kind in CLAW_KINDS:
-            for i, day in waiting.pop(ev.txn_id, ()):
-                lags[i] = ev.day - day
-    return lags
-
-
-def _float_days(report: SimulationReport) -> int | None:
-    claw_days = [ev.day for ev in report.log if ev.kind in CLAW_KINDS]
-    if not claw_days:
-        return None
-    redeem_days = [ev.day for ev in report.log if ev.kind == "redeem"]
-    if redeem_days and redeem_days[0] < claw_days[0]:
-        return claw_days[0] - redeem_days[0]
-    return 0
-
-
 def run_ddra(
     variant: str,
     timing: str = SAME_CYCLE,
@@ -160,8 +137,6 @@ def run_ddra(
         redeemed_minor=report.ledger.redeemed_total,
         balance_minor=report.ledger.balance,
         value_extracted=max(0, reward - bound),
-        float_days=_float_days(report),
-        refund_clawback_lags=_refund_clawback_lags(report),
         report=report,
     )
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes are part of the contract: 0 clean, 1 for input or IO
+Exit codes are part of the contract: 0 clean, 1 for usage, input or IO
 problems, 2 when a simulation or log fails an invariant (or an attack
 extracts value), so the tool can gate CI pipelines.
 """
@@ -117,7 +117,7 @@ def cmd_attack(args) -> int:
     if outcome.value_extracted > 0:
         print("RESULT: attack succeeds, value survives quiescence")
         return EXIT_VIOLATION
-    lags = [l for l in outcome.refund_clawback_lags if l is not None and l > 0]
+    lags = [l for l in outcome.restore_lags() if l is not None and l > 0]
     if lags:
         print(
             f"WARNING: clawback lags refunds by up to {max(lags)} days "
@@ -224,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, ParseError, SequenceGap, LogInvalid,

@@ -89,22 +89,20 @@ class Scenario:
         for key in ("label", "config"):
             if key not in raw:
                 raise ScenarioInvalid(f"missing scenario key {key!r}")
+        raw_events = raw.get("events", [])
+        if type(raw_events) is not list:
+            raise ScenarioInvalid(f"events must be a JSON array, got {raw_events!r}")
         events = []
-        try:
-            for index, e in enumerate(raw.get("events", [])):
-                if type(e) is not dict:
-                    raise ScenarioInvalid(
-                        f"event {index} must be a JSON object, got {e!r}"
-                    )
-                if not _EVENT_KEYS.issuperset(e):
-                    unknown = next(k for k in e if k not in _EVENT_KEYS)
-                    raise ScenarioInvalid(f"event {index}: unknown key {unknown!r}")
-                for key in ("day", "kind"):
-                    if key not in e:
-                        raise ScenarioInvalid(f"event {index}: missing key {key!r}")
-                events.append(ScenarioEvent(**e))
-        except TypeError as exc:  # events is not iterable
-            raise ScenarioInvalid(str(exc)) from exc
+        for index, e in enumerate(raw_events):
+            if type(e) is not dict:
+                raise ScenarioInvalid(f"event {index} must be a JSON object, got {e!r}")
+            if not _EVENT_KEYS.issuperset(e):
+                unknown = next(k for k in e if k not in _EVENT_KEYS)
+                raise ScenarioInvalid(f"event {index}: unknown key {unknown!r}")
+            for key in ("day", "kind"):
+                if key not in e:
+                    raise ScenarioInvalid(f"event {index}: missing key {key!r}")
+            events.append(ScenarioEvent(**e))
         # absent optional keys take the dataclass defaults
         scenario = cls(
             config=EngineConfig.from_json_dict(raw["config"]), events=events,

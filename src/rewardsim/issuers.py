@@ -86,8 +86,8 @@ def classify(variant: IssuerVariant, outcomes) -> str:
       FAIL    - some scenario retains extracted value at quiescence
                 (a refund produced zero effective clawback).
       PARTIAL - nothing is retained at quiescence, but in the same-cycle
-                scenario a clawback posted strictly later than its refund
-                while the reward had already been redeemable (the
+                scenario some refund restores RRC strictly after its own
+                day, so that scenario fails RRC at zero allowed lag (the
                 instant-availability / batched-clawback asymmetry).
       PASS    - every refund clawed back proportionally with no
                 extraction window.
@@ -97,7 +97,7 @@ def classify(variant: IssuerVariant, outcomes) -> str:
     for o in outcomes:
         if o.timing != "same-cycle":
             continue
-        if any(lag is not None and lag > 0 for lag in o.refund_clawback_lags):
+        if any(lag is not None and lag > 0 for lag in o.restore_lags()):
             return PARTIAL
     return PASS
 

@@ -5,7 +5,9 @@ integrity series, refund-reward consistency and the refund-to-clawback
 lags.  Each "as of day d" question rebuilds the log state anew,
 which costs O(days x events) and worse, so the package answers them
 with one streaming fold instead.  The differential tests assert that
-the fold returns exactly what these return.
+the fold returns exactly what these return.  The package has no
+refund-to-clawback lag of its own: it reads RRC restore lags, and the
+tests assert that ``classify`` and ``attack`` read the same from both.
 
 The verdict dataclasses are the package's own, so results compare with
 plain dataclass equality.

@@ -41,7 +41,7 @@ class TestVulnerableVariants:
         assert o.value_extracted == 6000  # 12 x 5.00
         assert o.redeemed_minor == 6000
         assert o.net_spend_final == 0
-        assert o.float_days is None  # no clawback ever posts
+        assert o.restore_lags() == [None] * 12  # never clawed back
 
     def test_b_cross_cycle_extracts_after_auto_redeem(self):
         o = run_ddra("B", timing=CROSS_CYCLE, cycles=12)
@@ -70,12 +70,12 @@ class TestResistantVariants:
     def test_f_recovers_but_leaves_a_float_window(self):
         o = run_ddra("F", timing=SAME_CYCLE, cycles=6)
         assert o.value_extracted == 0
-        assert o.float_days == 28  # redeemed day 2, clawed at close day 30
-        assert all(lag == 18 for lag in o.refund_clawback_lags)
+        # refunded day 12, clawed back at the day-30 close
+        assert o.restore_lags() == [18] * 6
 
     def test_c_claws_the_same_day(self):
         o = run_ddra("C", timing=SAME_CYCLE, cycles=6)
-        assert all(lag == 0 for lag in o.refund_clawback_lags)
+        assert o.restore_lags() == [0] * 6
 
     def test_partial_refund_scales_extraction(self):
         full = run_ddra("A", timing=CROSS_CYCLE, cycles=12)

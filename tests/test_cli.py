@@ -203,6 +203,23 @@ class TestSimulate:
         assert captured.out == ""
         assert not log_path.exists()
 
+    @pytest.mark.parametrize("events", [5, None, "ab", {"day": 1}],
+                             ids=["int", "null", "string", "object"])
+    def test_non_array_events_exits_1(self, tmp_path, capsys, events):
+        # an int or null used to say "'int' object is not iterable", and a
+        # string or object was iterated as if it were the event list
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        raw["events"] = events
+        path.write_text(json.dumps(raw))
+        code = main(["simulate", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            f"error: events must be a JSON array, got {events!r}"
+        ]
+        assert captured.out == ""
+
     def test_lone_surrogate_label_in_a_process(self, tmp_path):
         path, sc = write_scenario(tmp_path)
         raw = sc.to_json_dict()
@@ -245,6 +262,44 @@ class TestAttack:
     def test_unknown_issuer_exits_1(self, capsys):
         code = main(["attack", "--issuer", "Z"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("cycles", ["0", "-3"])
+    def test_cycles_below_one_exits_1(self, capsys, cycles):
+        # used to print "cycles: -3" and "RESULT: no value extracted"
+        code = main(["attack", "--issuer", "A", "--cycles", cycles])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            f"error: cycles must be at least 1, got {cycles}"
+        ]
+        assert captured.out == ""
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["attack"], "the following arguments are required: --issuer"),
+            (["attack", "--issuer", "A", "--cycles", "abc"],
+             "argument --cycles: invalid int value: 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["missing-issuer", "non-integer-cycles", "unknown-command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # exit 2 is kept for a failed invariant, so a typo must not use it
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("usage: rewardsim")
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        code = main(["--help"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.out.startswith("usage: rewardsim")
 
 
 class TestMatrix:

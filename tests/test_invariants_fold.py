@@ -4,9 +4,14 @@
 question from one pass over the log; ``reference_invariants`` rebuilds
 the log state for each day instead.  Both must return equal dataclasses
 on engine logs of every variant and on arbitrary hand-built logs.
+
+The attack battery's lags are RRC restore lags; wherever ``classify``
+and ``attack`` read them, they must agree with the reference rescan of
+days from each refund to its transaction's next clawback.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,9 +31,10 @@ from rewardsim import (
     oracle_bound,
     run,
     run_battery,
+    run_ddra,
 )
-from rewardsim.adversary import _refund_clawback_lags
-from rewardsim.issuers import VARIANTS
+from rewardsim.adversary import CONTROL, CROSS_CYCLE, SAME_CYCLE, AttackOutcome
+from rewardsim.issuers import VARIANTS, classify
 from test_acceptance import _random_scenario
 
 DELTAS = (0, 1, 7, 30, 10**6)
@@ -179,17 +185,62 @@ class TestHypothesis:
         assert_same(log, config)
 
 
+class RescanLags(AttackOutcome):
+    """An attack outcome whose lags come from the reference rescan."""
+
+    def restore_lags(self) -> list:
+        return ref.refund_clawback_lags(self.report)
+
+
+def longest_float(lags) -> int:
+    """All that ``classify`` and ``attack`` read of a lag list: the longest
+    positive lag, 0 when there is none."""
+    return max((lag for lag in lags if lag is not None and lag > 0), default=0)
+
+
+def assert_lags_read_alike(outcomes):
+    rescans = [RescanLags(**vars(o)) for o in outcomes]
+    variant = VARIANTS[outcomes[0].variant]
+    assert classify(variant, outcomes) == classify(variant, rescans)
+    # ``attack`` refunds in full, and prints the longest lag
+    for o, rescan in zip(outcomes, rescans):
+        if o.refund_fraction == 1:
+            assert (longest_float(o.restore_lags())
+                    == longest_float(rescan.restore_lags()))
+
+
+# run_battery's four runs, at any purchase
+BATTERY = [(SAME_CYCLE, Fraction(1)), (CROSS_CYCLE, Fraction(1)),
+           (CROSS_CYCLE, Fraction(1, 2)), (CONTROL, Fraction(1))]
+
+
 class TestClawbackLags:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_battery_lags_match_the_rescan(self, variant):
-        for outcome in run_battery(variant):
-            expected = ref.refund_clawback_lags(outcome.report)
-            assert outcome.refund_clawback_lags == expected
+        assert_lags_read_alike(run_battery(variant))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(VARIANTS)), st.integers(1, 10**7),
+           st.integers(1, 36))
+    def test_any_purchase_and_cycles_match_the_rescan(self, variant, purchase,
+                                                      cycles):
+        # a purchase of 1 minor unit has no half to refund
+        assert_lags_read_alike([
+            run_ddra(variant, timing=timing, purchase_minor=purchase,
+                     cycles=cycles, refund_fraction=fraction)
+            for timing, fraction in BATTERY if fraction * purchase >= 1
+        ])
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_heavy_account_lags_match_the_rescan(self, variant):
+        # partial refunds and chargebacks, where the two lag definitions
+        # part: restore lags are the reference RRC checker's
         report = run(heavy_scenario(variant, seed=11), daily_snapshots=False)
-        assert _refund_clawback_lags(report) == ref.refund_clawback_lags(report)
+        outcome = replace(run_ddra(variant, cycles=1), report=report)
+        assert outcome.restore_lags() == [
+            None if v.restored_day is None else v.restored_day - v.refund_day
+            for v in ref.check_rrc(report.log, 0, report.config)
+        ]
 
 
 class TestLocatedErrors:

@@ -1,19 +1,25 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from rewardsim import classify, comparison_matrix, get_variant, render_matrix
-from rewardsim.adversary import AttackOutcome
 from rewardsim.issuers import FAIL, PARTIAL, PASS, MATRIX_VARIANTS, VARIANTS
 
 
+@dataclass
+class StubOutcome:
+    """What ``classify`` reads of an attack outcome."""
+
+    timing: str
+    value_extracted: int
+    lags: tuple
+
+    def restore_lags(self) -> list:
+        return list(self.lags)
+
+
 def outcome(timing="same-cycle", extracted=0, lags=()):
-    return AttackOutcome(
-        variant="X", timing=timing, purchase_minor=10000, cycles=1,
-        refund_fraction=1, net_spend_final=0, net_reward_final=extracted,
-        redeemed_minor=0, balance_minor=0, value_extracted=extracted,
-        float_days=None, refund_clawback_lags=list(lags),
-    )
+    return StubOutcome(timing, extracted, lags)
 
 
 class TestPresets:

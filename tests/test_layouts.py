@@ -5,13 +5,22 @@
 the bytes ``Scenario.save`` writes for it.  Both were written before the
 records' JSON layouts were derived from their dataclass fields, so a
 change of key, key order or value shows here.
+
+``tests/fixtures/attack_golden.txt`` is the stdout and exit code of
+``attack`` for every variant and timing, written before the float
+warning was read from the RRC restore lags.
 """
+
+import contextlib
+import io
 
 import pytest
 
 import reference_invariants
 from rewardsim import Scenario, harness, ledger
+from rewardsim.adversary import CONTROL, CROSS_CYCLE, SAME_CYCLE
 from rewardsim.cli import main
+from rewardsim.issuers import VARIANTS
 
 from conftest import FIXTURES
 
@@ -48,6 +57,26 @@ def test_scenario_save_writes_the_fixture_bytes(tmp_path, name):
     path = FIXTURES / f"{name}.json"
     Scenario.load(path).save(tmp_path / "saved.json")
     assert (tmp_path / "saved.json").read_bytes() == path.read_bytes()
+
+
+def attack_transcript() -> str:
+    """``attack`` at the default purchase and 12 cycles: every variant
+    and timing, each run's command, stdout and exit code."""
+    parts = []
+    for variant in sorted(VARIANTS):
+        for timing in (SAME_CYCLE, CROSS_CYCLE, CONTROL):
+            argv = ["attack", "--issuer", variant, "--timing", timing,
+                    "--cycles", "12"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            parts.append(f"$ rewardsim {' '.join(argv)}\n{out.getvalue()}"
+                         f"exit {code}\n")
+    return "\n".join(parts)
+
+
+def test_attack_output_matches_golden():
+    assert attack_transcript() == (FIXTURES / "attack_golden.txt").read_text()
 
 
 def test_one_event_kind_vocabulary():
