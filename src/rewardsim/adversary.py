@@ -77,9 +77,16 @@ def build_ddra_scenario(
     """
     if cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cycles}")
+    refund_minor = int(refund_fraction * purchase_minor)
+    if timing in (SAME_CYCLE, CROSS_CYCLE) and (
+        not 0 < refund_fraction <= 1 or refund_minor == 0
+    ):
+        raise ValueError(
+            f"refund_fraction must lie in (0, 1] and refund at least one minor "
+            f"unit of purchase_minor, got {refund_fraction} of {purchase_minor}"
+        )
     config = attack_config(variant)
     length = config.period_length_days
-    refund_minor = int(refund_fraction * purchase_minor)
     events = []
     for k in range(cycles):
         txn_id = f"t{k:03d}"

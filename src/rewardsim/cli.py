@@ -49,7 +49,11 @@ EXIT_VIOLATION = 2
 
 def _load_config(path) -> EngineConfig:
     with open(path) as fh:
-        return EngineConfig.from_json_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ConfigError("config JSON nested too deep") from None
+    return EngineConfig.from_json_dict(raw)
 
 
 def _print_violations(snapshots, verdicts, lag_note: str = "") -> bool:

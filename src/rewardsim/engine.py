@@ -43,10 +43,16 @@ class RedeemDenied(Exception):
         self.reason = reason
 
 
-@dataclass
+@dataclass(frozen=True)
 class RedeemDecision:
     allowed: bool
     reason: str  # "ok" | "grace-hold" | "insufficient-balance"
+
+
+# the gate's three answers, shared by every call
+_HELD = RedeemDecision(allowed=False, reason="grace-hold")
+_SHORT = RedeemDecision(allowed=False, reason="insufficient-balance")
+_ALLOWED = RedeemDecision(allowed=True, reason="ok")
 
 
 def reward_on_settlement(
@@ -260,10 +266,10 @@ def can_redeem(ledger, y: int, today: int, config: EngineConfig) -> RedeemDecisi
         raise NonPositiveAmount(f"redemption amount must be positive, got {y}")
     hold = ledger.redemption_hold_until
     if hold is not None and today < hold:
-        return RedeemDecision(allowed=False, reason="grace-hold")
+        return _HELD
     if ledger.balance - y < config.b_min:
-        return RedeemDecision(allowed=False, reason="insufficient-balance")
-    return RedeemDecision(allowed=True, reason="ok")
+        return _SHORT
+    return _ALLOWED
 
 
 def redeem(

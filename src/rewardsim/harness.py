@@ -50,7 +50,7 @@ def _check_utf8(text: str, what: str) -> None:
         raise ScenarioInvalid(f"{what} is not valid UTF-8 text: {text!r}") from None
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioEvent:
     day: int
     kind: str
@@ -128,7 +128,11 @@ class Scenario:
     @classmethod
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ScenarioInvalid("scenario JSON nested too deep") from None
+        return cls.from_json_dict(raw)
 
 
 @dataclass
@@ -336,6 +340,25 @@ class Simulation:
             self.redeem_request(day, y)
 
 
+def _check_event_types(index: int, ev: ScenarioEvent) -> None:
+    """Raise the error for the first field of ``ev`` of the wrong type, or
+    of text that is not valid UTF-8; valid non-ASCII text passes."""
+    for name in ("day", "amount_minor"):
+        value = getattr(ev, name)
+        if type(value) is not int:
+            raise ScenarioInvalid(
+                f"event {index}: {name} must be an integer, got {value!r}"
+            )
+    for name in ("kind", "txn_id", "category"):
+        value = getattr(ev, name)
+        if type(value) is not str:
+            raise ScenarioInvalid(
+                f"event {index}: {name} must be a string, got {value!r}"
+            )
+        if not value.isascii():
+            _check_utf8(value, f"event {index}: {name}")
+
+
 def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     """Execute a scenario to quiescence.
 
@@ -368,25 +391,19 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     # and sorting the days equals a stable sort by day, then grouping.
     by_day: dict[int, list] = {}
     for index, ev in enumerate(scenario.events):
-        for name in ("day", "amount_minor"):
-            value = getattr(ev, name)
-            if type(value) is not int:
-                raise ScenarioInvalid(
-                    f"event {index}: {name} must be an integer, got {value!r}"
-                )
-        for name in ("kind", "txn_id", "category"):
-            value = getattr(ev, name)
-            if type(value) is not str:
-                raise ScenarioInvalid(
-                    f"event {index}: {name} must be a string, got {value!r}"
-                )
-            if not value.isascii():
-                _check_utf8(value, f"event {index}: {name}")
-        if ev.kind not in SCENARIO_KINDS:
-            raise ScenarioInvalid(f"unknown scenario event kind {ev.kind!r}")
-        if ev.day < 0:
-            raise ScenarioInvalid(f"negative day {ev.day}")
-        by_day.setdefault(ev.day, []).append(ev)
+        day, kind, txn_id, category = ev.day, ev.kind, ev.txn_id, ev.category
+        # one test passes every well-typed ASCII event; any other event
+        # is checked field by field, which names the first fault
+        if not (type(day) is int and type(ev.amount_minor) is int
+                and type(kind) is str and type(txn_id) is str
+                and type(category) is str and kind.isascii()
+                and txn_id.isascii() and category.isascii()):
+            _check_event_types(index, ev)
+        if kind not in SCENARIO_KINDS:
+            raise ScenarioInvalid(f"unknown scenario event kind {kind!r}")
+        if day < 0:
+            raise ScenarioInvalid(f"negative day {day}")
+        by_day.setdefault(day, []).append(ev)
     days = sorted(by_day)
     if days:
         # the last scenario intent bounds the run before it posts

@@ -56,7 +56,7 @@ class RrcVerdict:
     ok: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxnFlow:
     """Principal and reward flow for one transaction, rebuilt from the log."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from json.scanner import make_scanner
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -67,7 +68,7 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     id: str
     user: str
@@ -90,7 +91,7 @@ def transition(txn: Transaction, target: TransactionStatus) -> Transaction:
     return txn
 
 
-@dataclass
+@dataclass(slots=True)
 class RewardRecord:
     """Per-transaction reward state.  Persists for the account lifetime.
 
@@ -107,7 +108,7 @@ class RewardRecord:
     claw_base: int
 
 
-@dataclass
+@dataclass(slots=True)
 class UserLedger:
     balance: int = 0  # may go negative via clawback only
     redeemed_total: int = 0
@@ -167,6 +168,9 @@ _TEXT_FIELDS = ("kind", "txn_id", "user", "category")
 _wire_values = itemgetter(
     "seq", "day", "kind", "txn_id", "user", "amount_minor", "category", "period"
 )
+# the C scanner json.loads runs, called without the loads, decode and
+# raw_decode frames or their two whitespace matches per line
+_scan = make_scanner(json.JSONDecoder())
 
 
 def _check_types(line_no: int, ev: RewardEvent) -> None:
@@ -228,9 +232,9 @@ class EventLog:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         events = self.events
-        ev = RewardEvent(
+        ev = tuple.__new__(RewardEvent, (
             len(events) + 1, day, kind, txn_id, user, amount_minor, category, period
-        )
+        ))
         events.append(ev)
         return ev
 
@@ -248,12 +252,22 @@ class EventLog:
                 if not line:
                     continue
                 try:
-                    values = _wire_values(json.loads(line))
+                    try:
+                        raw, end = _scan(line, 0)
+                    except (StopIteration, json.JSONDecodeError):
+                        end = 0
+                    if end != len(line):
+                        # a line the scanner cannot read whole: json.loads
+                        # raises json's own error for it
+                        raw = json.loads(line)
+                    values = _wire_values(raw)
                 except KeyError as exc:
                     raise ParseError(line_no, f"missing field {exc}") from exc
                 except (json.JSONDecodeError, TypeError) as exc:
                     raise ParseError(line_no, str(exc)) from exc
-                ev = RewardEvent._make(values)
+                except RecursionError:
+                    raise ParseError(line_no, "JSON nested too deep") from None
+                ev = tuple.__new__(RewardEvent, values)
                 seq, day, kind, txn_id, user, amount, category, period = values
                 if not (type(seq) is int and type(day) is int
                         and type(amount) is int and type(period) is int
@@ -275,6 +289,8 @@ class EventLog:
 class ConfigError(Exception):
     pass
 
+
+_NO_RATE = Fraction(0)  # of a category with no rate and no "*" fallback
 
 # the keys of EngineConfig's JSON layout; any other key is a typo that
 # would otherwise run with a default
@@ -340,7 +356,7 @@ class EngineConfig:
     def rate(self, category: str) -> Fraction:
         if category in self.reward_rate:
             return self.reward_rate[category]
-        return self.reward_rate.get("*", Fraction(0))
+        return self.reward_rate.get("*", _NO_RATE)
 
     def cap(self, category: str) -> int | None:
         if category in self.monthly_cap:

@@ -34,6 +34,26 @@ class TestScenarioGeometry:
         with pytest.raises(ValueError):
             build_ddra_scenario("A", timing="sideways")
 
+    @pytest.mark.parametrize("fraction,purchase", [
+        (Fraction(1, 2), 1), (Fraction(1, 3), 2), (Fraction(0), 10000),
+        (Fraction(-1), 10000), (Fraction(3, 2), 10000),
+    ], ids=["half-of-1", "third-of-2", "zero", "minus-one", "three-halves"])
+    @pytest.mark.parametrize("timing", [SAME_CYCLE, CROSS_CYCLE])
+    def test_refund_of_no_principal_rejected(self, timing, fraction, purchase):
+        # a zero refund used to fail inside run, naming neither argument
+        with pytest.raises(ValueError) as exc:
+            run_ddra("A", timing=timing, purchase_minor=purchase,
+                     refund_fraction=fraction)
+        assert str(exc.value) == (
+            "refund_fraction must lie in (0, 1] and refund at least one minor "
+            f"unit of purchase_minor, got {fraction} of {purchase}"
+        )
+
+    def test_control_ignores_the_refund_fraction(self):
+        sc = build_ddra_scenario("A", timing=CONTROL, purchase_minor=1,
+                                 refund_fraction=Fraction(0))
+        assert all(e.kind == "purchase" for e in sc.events)
+
 
 class TestVulnerableVariants:
     def test_a_retains_full_reward_every_cycle(self):

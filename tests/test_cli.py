@@ -491,6 +491,38 @@ class TestImpact:
         assert code == EXIT_INPUT
 
 
+class TestDeepNesting:
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("where,message", [
+        ("log", "error: line 2: JSON nested too deep"),
+        ("config", "error: config JSON nested too deep"),
+        ("scenario", "error: scenario JSON nested too deep"),
+    ])
+    def test_exits_1_without_traceback(self, tmp_path, where, message):
+        # each used to end in a RecursionError traceback
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        argv = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        if where == "log":
+            log_path.write_text(log_line(1, "purchase") + "\n" + self.DEEP + "\n")
+        elif where == "config":
+            cfg_path.write_text(self.DEEP)
+        else:
+            path, sc = write_scenario(tmp_path)
+            text = json.dumps({**sc.to_json_dict(), "label": "@"})
+            path.write_text(text.replace('"@"', self.DEEP))
+            argv = ["simulate", "--scenario", str(path)]
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rewardsim.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.splitlines() == [message]
+        assert proc.stdout == ""
+
+
 class TestScripts:
     def test_walkthrough_script_runs(self):
         root = pathlib.Path(__file__).resolve().parent.parent

@@ -9,6 +9,7 @@ catch a format drift that a round trip through one codec would hide.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,14 @@ MALFORMED = {
     "seq-gap": [line(), line(seq=3, kind="settle")],
     "seq-repeat": [line(), line(kind="settle")],
     "seq-zero": [line(seq=0)],
+    # the scanner's own failure paths, each handed to json.loads
+    "bom": ["\ufeff" + line()],
+    "two-objects": [line() + line()],
+    "fault-inside-object": ['{"seq": 1, "day": }'],
+    "bad-escape": [line(txn_id="@").replace('"@"', '"t\\q"')],
+    **{f"{token}-in-{name}": [line(**{name: "@"}).replace('"@"', token)]
+       for name in ("seq", "day", "amount_minor", "period")
+       for token in ("NaN", "Infinity", "-Infinity", "1e3")},
 }
 
 
@@ -113,6 +122,21 @@ def test_reader_rejects_text_that_is_not_utf8(tmp_path, name):
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
     assert str(got.value) == f"line 2: {name} is not valid UTF-8 text"
+
+
+def test_reader_rejects_deep_nesting_at_any_depth(tmp_path):
+    # an unclosed innermost array makes the scanner fail and json.loads
+    # parse the line again, a few frames deeper; near the recursion limit
+    # either may run out of stack, and neither may escape as RecursionError
+    path = tmp_path / "deep.jsonl"
+    limit = sys.getrecursionlimit()
+    messages = set()
+    for depth in range(limit - 300, limit + 10):
+        path.write_text(line() + "\n" + "[" * depth + "x\n")
+        with pytest.raises(ParseError) as got:
+            EventLog.read_jsonl(path)
+        messages.add(str(got.value).split(":")[1].strip())
+    assert messages == {"Expecting value", "JSON nested too deep"}
 
 
 @pytest.mark.parametrize("lines", MALFORMED.values(), ids=MALFORMED.keys())

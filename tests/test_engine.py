@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,18 @@ class TestRedemptionGate:
         ledger, _, log, cfg = fresh()
         with pytest.raises(NonPositiveAmount):
             can_redeem(ledger, 0, 0, cfg)
+
+    @pytest.mark.parametrize("balance,hold", [(1000, None), (1000, 37), (50, None)],
+                             ids=["ok", "grace-hold", "insufficient-balance"])
+    def test_decision_cannot_be_changed(self, balance, hold):
+        # every call returns one of three shared decisions
+        ledger, _, log, cfg = fresh()
+        ledger.balance = balance
+        ledger.redemption_hold_until = hold
+        decision = can_redeem(ledger, 100, 36, cfg)
+        with pytest.raises(FrozenInstanceError):
+            decision.allowed = not decision.allowed
+        assert can_redeem(ledger, 100, 36, cfg) == decision
 
     def test_redeem_moves_balance_and_logs(self):
         ledger, _, log, cfg = fresh()

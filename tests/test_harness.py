@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rewardsim import (
     EngineConfig,
+    EventLog,
     Scenario,
     ScenarioEvent,
     ScenarioInvalid,
@@ -271,10 +273,44 @@ class TestScenarioJson:
         del raw["events"]
         assert Scenario.from_json_dict(raw).events == []
 
-    def test_non_ascii_text_accepted(self):
-        # the lone-surrogate check must not reject ordinary non-ASCII text
-        report = run(scenario([ev(1, "purchase", "t\u00e9", 10000, "épicerie")]))
-        assert [e.txn_id for e in report.log] == ["t\u00e9"]
+    def test_non_ascii_text_accepted(self, tmp_path):
+        # the lone-surrogate check must not reject ordinary non-ASCII text,
+        # and the log keeps it through a write, a read and a replay
+        events = [ev(1, "purchase", "café", 10000, "café"),
+                  ev(5, "refund", "café", 4000)]
+        report = run(scenario(events, reward_rate={"café": Fraction(5, 100)},
+                              monthly_cap={"café": 5000}))
+        assert [(e.kind, e.txn_id, e.category) for e in report.log] == [
+            ("purchase", "café", "café"), ("settle", "café", "café"),
+            ("refund-posted", "café", "café"), ("refund", "café", "café"),
+        ]
+        path = tmp_path / "cafe.jsonl"
+        report.log.write_jsonl(path)
+        assert EventLog.read_jsonl(path).events == report.log.events
+        again = tmp_path / "again.jsonl"
+        replay(path, report.config).log.write_jsonl(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("text_fault", ["int", "surrogate"])
+    @pytest.mark.parametrize(
+        "first,second",
+        list(combinations(["day", "amount_minor", "kind", "txn_id", "category"], 2)),
+    )
+    def test_first_bad_field_is_named(self, first, second, text_fault):
+        bad_text, text_message = {
+            "int": (7, "must be a string, got 7"),
+            "surrogate": ("t\ud800", "is not valid UTF-8 text: 't\\ud800'"),
+        }[text_fault]
+        fields = dict(day=1, kind="purchase", txn_id="t1", amount_minor=100,
+                      category="GROCERY")
+        for name in (first, second):
+            fields[name] = "x" if name in ("day", "amount_minor") else bad_text
+        with pytest.raises(ScenarioInvalid) as exc:
+            run(scenario([ScenarioEvent(**fields)]))
+        if first in ("day", "amount_minor"):
+            assert str(exc.value) == f"event 0: {first} must be an integer, got 'x'"
+        else:
+            assert str(exc.value) == f"event 0: {first} {text_message}"
 
 
 class TestReplay:
