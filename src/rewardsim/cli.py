@@ -8,6 +8,7 @@ extracts value), so the tool can gate CI pipelines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .ledger import (
     LogInvalid,
     ParseError,
     SequenceGap,
+    load_json,
 )
 from .money import format_usd
 
@@ -48,12 +50,7 @@ EXIT_VIOLATION = 2
 
 
 def _load_config(path) -> EngineConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError:
-            raise ConfigError("config JSON nested too deep") from None
-    return EngineConfig.from_json_dict(raw)
+    return EngineConfig.from_json_dict(load_json(path, ConfigError, "config"))
 
 
 def _print_violations(snapshots, verdicts, lag_note: str = "") -> bool:
@@ -180,7 +177,13 @@ def cmd_impact(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Parsing keeps no state in the parser: every call fills a new
+    namespace from the defaults declared here.
+    """
     parser = argparse.ArgumentParser(
         prog="rewardsim",
         description="Cashback reward-engine simulator and integrity checker.",

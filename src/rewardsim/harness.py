@@ -26,6 +26,7 @@ from .ledger import (
     Transaction,
     TransactionStatus,
     UserLedger,
+    load_json,
     transition,
 )
 
@@ -127,12 +128,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except RecursionError:
-                raise ScenarioInvalid("scenario JSON nested too deep") from None
-        return cls.from_json_dict(raw)
+        return cls.from_json_dict(load_json(path, ScenarioInvalid, "scenario"))
 
 
 @dataclass

@@ -10,12 +10,16 @@ Two checks run over the audit trail alone, never over engine internals:
 
 Both recompute entitlements from the principal-flow events, so they act
 as independent oracles for the engine's own arithmetic.  Both questions
-are asked "as of" every day of the log, and both are answered by one
-streaming fold over it (``_fold``); so are the one-day questions of
-``entitlement_bound`` and ``check_integrity``.  The aggregates the
-simulation reads on every run (``net_spend``, ``oracle_bound``,
-``net_reward_from_log``) stay single lean passes: on a short log they
-are cheaper than the fold.
+are asked "as of" every day of the log, and each checker answers them in
+one streaming pass over it that keeps only the state it reads: the
+integrity pass (``_ri_pass``) the spend and capped ceiling of each
+(period, category) bucket, the consistency pass (``_rrc_pass``) the
+principal, reward and ceiling of each transaction and the open
+reversals.  The one-day questions of ``entitlement_bound`` and
+``check_integrity`` read the integrity pass's last snapshot.  The
+aggregates the simulation reads on every run (``net_spend``,
+``oracle_bound``, ``net_reward_from_log``) stay single lean passes: on a
+short log they are cheaper than either checker's pass.
 
 An event that reverses, grants or claws for a transaction with no
 purchase, or a second purchase of one id, raises ``LogInvalid`` naming
@@ -24,12 +28,12 @@ the event's seq.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from .ledger import (
-    CLAW_KINDS,
-    GRANT_KINDS,
     PRINCIPAL_KINDS,
     REVERSAL_KINDS,
     REWARD_KINDS,
@@ -60,13 +64,13 @@ class RrcVerdict:
 class _TxnFlow:
     """Principal and reward flow for one transaction, rebuilt from the log."""
 
-    amount: int = 0
-    category: str = ""
-    period: int = 0
-    refunded: int = 0
-    granted: int = 0
-    clawed: int = 0
-    ceiling: int = 0  # ceil(rate * remaining principal); kept by the fold only
+    rate: Fraction  # the reward rate of the purchase's category
+    principal: int  # the purchase less its reversals
+    reward: int = 0  # grants less clawbacks; kept by the RRC pass only
+    ceiling: int = 0  # ceil(rate * remaining principal); kept by the RRC pass only
+
+
+_DAY = attrgetter("day")
 
 
 def _duplicate_purchase(ev) -> LogInvalid:
@@ -79,8 +83,8 @@ def _no_purchase(ev) -> LogInvalid:
     )
 
 
-def _flows(log: EventLog, as_of_day: int | None = None) -> dict:
-    """Each purchase's amount, category and reversed principal."""
+def _flows(log: EventLog, config: EngineConfig, as_of_day: int | None = None) -> dict:
+    """Each purchase's rate and remaining principal."""
     flows: dict[str, _TxnFlow] = {}
     try:
         for ev in log:
@@ -90,10 +94,10 @@ def _flows(log: EventLog, as_of_day: int | None = None) -> dict:
             if kind == "purchase":
                 if ev.txn_id in flows:
                     raise _duplicate_purchase(ev)
-                flows[ev.txn_id] = _TxnFlow(amount=ev.amount_minor,
-                                            category=ev.category)
+                flows[ev.txn_id] = _TxnFlow(config.rate(ev.category),
+                                            ev.amount_minor)
             elif kind in REVERSAL_KINDS:
-                flows[ev.txn_id].refunded -= ev.amount_minor
+                flows[ev.txn_id].principal += ev.amount_minor
             elif kind in REWARD_KINDS and ev.txn_id not in flows:
                 raise _no_purchase(ev)
     except KeyError:
@@ -139,7 +143,8 @@ def entitlement_bound(
     bucket's entitlement rounds up, so the bound never trips on the
     engine's own downward rounding.
     """
-    return _fold(_up_to(log, as_of_day), config).entitled
+    snapshots = _ri_pass(_up_to(log, as_of_day), config)
+    return snapshots[-1].bound if snapshots else 0
 
 
 def oracle_bound(
@@ -152,9 +157,8 @@ def oracle_bound(
     under any refund sequence.
     """
     total = 0
-    for flow in _flows(log, as_of_day).values():
-        remaining = max(flow.amount - flow.refunded, 0)
-        total += rate_ceil(config.rate(flow.category), remaining)
+    for flow in _flows(log, config, as_of_day).values():
+        total += rate_ceil(flow.rate, max(flow.principal, 0))
     return total
 
 
@@ -165,134 +169,136 @@ def check_integrity(
     as of ``as_of_day`` (default: the log's last day)."""
     if as_of_day is None:
         as_of_day = max((ev.day for ev in log), default=0)
-    fold = _fold(_up_to(log, as_of_day), config)
-    return IntegritySnapshot(
-        day=as_of_day, net_reward=fold.reward, bound=fold.entitled,
-        ok=fold.reward <= fold.entitled,
-    )
+    snapshots = _ri_pass(_up_to(log, as_of_day), config)
+    if not snapshots:
+        return IntegritySnapshot(day=as_of_day, net_reward=0, bound=0, ok=True)
+    return replace(snapshots[-1], day=as_of_day)
 
 
-class _Fold:
-    """Log state as of the end of a day, advanced one event at a time.
+def _by_day(log):
+    """The events of ``log`` grouped by day, in day order.
 
-    Every running total changes by the delta of the one transaction or
-    (period, category) bucket an event touches, so each event costs O(1)
-    and the whole log one pass.  Open reversals wait per transaction and
-    are resolved at the end of the first day on which both RRC
+    The sort is stable, so events keep log order within a day, and it
+    costs O(n) on a log that is already in day order.
+    """
+    return groupby(sorted(log, key=_DAY), _DAY)
+
+
+def _purchase_of(purchases: dict, ev):
+    """``purchases``' entry for the transaction of ``ev``; ``LogInvalid``
+    when it has none."""
+    try:
+        return purchases[ev.txn_id]
+    except KeyError:
+        raise _no_purchase(ev) from None
+
+
+def _ri_pass(log, config: EngineConfig) -> list[IntegritySnapshot]:
+    """Reward-integrity snapshots at the end of every day ``log`` names.
+
+    Keeps per (period, category) bucket its net spend and capped ceiling,
+    and their sum, the entitlement bound; each principal event moves one
+    bucket, the one its purchase fell in.
+    """
+    buckets: dict[tuple, list] = {}  # (period, category) -> [spend, ceiling, rate, cap]
+    purchases: dict[str, list] = {}  # txn_id -> the bucket of its purchase
+    entitled = reward = 0
+    snapshots = []
+    for day, events in _by_day(log):
+        for ev in events:
+            kind = ev.kind
+            if kind == "purchase":
+                if ev.txn_id in purchases:
+                    raise _duplicate_purchase(ev)
+                key = (ev.period, ev.category)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = [0, 0, config.rate(ev.category),
+                                             config.cap(ev.category)]
+                purchases[ev.txn_id] = bucket
+            elif kind in REVERSAL_KINDS:
+                bucket = _purchase_of(purchases, ev)
+            elif kind in REWARD_KINDS:
+                _purchase_of(purchases, ev)
+                reward += ev.amount_minor
+                continue
+            else:
+                continue
+            spend, old, rate, cap = bucket
+            spend += ev.amount_minor
+            new = rate_ceil(rate, max(spend, 0))
+            if cap is not None and new > cap:
+                new = cap
+            bucket[0] = spend
+            bucket[1] = new
+            entitled += new - old
+        snapshots.append(IntegritySnapshot(day, reward, entitled, reward <= entitled))
+    return snapshots
+
+
+def _rrc_pass(log, config: EngineConfig) -> list:
+    """Every reversal of ``log`` as ``[seq, txn_id, day, restored day]``,
+    in day order; the restored day is None while RRC is not restored.
+
+    Keeps each transaction's remaining principal, surviving reward and
+    ceiling, and their global sums.  Open reversals wait per transaction
+    and are resolved at the end of the first day on which both RRC
     conditions hold (see ``check_rrc``).
     """
-
-    def __init__(self, config: EngineConfig):
-        self.config = config
-        self.terms: dict[str, tuple] = {}  # category -> (rate, cap)
-        self.flows: dict[str, _TxnFlow] = {}
-        self.buckets: dict[tuple, tuple] = {}  # (period, category) -> (spend, capped ceil)
-        self.entitled = 0  # sum of bucket terms: the entitlement bound
-        self.ceiling = 0  # sum of per-txn ceilings: the oracle bound
-        self.reward = 0  # net reward: grants less clawbacks
-        self.snapshots: list[IntegritySnapshot] = []
-        self.reversals: list = []  # [seq, txn_id, day, restored day or None]
-        self.open: dict[str, list] = {}  # txn_id -> its unresolved reversals
-        self.touched: set = set()  # txns with open reversals touched today
-        self.ready: set = set()  # txns with open reversals whose reward fits
-
-    def apply(self, ev) -> None:
-        kind = ev.kind
-        if kind == "purchase":
-            if ev.txn_id in self.flows:
-                raise _duplicate_purchase(ev)
-            flow = _TxnFlow(amount=ev.amount_minor, category=ev.category,
-                            period=ev.period)
-            self.flows[ev.txn_id] = flow
-            self._principal(flow, ev.amount_minor)
-            return
-        if kind in REVERSAL_KINDS:
-            flow = self._flow(ev)
-            flow.refunded -= ev.amount_minor
-            self._principal(flow, ev.amount_minor)
-            rev = [ev.seq, ev.txn_id, ev.day, None]
-            self.reversals.append(rev)
-            self.open.setdefault(ev.txn_id, []).append(rev)
-        elif kind in GRANT_KINDS:
-            self._flow(ev).granted += ev.amount_minor
-            self.reward += ev.amount_minor
-        elif kind in CLAW_KINDS:
-            self._flow(ev).clawed -= ev.amount_minor
-            self.reward += ev.amount_minor
-        else:
-            return
-        if ev.txn_id in self.open:
-            self.touched.add(ev.txn_id)
-
-    def _flow(self, ev) -> _TxnFlow:
-        try:
-            return self.flows[ev.txn_id]
-        except KeyError:
-            raise _no_purchase(ev) from None
-
-    def _principal(self, flow: _TxnFlow, delta: int) -> None:
-        """Move ``delta`` of principal into or out of ``flow``'s bucket."""
-        terms = self.terms.get(flow.category)
-        if terms is None:
-            terms = (self.config.rate(flow.category), self.config.cap(flow.category))
-            self.terms[flow.category] = terms
-        rate, cap = terms
-        key = (flow.period, flow.category)
-        spend, old = self.buckets.get(key, (0, 0))
-        spend += delta
-        new = rate_ceil(rate, max(spend, 0))
-        if cap is not None:
-            new = min(new, cap)
-        self.buckets[key] = (spend, new)
-        self.entitled += new - old
-        ceiling = rate_ceil(rate, max(flow.amount - flow.refunded, 0))
-        self.ceiling += ceiling - flow.ceiling
-        flow.ceiling = ceiling
-
-    def close_day(self, day: int) -> None:
-        self.snapshots.append(IntegritySnapshot(
-            day=day, net_reward=self.reward, bound=self.entitled,
-            ok=self.reward <= self.entitled,
-        ))
+    flows: dict[str, _TxnFlow] = {}
+    reward = ceiling = 0  # net reward; sum of per-txn ceilings (the oracle bound)
+    reversals = []
+    pending: dict[str, list] = {}  # txn_id -> its unresolved reversals
+    touched = set()  # txns with open reversals touched today
+    ready = set()  # txns with open reversals whose reward fits
+    for day, events in _by_day(log):
+        for ev in events:
+            kind = ev.kind
+            if kind == "purchase":
+                if ev.txn_id in flows:
+                    raise _duplicate_purchase(ev)
+                flow = flows[ev.txn_id] = _TxnFlow(config.rate(ev.category),
+                                                   ev.amount_minor)
+                flow.ceiling = rate_ceil(flow.rate, max(ev.amount_minor, 0))
+                ceiling += flow.ceiling
+                continue
+            if kind in REVERSAL_KINDS:
+                flow = _purchase_of(flows, ev)
+                flow.principal += ev.amount_minor
+                new = rate_ceil(flow.rate, max(flow.principal, 0))
+                ceiling += new - flow.ceiling
+                flow.ceiling = new
+                rev = [ev.seq, ev.txn_id, day, None]
+                reversals.append(rev)
+                pending.setdefault(ev.txn_id, []).append(rev)
+            elif kind in REWARD_KINDS:
+                flow = _purchase_of(flows, ev)
+                flow.reward += ev.amount_minor
+                reward += ev.amount_minor
+            else:
+                continue
+            if ev.txn_id in pending:
+                touched.add(ev.txn_id)
         # a txn's own RRC test reads only its flow, so only txns touched
         # today can change their answer
-        for txn_id in self.touched:
-            flow = self.flows[txn_id]
-            if flow.granted - flow.clawed <= flow.ceiling:
-                self.ready.add(txn_id)
+        for txn_id in touched:
+            flow = flows[txn_id]
+            if flow.reward <= flow.ceiling:
+                ready.add(txn_id)
             else:
-                self.ready.discard(txn_id)
-        self.touched.clear()
-        if self.ready and self.reward <= self.ceiling:
-            for txn_id in self.ready:
-                for rev in self.open.pop(txn_id):
+                ready.discard(txn_id)
+        touched.clear()
+        if ready and reward <= ceiling:
+            for txn_id in ready:
+                for rev in pending.pop(txn_id):
                     rev[3] = day
-            self.ready.clear()
+            ready.clear()
+    return reversals
 
 
 def _up_to(log: EventLog, as_of_day: int | None):
     """The events of ``log`` dated up to ``as_of_day``, or all of them."""
     return log if as_of_day is None else [ev for ev in log if ev.day <= as_of_day]
-
-
-def _fold(log, config: EngineConfig) -> _Fold:
-    """One pass over the events of ``log`` in day order, closing each day
-    it names.
-
-    The sort is stable, so events keep log order within a day, and it
-    costs O(n) on a log that is already in day order.
-    """
-    fold = _Fold(config)
-    day = None
-    for ev in sorted(log, key=attrgetter("day")):
-        if ev.day != day:
-            if day is not None:
-                fold.close_day(day)
-            day = ev.day
-        fold.apply(ev)
-    if day is not None:
-        fold.close_day(day)
-    return fold
 
 
 def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
@@ -301,7 +307,7 @@ def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnaps
     Each snapshot equals ``check_integrity(log, config, as_of_day=day)``:
     all events dated up to and including that day count.
     """
-    return _fold(log, config).snapshots
+    return _ri_pass(log, config)
 
 
 def check_rrc(
@@ -320,7 +326,7 @@ def check_rrc(
     reward is never re-aligned (no clawback path exists) gets
     restored_day None and fails for any delta.
     """
-    reversals = sorted(_fold(log, config).reversals, key=itemgetter(0))
+    reversals = sorted(_rrc_pass(log, config), key=itemgetter(0))
     return [
         RrcVerdict(
             txn_id=txn_id, refund_day=day, restored_day=restored,

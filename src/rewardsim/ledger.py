@@ -9,6 +9,7 @@ reproduces ledger state bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -267,6 +268,8 @@ class EventLog:
                     raise ParseError(line_no, str(exc)) from exc
                 except RecursionError:
                     raise ParseError(line_no, "JSON nested too deep") from None
+                except ValueError:
+                    raise ParseError(line_no, _long_integer()) from None
                 ev = tuple.__new__(RewardEvent, values)
                 seq, day, kind, txn_id, user, amount, category, period = values
                 if not (type(seq) is int and type(day) is int
@@ -288,6 +291,31 @@ class EventLog:
 
 class ConfigError(Exception):
     pass
+
+
+def _long_integer() -> str:
+    # json raises a bare ValueError, not a JSONDecodeError, only where
+    # int() refuses a number longer than the interpreter's digit limit
+    return f"integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+def load_json(path, error: type[Exception], what: str):
+    """The JSON document in the file at ``path``.
+
+    JSON that Python cannot build, nested deeper than the recursion limit
+    or holding an integer of too many digits, raises ``error`` with a
+    message naming ``what``; malformed JSON raises json's own error.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{what} JSON nested too deep") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise error(f"{what} JSON holds an {_long_integer()}") from None
 
 
 _NO_RATE = Fraction(0)  # of a category with no rate and no "*" fallback

@@ -302,6 +302,35 @@ class TestUsage:
         assert captured.out.startswith("usage: rewardsim")
 
 
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # main builds its parser once per process; no call may leave a
+        # trace in it that changes the next call's parse
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal
+        log_path, cfg_path = TestCheck().make_log(tmp_path, variant="defensive-cycle")
+        check = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        calls = [["attack"], ["--help"], check + ["--delta-days", "0"], check,
+                 ["impact"]]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        fresh = [
+            (proc.returncode, proc.stdout)
+            for proc in (subprocess.run([sys.executable, "-m", "rewardsim.cli", *argv],
+                                        capture_output=True, text=True, env=env,
+                                        timeout=60)
+                         for argv in calls)
+        ]
+        assert in_process == fresh
+        # the window falls back to the variant's once --delta-days is gone
+        assert "allowed lag 0d" in in_process[2][1]
+        assert "allowed lag 30d" in in_process[3][1]
+
+
 class TestMatrix:
     def test_text_matches_golden(self, capsys, fixtures_dir):
         code = main(["matrix"])
@@ -521,6 +550,37 @@ class TestDeepNesting:
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr.splitlines() == [message]
         assert proc.stdout == ""
+
+
+class TestLongIntegers:
+    LONG = "9" * 5000  # past the interpreter's int-from-text digit limit
+
+    @pytest.mark.parametrize("where,message", [
+        ("log", "error: line 2: integer of more than 4300 digits"),
+        ("config", "error: config JSON holds an integer of more than 4300 digits"),
+        ("scenario",
+         "error: scenario JSON holds an integer of more than 4300 digits"),
+    ])
+    def test_exits_1_with_located_message(self, tmp_path, capsys, where, message):
+        # each used to print int()'s own advice to raise the limit
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        argv = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        if where == "log":
+            long_day = log_line(2, "settle").replace('"day": 2', f'"day": {self.LONG}')
+            log_path.write_text(log_line(1, "purchase") + "\n" + long_day + "\n")
+        elif where == "config":
+            cfg_path.write_text(cfg_path.read_text().replace(
+                '"grace_days": 7', f'"grace_days": {self.LONG}'))
+        else:
+            path, sc = write_scenario(tmp_path)
+            path.write_text(path.read_text().replace(
+                '"amount_minor": 10000', f'"amount_minor": {self.LONG}', 1))
+            argv = ["simulate", "--scenario", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
 
 
 class TestScripts:

@@ -183,8 +183,8 @@ def assert_one_day_checks_match(log, config):
 
 
 class TestOneDayChecksAgainstReference:
-    # entitlement_bound and check_integrity answer from the fold over the
-    # events up to the day; the rescanning originals must agree
+    # entitlement_bound and check_integrity answer from the integrity pass
+    # over the events up to the day; the rescanning originals must agree
     @pytest.mark.parametrize(
         "name", ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
                  "cross_cycle_B", "empty", "close_refunds_cycle",

@@ -1,6 +1,6 @@
-"""Differential tests: the streaming fold against the rescanning reference.
+"""Differential tests: the streaming passes against the rescanning reference.
 
-``integrity_series`` and ``check_rrc`` answer every "as of day d"
+``integrity_series`` and ``check_rrc`` each answer every "as of day d"
 question from one pass over the log; ``reference_invariants`` rebuilds
 the log state for each day instead.  Both must return equal dataclasses
 on engine logs of every variant and on arbitrary hand-built logs.
@@ -25,6 +25,7 @@ from rewardsim import (
     LogInvalid,
     Scenario,
     ScenarioEvent,
+    check_integrity,
     check_rrc,
     entitlement_bound,
     integrity_series,
@@ -125,10 +126,14 @@ NEGATIVE_KINDS = {"refund-posted", "chargeback-posted", "refund", "chargeback",
 @st.composite
 def logs_and_configs(draw):
     """Hand-built logs: several reversals per txn, grants and claws of any
-    size, redeems, and (sometimes) days out of log order.
+    size, purchases of no or negative amount, redeems, and (sometimes)
+    days out of log order.
 
-    Each transaction's purchase comes first in log order and is dated no
-    later than its other events, the one ordering rule a log must keep.
+    A transaction's reversals, grants and claws carry a category and
+    period drawn apart from its purchase's, so a checker that reads them
+    off any event but the purchase disagrees with the reference.  Each
+    transaction's purchase comes first in log order and is dated no later
+    than its other events, the one ordering rule a log must keep.
     """
     rates = {c: Fraction(draw(st.sampled_from([0, 1, 2, 5, 7, 33])), 100)
              for c in "ABC"}
@@ -138,17 +143,17 @@ def logs_and_configs(draw):
     purchases = {}
     for i in range(draw(st.integers(1, 5))):
         tid = f"t{i}"
-        amount = draw(st.integers(1, 20_000))
+        amount = draw(st.integers(-500, 20_000))
         day = draw(st.integers(0, 90))
         category = draw(st.sampled_from("ABC"))
         purchases[tid] = (day, "purchase", tid, amount, category, day // 30)
         for _ in range(draw(st.integers(0, 6))):
             kind = draw(st.sampled_from(ALL_KINDS_FOR_TXN))
-            size = amount if kind.endswith("-posted") else max(amount // 10, 1)
-            x = draw(st.integers(1, size))
+            size = amount if kind.endswith("-posted") else amount // 10
+            x = draw(st.integers(1, max(size, 1)))
             entries.append((day + draw(st.integers(0, 60)), kind, tid,
                             -x if kind in NEGATIVE_KINDS else x,
-                            category, day // 30))
+                            draw(st.sampled_from("ABC")), draw(st.integers(0, 5))))
     for _ in range(draw(st.integers(0, 3))):
         day = draw(st.integers(0, 150))
         kind = draw(st.sampled_from(["redeem", "redeem-request", "hold-set"]))
@@ -266,11 +271,12 @@ class TestLocatedErrors:
 
     @staticmethod
     def assert_every_check_raises(log, message):
-        # the fold-based checkers and the lean one-pass bounds alike
+        # the checkers' passes and the lean one-pass bounds alike
         config = EngineConfig(reward_rate={"G": Fraction(5, 100)})
         for check in (lambda: integrity_series(log, config),
                       lambda: check_rrc(log, 0, config),
                       lambda: oracle_bound(log, config),
-                      lambda: entitlement_bound(log, config)):
+                      lambda: entitlement_bound(log, config),
+                      lambda: check_integrity(log, config)):
             with pytest.raises(LogInvalid, match=message):
                 check()
