@@ -21,8 +21,10 @@ Each call adds one workload to ``BENCH_<pr>.json``, or replaces it:
 untraced runs under ``runs`` and ``summary`` (per end-to-end metric of
 ``BENCHMARK.json``: the medians and quartiles of both sides, the change
 in percent and the pairs the change won), traced runs under ``trace``
-(the median of every per-layer metric).  ``--claim`` names the metric
-the change claims to improve on this workload.
+(the median of every per-layer metric).  Both record in
+``digests_match`` whether the two sides of every pair wrote the same
+output digest.  ``--claim`` names the metric the change claims to
+improve on this workload.
 """
 
 from __future__ import annotations
@@ -89,10 +91,17 @@ def quartiles(values: list) -> list:
     return [q1, q3]
 
 
+def digests_match(runs: list) -> bool:
+    """Whether both sides of every pair wrote the same output digest."""
+    return all(r["parent"]["output_sha256"] == r["change"]["output_sha256"]
+               for r in runs)
+
+
 def summarise(runs: list, spec: dict) -> dict:
     """Medians, quartiles and wins of each end-to-end metric over ``runs``."""
     summary = {
         "pairs": len(runs),
+        "digests_match": digests_match(runs),
         "failed": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
         "attempted": {side: sum(r[side]["attempted"] for r in runs) for side in SIDES},
     }
@@ -117,6 +126,7 @@ def trace_medians(runs: list, command: str) -> dict:
     return {
         "command": command,
         "pairs": len(runs),
+        "digests_match": digests_match(runs),
         "median": {side: {name: statistics.median(r[side]["metrics"][name]["value"]
                                                   for r in runs)
                           for name in runs[0][side]["metrics"]}
@@ -128,7 +138,8 @@ def trace_medians(runs: list, command: str) -> dict:
 
 def report(workload: str, summary: dict, spec: dict) -> None:
     print(f"{workload}: {summary['pairs']} pairs, failed ops "
-          f"{summary['failed']['parent']} -> {summary['failed']['change']}")
+          f"{summary['failed']['parent']} -> {summary['failed']['change']}, "
+          f"output digests {'equal' if summary['digests_match'] else 'differ'}")
     for metric in spec["end_to_end"]:
         m = summary[metric["name"]]
         q1, q3 = m["parent_quartiles"]
@@ -168,9 +179,9 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(trees[side], run_argv, name)
         runs.append(pair)
-        digests = {pair[side]["output_sha256"] for side in SIDES}
         print(f"pair {i + 1}/{args.pairs} done"
-              + ("" if len(digests) == 1 else ": output digests differ"), flush=True)
+              + ("" if digests_match([pair]) else ": output digests differ"),
+              flush=True)
 
     out = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(out.read_text()) if out.is_file() else {}

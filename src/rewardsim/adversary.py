@@ -98,17 +98,12 @@ def build_ddra_scenario(
             p_day, r_day = k * length + 2, None
         else:
             raise ValueError(f"unknown attack timing {timing!r}")
+        # day, kind, txn_id, amount_minor, category
         events.append(
-            ScenarioEvent(
-                day=p_day, kind="purchase", txn_id=txn_id,
-                amount_minor=purchase_minor, category=ATTACK_CATEGORY,
-            )
+            ScenarioEvent(p_day, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)
         )
         if r_day is not None:
-            events.append(
-                ScenarioEvent(day=r_day, kind="refund", txn_id=txn_id,
-                              amount_minor=refund_minor)
-            )
+            events.append(ScenarioEvent(r_day, "refund", txn_id, refund_minor))
     return Scenario(
         label=f"ddra-{variant}-{timing}",
         config=config,

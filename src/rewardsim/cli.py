@@ -40,6 +40,7 @@ from .ledger import (
     LogInvalid,
     ParseError,
     SequenceGap,
+    _long_integer,
     load_json,
 )
 from .money import format_usd
@@ -140,9 +141,11 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_check(args) -> int:
+    delta = args.delta_days
+    if delta is not None and delta < 0:
+        raise ValueError(f"--delta-days must be >= 0, got {delta}")
     log = EventLog.read_jsonl(args.log)
     config = _load_config(args.config)
-    delta = args.delta_days
     if delta is None:
         delta = default_consistency_window(config)
     snapshots = integrity_series(log, config)
@@ -168,7 +171,15 @@ def cmd_impact(args) -> int:
             print(f"{pct + '%':<10}" + "".join(f"{c:>14}" for c in cells))
         print(f"(annual loss, $M, monthly cap {format_usd(cap)} per user)")
         return EXIT_OK
-    loss = leakage_estimate(Fraction(args.p), args.users, args.cap)
+    try:
+        p = Fraction(args.p)
+    except ValueError as exc:
+        # int() refuses a number past the interpreter's digit limit with
+        # advice to raise it; any other refusal names the literal itself
+        if "int_max_str_digits" not in str(exc):
+            raise
+        raise ValueError(f"--p holds an {_long_integer()}") from None
+    loss = leakage_estimate(p, args.users, args.cap)
     print(
         f"annual loss: {format_usd(int(loss))} "
         f"({format_millions(loss)} $M) at abuse rate {args.p}, "

@@ -78,32 +78,21 @@ def reward_on_settlement(
     if base <= 0:
         raise ValueError("settlement base must be positive")
 
-    rate = config.rate(txn.category)
-    used = ledger.used(txn.period, txn.category)
-    r = rate_floor(rate, base)
-    cap = config.cap(txn.category)
+    category, period = txn.category, txn.period
+    key = (period, category)
+    used = ledger.monthly_used.get(key, 0)
+    r = rate_floor(config.rate(category), base)
+    cap = config.cap(category)
     if cap is not None:
         r = min(r, cap - used)
     if r > 0:
         ledger.balance += r
-        ledger.monthly_used[(txn.period, txn.category)] = used + r
-        log.emit(
-            day=day,
-            kind=kind,
-            txn_id=txn.id,
-            user=txn.user,
-            amount_minor=r,
-            category=txn.category,
-            period=txn.period,
-        )
+        ledger.monthly_used[key] = used + r
+        log.emit(day, kind, txn.id, txn.user, r, category, period)
     else:
         r = 0
-    records[txn.id] = RewardRecord(
-        reward_current=r,
-        reward_original=r,
-        total_refunded=presettle_refunded,
-        claw_base=base,
-    )
+    # reward_current, reward_original, total_refunded, claw_base
+    records[txn.id] = RewardRecord(r, r, presettle_refunded, base)
     if txn.status is TransactionStatus.PENDING:
         transition(txn, TransactionStatus.SETTLED)
     return r
@@ -174,15 +163,7 @@ def _clawback(
             ledger.monthly_used[(txn.period, txn.category)] = max(0, used - r_claw)
     if applied > 0:
         ledger.balance -= applied  # may go negative: the debt is the defense
-        log.emit(
-            day=day,
-            kind=kind,
-            txn_id=txn.id,
-            user=txn.user,
-            amount_minor=-applied,
-            category=txn.category,
-            period=txn.period,
-        )
+        log.emit(day, kind, txn.id, txn.user, -applied, txn.category, txn.period)
     return applied
 
 
@@ -286,15 +267,7 @@ def redeem(
         raise RedeemDenied(decision.reason)
     ledger.balance -= y
     ledger.redeemed_total += y
-    log.emit(
-        day=today,
-        kind="redeem",
-        txn_id="",
-        user=user,
-        amount_minor=-y,
-        category="",
-        period=config.period_of_day(today),
-    )
+    log.emit(today, "redeem", "", user, -y, "", config.period_of_day(today))
 
 
 def statement_cycle_reconcile(
@@ -344,12 +317,4 @@ def statement_cycle_reconcile(
     if ledger.redemption_hold_until != new_hold:
         ledger.redemption_hold_until = new_hold
         if grace_days > 0:
-            log.emit(
-                day=day,
-                kind="hold-set",
-                txn_id="",
-                user=user,
-                amount_minor=0,
-                category="",
-                period=period,
-            )
+            log.emit(day, "hold-set", "", user, 0, "", period)

@@ -195,7 +195,9 @@ class Simulation:
         self.reversed: dict[str, int] = {}  # principal refunded or charged back
         self.late_refunds: list = []  # (txn, amount) deferred to the close
         self.log = EventLog()
-        # the horizon: one full period past the period of the last intent
+        # the horizon: one full period past the period of the last intent.
+        # ``run`` sets it from the scenario's last day before any intent
+        # posts; a sweep redemption, posted later, extends it
         self.final_day = -1
         self._due_settlements: list = []  # (due_day, txn_id)
 
@@ -218,17 +220,10 @@ class Simulation:
         if amount <= 0:
             raise ScenarioInvalid(f"purchase amount must be positive, got {amount}")
         period = self.config.period_of_day(day)
-        txn = Transaction(
-            id=txn_id, user=self.user, merchant="m", amount=amount,
-            category=category, period=period,
-        )
+        txn = Transaction(txn_id, self.user, "m", amount, category, period)
         self.txns[txn_id] = txn
         self.period_txns.setdefault(period, []).append(txn)
-        self._note_intent(day)
-        self.log.emit(
-            day=day, kind="purchase", txn_id=txn_id, user=self.user,
-            amount_minor=amount, category=category, period=period,
-        )
+        self.log.emit(day, "purchase", txn_id, self.user, amount, category, period)
         if self.variant.instant:
             due = day + self.config.delivery_delay_days
             if due == day:
@@ -253,11 +248,8 @@ class Simulation:
                 f"refund {x} exceeds remaining principal on {txn_id!r}"
             )
         self.reversed[txn_id] = reversed_so_far + x
-        self._note_intent(day)
-        self.log.emit(
-            day=day, kind="refund-posted", txn_id=txn_id, user=self.user,
-            amount_minor=-x, category=txn.category, period=txn.period,
-        )
+        self.log.emit(day, "refund-posted", txn_id, self.user, -x,
+                      txn.category, txn.period)
         if txn.status is TransactionStatus.PENDING:
             return  # netted out of the settlement through ``reversed``
         adjustment = self.variant.refund_adjustment
@@ -282,11 +274,8 @@ class Simulation:
             )
         remaining = txn.amount - self.reversed.get(txn_id, 0)
         self.reversed[txn_id] = txn.amount
-        self._note_intent(day)
-        self.log.emit(
-            day=day, kind="chargeback-posted", txn_id=txn_id, user=self.user,
-            amount_minor=-remaining, category=txn.category, period=txn.period,
-        )
+        self.log.emit(day, "chargeback-posted", txn_id, self.user, -remaining,
+                      txn.category, txn.period)
         if self.variant.refund_adjustment == ADJ_NONE:
             record = self.records[txn_id]
             record.total_refunded += remaining
@@ -303,15 +292,13 @@ class Simulation:
     def redeem_request(self, day: int, y: int) -> None:
         if y <= 0:
             raise ScenarioInvalid(f"redemption amount must be positive, got {y}")
-        self._note_intent(day)
-        self.log.emit(
-            day=day, kind="redeem-request", txn_id="", user=self.user,
-            amount_minor=-y, category="",
-            period=self.config.period_of_day(day),
-        )
-        decision = engine.can_redeem(self.ledger, y, day, self.config)
-        if decision.allowed:
+        self._post_redeem_request(day, y)
+        if engine.can_redeem(self.ledger, y, day, self.config).allowed:
             engine.redeem(self.ledger, y, day, self.config, self.log, self.user)
+
+    def _post_redeem_request(self, day: int, y: int) -> None:
+        self.log.emit(day, "redeem-request", "", self.user, -y, "",
+                      self.config.period_of_day(day))
 
     # -- clock ----------------------------------------------------------
 
@@ -333,7 +320,11 @@ class Simulation:
     def _sweep_policy(self, day: int) -> None:
         y = self.ledger.balance
         if y > 0 and engine.can_redeem(self.ledger, y, day, self.config).allowed:
-            self.redeem_request(day, y)
+            # the sweep's intent is the only one posted after the run set
+            # the horizon from the scenario's last day, so it alone moves it
+            self._note_intent(day)
+            self._post_redeem_request(day, y)
+            engine.redeem(self.ledger, y, day, self.config, self.log, self.user)
 
 
 def _check_event_types(index: int, ev: ScenarioEvent) -> None:
@@ -430,8 +421,8 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
                     sim.redeem_request(day, ev.amount_minor)
             next_intent = next(intent_days, None)
         if scenario.auto_redeem:
-            # a sweep posts an intent, which moves the horizon as any
-            # scenario intent does, so a replay runs the same closes
+            # a sweep posts an intent, which moves the horizon as the
+            # scenario's last intent does, so a replay runs the same closes
             sim._sweep_policy(day)
         # jump to the next day on which state can change
         nxt = (day // length + 1) * length

@@ -87,9 +87,7 @@ def _flows(log: EventLog, config: EngineConfig, as_of_day: int | None = None) ->
     """Each purchase's rate and remaining principal."""
     flows: dict[str, _TxnFlow] = {}
     try:
-        for ev in log:
-            if as_of_day is not None and ev.day > as_of_day:
-                continue
+        for ev in _up_to(log, as_of_day):
             kind = ev.kind
             if kind == "purchase":
                 if ev.txn_id in flows:

@@ -28,6 +28,10 @@ class TransactionStatus(Enum):
     REFUNDED = "REFUNDED"
     CHARGEBACK = "CHARGEBACK"
 
+    # members are singletons, so identity hashing agrees with equality
+    # and costs no Python-level call in the ``LEGAL_TRANSITIONS`` lookup
+    __hash__ = object.__hash__
+
 
 # Legal edges of the transaction lifecycle.  Everything else is rejected,
 # including SETTLED -> SETTLED.

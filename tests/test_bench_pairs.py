@@ -13,9 +13,10 @@ SPEC = {"end_to_end": [{"name": "p50", "better": "lower"},
                        {"name": "rate", "better": "higher"}]}
 
 
-def result(p50, rate, failed=0):
-    return {"failed": failed, "attempted": 10,
-            "metrics": {"p50": {"value": p50}, "rate": {"value": rate}}}
+def result(p50, rate, failed=0, digest="d1"):
+    return {"failed": failed, "attempted": 10, "output_sha256": digest,
+            "metrics": {"p50": {"value": p50}, "rate": {"value": rate}},
+            "host_slowdown": 1.0}
 
 
 def test_summary_counts_wins_in_each_metric_direction():
@@ -34,3 +35,17 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert p50["change_wins"] == 2  # a tie counts for neither side
     assert round(p50["change_pct"], 6) == round(-200 / 11, 6)
     assert summary["rate"]["change_wins"] == 2
+    assert summary["digests_match"] is True
+
+
+def test_one_differing_pair_is_recorded_in_summary_and_trace():
+    runs = [
+        {"first": "parent", "parent": result(10.0, 5.0), "change": result(8.0, 6.0)},
+        {"first": "change", "parent": result(12.0, 4.0),
+         "change": result(9.0, 4.0, digest="d2")},
+    ]
+    assert bench_pairs.summarise(runs, SPEC)["digests_match"] is False
+    trace = bench_pairs.trace_medians(runs, "cmd")
+    assert trace["digests_match"] is False
+    assert trace["median"]["change"] == {"p50": 8.5, "rate": 5.0}
+    assert bench_pairs.trace_medians(runs[:1], "cmd")["digests_match"] is True

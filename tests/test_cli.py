@@ -367,6 +367,20 @@ class TestCheck:
         assert code == EXIT_OK
         assert "allowed lag 30d" in capsys.readouterr().out
 
+    def test_negative_delta_days_is_a_usage_error(self, tmp_path, capsys,
+                                                  fixtures_dir):
+        # a negative lag used to fail every refund as a consistency
+        # violation and exit 2, which a CI gate reads as a broken engine
+        scenario = Scenario.load(fixtures_dir / "walkthrough.json")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(scenario.config.to_json_dict()))
+        code = main(["check", "--log", str(fixtures_dir / "walkthrough.jsonl"),
+                     "--config", str(cfg_path), "--delta-days", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == ["error: --delta-days must be >= 0, got -1"]
+        assert captured.out == ""
+
     def test_unbacked_reward_exits_2(self, tmp_path, capsys):
         log = EventLog()
         log.emit(day=0, kind="purchase", txn_id="t1", user="u1",
@@ -580,6 +594,16 @@ class TestLongIntegers:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT
         assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("p", [f"1/{LONG}", f"{LONG}/1", f"0.{LONG}"],
+                             ids=["denominator", "numerator", "decimal"])
+    def test_impact_names_the_rate_flag(self, capsys, p):
+        code = main(["impact", "--p", p])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            "error: --p holds an integer of more than 4300 digits"]
         assert captured.out == ""
 
 

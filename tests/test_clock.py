@@ -72,6 +72,24 @@ def test_ddra_battery(variant):
         assert lines
 
 
+def test_sweep_after_the_last_intent_extends_the_horizon():
+    # the day-35 purchase bounds the run at day 90; it settles at the
+    # day-60 close, the grace hold ends on day 67 and the sweep posts
+    # there, in period 2, which moves the horizon to the day-120 close
+    scenario = Scenario(
+        label="late-sweep",
+        config=EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)},
+                            variant="defensive-cycle"),
+        events=[ScenarioEvent(35, "purchase", "t1", 10000, "GROCERY")],
+        auto_redeem=True,
+    )
+    lines, final_day, *_ = assert_same_run(scenario)
+    assert [line for line in lines if '"kind": "redeem-request"' in line] == [
+        '{"seq": 5, "day": 67, "kind": "redeem-request", "txn_id": "", '
+        '"user": "u1", "amount_minor": -500, "category": "", "period": 2}']
+    assert final_day == 120
+
+
 def test_skipped_days_are_idle(monkeypatch):
     # the sweep runs once per visited day: on the cross-cycle battery it
     # sees only closes, intent days and hold ends

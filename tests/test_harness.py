@@ -90,6 +90,22 @@ class TestRun:
         assert kinds == ["purchase", "settle", "redeem-request", "redeem"]
         assert report.ledger.redeemed_total == 500
 
+    def test_sweep_redemption_evaluates_the_gate_twice(self, monkeypatch):
+        # once in the sweep and once in engine.redeem's own check; the
+        # sweep posts its request without asking the gate a third time
+        calls = []
+        gate = engine.can_redeem
+
+        def counting(*args):
+            calls.append(args[2])
+            return gate(*args)
+
+        monkeypatch.setattr(engine, "can_redeem", counting)
+        report = run(scenario([ev(1, "purchase", "t1", 10000)], auto_redeem=True))
+        assert [e.kind for e in report.log if e.kind.startswith("redeem")] == [
+            "redeem-request", "redeem"]
+        assert calls == [1, 1]
+
     def test_denied_request_logs_request_only(self):
         report = run(scenario([ev(1, "purchase", "t1", 10000),
                                ev(2, "redeem-request", amount=600)]))

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from rewardsim import (
     Transaction,
     TransactionStatus,
 )
-from rewardsim.ledger import transition
+from rewardsim.ledger import LEGAL_TRANSITIONS, transition
 
 
 def make_txn(**kw):
@@ -58,6 +59,29 @@ class TestTransaction:
         transition(t, TransactionStatus.PART_REF)
         transition(t, TransactionStatus.CHARGEBACK)
         assert t.status is TransactionStatus.CHARGEBACK
+
+    def test_every_pair_of_statuses(self):
+        # all 25 (src, dst) pairs: exactly the seven lifecycle edges pass
+        S = TransactionStatus
+        edges = {
+            (S.PENDING, S.SETTLED), (S.PENDING, S.REFUNDED),
+            (S.SETTLED, S.PART_REF), (S.SETTLED, S.CHARGEBACK),
+            (S.PART_REF, S.PART_REF), (S.PART_REF, S.REFUNDED),
+            (S.PART_REF, S.CHARGEBACK),
+        }
+        accepted = set()
+        for src, dst in product(S, repeat=2):
+            t = make_txn()
+            t.status = src
+            try:
+                assert transition(t, dst) is t
+            except IllegalTransition as exc:
+                assert (exc.src, exc.dst) == (src, dst)
+                assert t.status is src
+            else:
+                assert t.status is dst
+                accepted.add((src, dst))
+        assert accepted == edges == LEGAL_TRANSITIONS
 
     @pytest.mark.parametrize(
         "src,dst",
