@@ -20,7 +20,9 @@ when it is odd.
 Each call adds one workload to ``BENCH_<pr>.json``, or replaces it:
 untraced runs under ``runs`` and ``summary`` (per end-to-end metric of
 ``BENCHMARK.json``: the medians and quartiles of both sides, the change
-in percent and the pairs the change won), traced runs under ``trace``
+in percent, the pairs the change won and ``within_bound``, whether the
+change's median is worse than the parent's by no more than the metric's
+``bound``), traced runs under ``trace``
 (the median of every per-layer metric).  Both record in
 ``digests_match`` whether the two sides of every pair wrote the same
 output digest.  ``--claim`` names the metric the change claims to
@@ -97,6 +99,15 @@ def digests_match(runs: list) -> bool:
                for r in runs)
 
 
+def within_bound(parent: float, change: float, metric: dict) -> bool:
+    """Whether ``change`` is worse than ``parent`` by at most the metric's
+    ``bound``, a share of the parent's value, in its ``better`` direction."""
+    slack = abs(parent) * metric["bound"]
+    if metric["better"] == "lower":
+        return change <= parent + slack
+    return change >= parent - slack
+
+
 def summarise(runs: list, spec: dict) -> dict:
     """Medians, quartiles and wins of each end-to-end metric over ``runs``."""
     summary = {
@@ -118,6 +129,7 @@ def summarise(runs: list, spec: dict) -> dict:
             "change_pct": (change - parent) / parent * 100 if parent else 0.0,
             "change_wins": sum((c < p) if lower else (c > p)
                                for p, c in zip(values["parent"], values["change"])),
+            "within_bound": within_bound(parent, change, metric),
         }
     return summary
 
@@ -145,7 +157,9 @@ def report(workload: str, summary: dict, spec: dict) -> None:
         q1, q3 = m["parent_quartiles"]
         print(f"  {metric['name']:18s} {m['parent_median']:12.6g} -> "
               f"{m['change_median']:12.6g}  {m['change_pct']:+7.2f}%  "
-              f"wins {m['change_wins']}/{summary['pairs']}  parent IQR {q3 - q1:.4g}")
+              f"wins {m['change_wins']}/{summary['pairs']}  parent IQR {q3 - q1:.4g}  "
+              f"{'within' if m['within_bound'] else 'OUTSIDE'} bound "
+              f"{metric['bound']:.0%}")
 
 
 def main(argv=None) -> int:
@@ -161,6 +175,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", metavar="METRIC",
                         help="the end-to-end metric this workload's gain is claimed on")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]

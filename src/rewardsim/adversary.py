@@ -35,12 +35,17 @@ class AttackOutcome:
     purchase_minor: int
     cycles: int
     refund_fraction: Fraction
-    net_spend_final: int
     net_reward_final: int
     redeemed_minor: int
     balance_minor: int
     value_extracted: int
     report: SimulationReport
+
+    @property
+    def net_spend_final(self) -> int:
+        """Principal still spent at quiescence, read from the log on access;
+        no verdict reads it."""
+        return self.report.net_spend
 
     def restore_lags(self) -> list:
         """Per reversal, days from refund until RRC is restored; None when
@@ -75,6 +80,8 @@ def build_ddra_scenario(
     Cross-cycle refunds land early in the following cycle, after any
     close-time settlement has already credited the reward.
     """
+    if purchase_minor < 1:
+        raise ValueError(f"purchase_minor must be at least 1, got {purchase_minor}")
     if cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cycles}")
     refund_minor = int(refund_fraction * purchase_minor)
@@ -134,7 +141,6 @@ def run_ddra(
         purchase_minor=purchase_minor,
         cycles=cycles,
         refund_fraction=refund_fraction,
-        net_spend_final=report.net_spend,
         net_reward_final=reward,
         redeemed_minor=report.ledger.redeemed_total,
         balance_minor=report.ledger.balance,

@@ -156,7 +156,28 @@ def cmd_check(args) -> int:
     return EXIT_VIOLATION
 
 
+def _abuse_rate(text: str) -> Fraction:
+    """The ``--p`` share, or a ValueError that names the flag."""
+    refusal = f"--p must be a share in [0, 1] such as 0.01 or 1/100, got {text!r}"
+    try:
+        p = Fraction(text)
+    except ValueError as exc:
+        # int() refuses a number past the interpreter's digit limit with
+        # advice to raise it, which would also echo the whole literal
+        if "int_max_str_digits" in str(exc):
+            raise ValueError(f"--p holds an {_long_integer()}") from None
+        raise ValueError(refusal) from None
+    except ZeroDivisionError:
+        raise ValueError(refusal) from None
+    if not 0 <= p <= 1:
+        raise ValueError(refusal)
+    return p
+
+
 def cmd_impact(args) -> int:
+    # checked before the table prints its header
+    if args.cap < 0:
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
     if args.table:
         rates = [Fraction(1, 1000), Fraction(1, 100), Fraction(5, 100)]
         cohorts = [100_000, 1_000_000, 10_000_000]
@@ -171,15 +192,7 @@ def cmd_impact(args) -> int:
             print(f"{pct + '%':<10}" + "".join(f"{c:>14}" for c in cells))
         print(f"(annual loss, $M, monthly cap {format_usd(cap)} per user)")
         return EXIT_OK
-    try:
-        p = Fraction(args.p)
-    except ValueError as exc:
-        # int() refuses a number past the interpreter's digit limit with
-        # advice to raise it; any other refusal names the literal itself
-        if "int_max_str_digits" not in str(exc):
-            raise
-        raise ValueError(f"--p holds an {_long_integer()}") from None
-    loss = leakage_estimate(p, args.users, args.cap)
+    loss = leakage_estimate(_abuse_rate(args.p), args.users, args.cap)
     print(
         f"annual loss: {format_usd(int(loss))} "
         f"({format_millions(loss)} $M) at abuse rate {args.p}, "
@@ -193,7 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use.
 
     Parsing keeps no state in the parser: every call fills a new
-    namespace from the defaults declared here.
+    namespace from the defaults declared here.  The cache is kept on
+    purpose: in-process callers that run ``main`` many times (the tests,
+    the benchmark) skip the rebuild, and the console script, which runs
+    ``main`` once, pays nothing for it.
     """
     parser = argparse.ArgumentParser(
         prog="rewardsim",

@@ -358,8 +358,17 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     the sweep policy.  The clock is event-driven: from a visited day it
     jumps to the earliest of the next statement close, the next intent
     day, the next due settlement and, with the sweep on, the end of a
-    grace hold that lies ahead.  The sweep is a no-op on every day
-    skipped, because:
+    grace hold that lies ahead.
+
+    Closes are visited only under a variant that defers work to them
+    (``IssuerVariant.defers_to_close``) or with a delivery delay, which
+    can leave a settlement pending at a close.  Under any other variant
+    a close logs nothing and sets the redemption hold to its own day,
+    which never holds a later one, so the run skips it: it visits only
+    intent days, from the first to the last, and
+    ``ledger.redemption_hold_until`` stays ``None``.
+
+    The sweep is a no-op on every day skipped, because:
 
     - balance, hold and cap state change only on visited days;
     - ``can_redeem`` depends on the day only through ``today < hold``,
@@ -397,12 +406,14 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         sim._note_intent(days[-1])
 
     length = config.period_length_days
+    closes = sim.variant.defers_to_close or config.delivery_delay_days > 0
     due = sim._due_settlements
     intent_days = iter(days)
     next_intent = next(intent_days, None)
-    day = 0
+    # without closes no state exists before the first intent
+    day = 0 if closes or next_intent is None else next_intent
     while day <= sim.final_day:
-        if day > 0 and day % length == 0:
+        if closes and day > 0 and day % length == 0:
             sim.close_period(day // length - 1)
         while due and due[0][0] <= day:
             _, txn_id = due.pop(0)
@@ -424,8 +435,9 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             # a sweep posts an intent, which moves the horizon as the
             # scenario's last intent does, so a replay runs the same closes
             sim._sweep_policy(day)
-        # jump to the next day on which state can change
-        nxt = (day // length + 1) * length
+        # jump to the next day on which state can change; without
+        # closes that is the next intent, and past the last one the run ends
+        nxt = (day // length + 1) * length if closes else sim.final_day + 1
         if next_intent is not None and next_intent < nxt:
             nxt = next_intent
         if due and due[0][0] < nxt:

@@ -30,6 +30,16 @@ class IssuerVariant:
     auto_redeem_at_close: bool = False
     uses_grace_hold: bool = False
 
+    @property
+    def defers_to_close(self) -> bool:
+        """Whether a statement close can have work to do: False when rewards
+        credit at settlement, refunds are adjusted never or at once, and
+        there is neither a grace hold nor a redemption at the close."""
+        return not (self.instant
+                    and self.refund_adjustment in (ADJ_NONE, ADJ_IMMEDIATE)
+                    and not self.uses_grace_hold
+                    and not self.auto_redeem_at_close)
+
 
 VARIANTS = {
     v.name: v

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from rewardsim import run_battery, run_ddra
+from rewardsim import harness, run_battery, run_ddra
 from rewardsim.adversary import (
     CONTROL,
     CROSS_CYCLE,
     SAME_CYCLE,
     build_ddra_scenario,
 )
+from rewardsim.invariants import net_spend
 
 
 class TestScenarioGeometry:
@@ -48,6 +49,18 @@ class TestScenarioGeometry:
             "refund_fraction must lie in (0, 1] and refund at least one minor "
             f"unit of purchase_minor, got {fraction} of {purchase}"
         )
+
+    @pytest.mark.parametrize("purchase", [0, -5])
+    @pytest.mark.parametrize("timing", [SAME_CYCLE, CROSS_CYCLE, CONTROL])
+    def test_purchase_below_one_minor_unit_rejected_first(self, timing, purchase):
+        # a zero purchase used to blame the refund fraction, a negative
+        # one to fail inside the simulation
+        for fraction in (Fraction(1), Fraction(0)):
+            with pytest.raises(ValueError) as exc:
+                build_ddra_scenario("A", timing=timing, purchase_minor=purchase,
+                                    cycles=0, refund_fraction=fraction)
+            assert str(exc.value) == (
+                f"purchase_minor must be at least 1, got {purchase}")
 
     def test_control_ignores_the_refund_fraction(self):
         sc = build_ddra_scenario("A", timing=CONTROL, purchase_minor=1,
@@ -102,6 +115,22 @@ class TestResistantVariants:
         half = run_ddra("A", timing=CROSS_CYCLE, cycles=12,
                         refund_fraction=Fraction(1, 2))
         assert half.value_extracted == full.value_extracted // 2
+
+
+class TestNetSpend:
+    def test_read_from_the_log_only_on_access(self, monkeypatch):
+        # no verdict reads the net spend, so the battery makes no pass for it
+        passes = []
+
+        def counted(log, as_of_day=None):
+            passes.append(log)
+            return net_spend(log, as_of_day)
+
+        monkeypatch.setattr(harness, "net_spend", counted)
+        o = run_ddra("C", timing=CROSS_CYCLE, cycles=3, refund_fraction=Fraction(1, 2))
+        assert passes == []
+        assert o.net_spend_final == net_spend(o.report.log) == 3 * 5000
+        assert passes == [o.report.log]
 
 
 class TestBattery:

@@ -3,14 +3,16 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs",
                                                ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-SPEC = {"end_to_end": [{"name": "p50", "better": "lower"},
-                       {"name": "rate", "better": "higher"}]}
+SPEC = {"end_to_end": [{"name": "p50", "better": "lower", "bound": 0.2},
+                       {"name": "rate", "better": "higher", "bound": 0.1}]}
 
 
 def result(p50, rate, failed=0, digest="d1"):
@@ -36,6 +38,7 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert round(p50["change_pct"], 6) == round(-200 / 11, 6)
     assert summary["rate"]["change_wins"] == 2
     assert summary["digests_match"] is True
+    assert p50["within_bound"] is True and summary["rate"]["within_bound"] is True
 
 
 def test_one_differing_pair_is_recorded_in_summary_and_trace():
@@ -49,3 +52,39 @@ def test_one_differing_pair_is_recorded_in_summary_and_trace():
     assert trace["digests_match"] is False
     assert trace["median"]["change"] == {"p50": 8.5, "rate": 5.0}
     assert bench_pairs.trace_medians(runs[:1], "cmd")["digests_match"] is True
+
+
+def test_within_bound_in_each_metric_direction():
+    lower, higher = SPEC["end_to_end"]
+    # p50 may grow by 20% of the parent's median, rate fall by 10%
+    assert bench_pairs.within_bound(10.0, 12.0, lower)
+    assert not bench_pairs.within_bound(10.0, 12.5, lower)
+    assert bench_pairs.within_bound(10.0, 1.0, lower)
+    assert bench_pairs.within_bound(10.0, 9.0, higher)
+    assert not bench_pairs.within_bound(10.0, 8.5, higher)
+    assert bench_pairs.within_bound(10.0, 50.0, higher)
+
+
+def test_summary_line_names_a_metric_outside_its_bound(capsys):
+    runs = [{"first": "parent", "parent": result(10.0, 5.0),
+             "change": result(13.0, 5.0)}]
+    summary = bench_pairs.summarise(runs, SPEC)
+    assert summary["p50"]["within_bound"] is False
+    bench_pairs.report("w", summary, SPEC)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("  p50") and lines[1].endswith("OUTSIDE bound 20%")
+    assert lines[2].startswith("  rate") and lines[2].endswith("within bound 10%")
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_refused_before_any_tree_is_built(monkeypatch, capsys,
+                                                           pairs):
+    # --pairs 0 used to export both trees, then fail on runs[0]
+    built = []
+    monkeypatch.setattr(bench_pairs, "fresh", built.append)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--pr", "0", "--workload", "sweep", "--seed", "1",
+                          "--pairs", pairs])
+    assert exc.value.code == 2
+    assert built == []
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err

@@ -274,6 +274,17 @@ class TestAttack:
         ]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("purchase", ["0", "-5"])
+    def test_purchase_below_one_exits_1(self, capsys, purchase):
+        # 0 used to blame the refund fraction, -5 to fail inside the run
+        code = main(["attack", "--issuer", "A", "--purchase", purchase])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            f"error: purchase_minor must be at least 1, got {purchase}"
+        ]
+        assert captured.out == ""
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -532,6 +543,25 @@ class TestImpact:
     def test_bad_rate_exits_1(self, capsys):
         code = main(["impact", "--p", "2.0"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("p", ["abc", "1/0", "2", "-0.5"])
+    def test_every_rate_refusal_names_the_flag(self, capsys, p):
+        # each used to print Fraction's or leakage_estimate's own message
+        code = main(["impact", "--p", p])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            f"error: --p must be a share in [0, 1] such as 0.01 or 1/100, got {p!r}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--table"], []], ids=["table", "estimate"])
+    def test_negative_cap_exits_1_before_printing(self, capsys, argv):
+        # the table used to print its header row first
+        code = main(["impact", *argv, "--cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == ["error: --cap must be >= 0, got -1"]
+        assert captured.out == ""
 
 
 class TestDeepNesting:

@@ -92,7 +92,8 @@ def test_sweep_after_the_last_intent_extends_the_horizon():
 
 def test_skipped_days_are_idle(monkeypatch):
     # the sweep runs once per visited day: on the cross-cycle battery it
-    # sees only closes, intent days and hold ends
+    # sees only closes, intent days and hold ends; under a variant that
+    # defers no work to a close, only intent days
     visited = []
     sweep = Simulation._sweep_policy
 
@@ -111,6 +112,12 @@ def test_skipped_days_are_idle(monkeypatch):
     assert visited == sorted(set(visited))
     assert set(visited) <= log_days | hold_ends | closes
     assert len(visited) < (report.final_day + 1) / 4
+
+    visited.clear()
+    scenario = build_ddra_scenario("defensive-instant", timing=CROSS_CYCLE, cycles=12)
+    run(scenario, daily_snapshots=False)
+    intent_days = {ev.day for ev in scenario.events}
+    assert visited == sorted(intent_days)
 
 
 @st.composite

@@ -194,6 +194,33 @@ class TestPeriodIndex:
         assert sum(seen) == len(range(0, 200, 7))
 
 
+class TestCloseVisits:
+    @pytest.mark.parametrize("delay", [0, 9])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_closes_run_only_where_work_can_wait_for_them(self, variant, delay,
+                                                          monkeypatch):
+        # a close is visited under a variant that defers work to it, or
+        # when a delivery delay can leave a settlement pending at one
+        calls = []
+        reconcile = engine.statement_cycle_reconcile
+
+        def counted(*args, **kw):
+            calls.append(args[5])  # the period closed
+            return reconcile(*args, **kw)
+
+        monkeypatch.setattr(engine, "statement_cycle_reconcile", counted)
+        events = [ev(d, "purchase", f"t{d}", 1000 + d) for d in range(0, 100, 11)]
+        events += [ev(d + 15, "refund", f"t{d}", 500) for d in range(0, 100, 33)]
+        report = run(scenario(events, variant=variant, auto_redeem=True,
+                              delivery_delay_days=delay))
+        skips = not VARIANTS[variant].defers_to_close and delay == 0
+        assert (calls == []) == skips
+        if skips:
+            assert report.ledger.redemption_hold_until is None
+        else:
+            assert calls == list(range(report.final_day // 30))
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "events",

@@ -47,6 +47,20 @@ class TestPresets:
         c = get_variant("C")
         assert replace(c, name="defensive-instant") == get_variant("defensive-instant")
 
+    def test_only_instant_variants_that_never_wait_skip_the_close(self):
+        # credit at settlement, adjust refunds never or at once, no hold
+        # and no redemption at the close: a close has nothing to do
+        assert {n for n, v in VARIANTS.items() if not v.defers_to_close} == {
+            "A", "C", "V3a", "defensive-instant"}
+
+    @pytest.mark.parametrize("field,value", [
+        ("instant", False), ("refund_adjustment", "statement-close"),
+        ("uses_grace_hold", True), ("auto_redeem_at_close", True),
+    ])
+    def test_each_policy_field_can_defer_work(self, field, value):
+        assert not get_variant("C").defers_to_close
+        assert replace(get_variant("C"), **{field: value}).defers_to_close
+
 
 class TestClassify:
     def test_extraction_anywhere_fails(self):
