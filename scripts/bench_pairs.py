@@ -177,8 +177,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
-
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for flag, value, known in (
+        ("--workload", args.workload, [w["name"] for w in spec["workloads"]]),
+        ("--claim", args.claim, [m["name"] for m in spec["end_to_end"]]),
+    ):
+        if value is not None and value not in known:
+            parser.error(f"{flag} must be one of {', '.join(known)}, got {value!r}")
+
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     run_argv = ["--workload", args.workload, "--seed", str(args.seed),
                 "--seconds", f"{seconds:g}", "--trace", str(args.trace)]

@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
         report.log.write_jsonl(args.log_out)
     doc = report.to_json_dict() if args.out or args.format == "json" else None
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     if args.format == "json":
@@ -176,8 +176,9 @@ def _abuse_rate(text: str) -> Fraction:
 
 def cmd_impact(args) -> int:
     # checked before the table prints its header
-    if args.cap < 0:
-        raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    for flag, value in (("--users", args.users), ("--cap", args.cap)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     if args.table:
         rates = [Fraction(1, 1000), Fraction(1, 100), Fraction(5, 100)]
         cohorts = [100_000, 1_000_000, 10_000_000]

@@ -122,7 +122,7 @@ class Scenario:
         return scenario
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
             fh.write("\n")
 
@@ -482,15 +482,8 @@ def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
         kind = _INTENT_TO_SCENARIO.get(ev.kind)
         if kind is None:
             continue
-        events.append(
-            ScenarioEvent(
-                day=ev.day,
-                kind=kind,
-                txn_id=ev.txn_id,
-                amount_minor=abs(ev.amount_minor),
-                category=ev.category,
-            )
-        )
+        events.append(ScenarioEvent(ev.day, kind, ev.txn_id, abs(ev.amount_minor),
+                                    ev.category))
         if ev.user:
             user = ev.user
     return Scenario(label=label, config=config, events=events,

@@ -9,6 +9,7 @@ reproduces ledger state bit for bit.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -177,6 +178,20 @@ _wire_values = itemgetter(
 # raw_decode frames or their two whitespace matches per line
 _scan = make_scanner(json.JSONDecoder())
 
+# A whole line as to_json_line writes it, when each integer has at most
+# 18 digits (int() takes any such group), each text field is printable
+# ASCII with no '"' or '\' (so its JSON string is its own text) and the
+# kind is known.  A match proves every check the scanner path makes but
+# the seq gap; any other line takes the scanner path.
+_INT = "(-?(?:0|[1-9][0-9]{0,17}))"
+_TEXT = '"([ !#-\\[\\]-~]*)"'
+_WIRE_LINE = re.compile(
+    f'{{"seq": {_INT}, "day": {_INT}, '
+    f'"kind": "({"|".join(map(re.escape, sorted(EVENT_KINDS)))})", '
+    f'"txn_id": {_TEXT}, "user": {_TEXT}, "amount_minor": {_INT}, '
+    f'"category": {_TEXT}, "period": {_INT}}}'
+)
+
 
 def _check_types(line_no: int, ev: RewardEvent) -> None:
     """Raise the located error for the first field of the wrong type, or
@@ -195,6 +210,58 @@ def _check_types(line_no: int, ev: RewardEvent) -> None:
             value.encode("utf-8")
         except UnicodeEncodeError:
             raise ParseError(line_no, f"{name} is not valid UTF-8 text") from None
+
+
+def _scan_line(line_no: int, line: str) -> tuple:
+    """The eight wire values of a stripped line read as json.loads reads
+    it, or the located error for the first thing wrong with it."""
+    try:
+        try:
+            raw, end = _scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = 0
+        if end != len(line):
+            # a line the scanner cannot read whole: json.loads raises
+            # json's own error for it
+            raw = json.loads(line)
+        values = _wire_values(raw)
+    except KeyError as exc:
+        raise ParseError(line_no, f"missing field {exc}") from exc
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ParseError(line_no, str(exc)) from exc
+    except RecursionError:
+        raise ParseError(line_no, "JSON nested too deep") from None
+    except ValueError:
+        raise ParseError(line_no, _long_integer()) from None
+    seq, day, kind, txn_id, user, amount, category, period = values
+    if not (type(seq) is int and type(day) is int
+            and type(amount) is int and type(period) is int
+            and type(kind) is str and type(txn_id) is str
+            and type(user) is str and type(category) is str
+            and kind.isascii() and txn_id.isascii()
+            and user.isascii() and category.isascii()):
+        _check_types(line_no, tuple.__new__(RewardEvent, values))
+    if kind not in EVENT_KINDS:
+        raise ParseError(line_no, f"unknown event kind {kind!r}")
+    return values
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``, each line end made a
+    newline as text-mode reading makes it.  Bytes that are not UTF-8
+    raise ParseError naming the line they are on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r\n or a lone \r
+        head = data[:exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(line_no, "not valid UTF-8") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 class EventLog:
@@ -244,52 +311,32 @@ class EventLog:
         return ev
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(ev.to_json_line() + "\n" for ev in self.events)
 
     @classmethod
     def read_jsonl(cls, path) -> "EventLog":
         log = cls()
         events = log.events
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
+        wire_line = _WIRE_LINE.fullmatch
+        # split on \n alone: str.splitlines also splits at characters a
+        # JSON string may hold raw, such as U+2028
+        for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+            match = wire_line(line)
+            if match is not None:
+                seq, day, kind, txn_id, user, amount, category, period = match.groups()
+                values = (int(seq), int(day), kind, txn_id, user, int(amount),
+                          category, int(period))
+            else:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    try:
-                        raw, end = _scan(line, 0)
-                    except (StopIteration, json.JSONDecodeError):
-                        end = 0
-                    if end != len(line):
-                        # a line the scanner cannot read whole: json.loads
-                        # raises json's own error for it
-                        raw = json.loads(line)
-                    values = _wire_values(raw)
-                except KeyError as exc:
-                    raise ParseError(line_no, f"missing field {exc}") from exc
-                except (json.JSONDecodeError, TypeError) as exc:
-                    raise ParseError(line_no, str(exc)) from exc
-                except RecursionError:
-                    raise ParseError(line_no, "JSON nested too deep") from None
-                except ValueError:
-                    raise ParseError(line_no, _long_integer()) from None
-                ev = tuple.__new__(RewardEvent, values)
-                seq, day, kind, txn_id, user, amount, category, period = values
-                if not (type(seq) is int and type(day) is int
-                        and type(amount) is int and type(period) is int
-                        and type(kind) is str and type(txn_id) is str
-                        and type(user) is str and type(category) is str
-                        and kind.isascii() and txn_id.isascii()
-                        and user.isascii() and category.isascii()):
-                    _check_types(line_no, ev)
-                if kind not in EVENT_KINDS:
-                    raise ParseError(line_no, f"unknown event kind {kind!r}")
-                if seq != len(events) + 1:
-                    raise SequenceGap(
-                        f"line {line_no}: expected seq {len(events) + 1}, got {seq}"
-                    )
-                events.append(ev)
+                values = _scan_line(line_no, line)
+            if values[0] != len(events) + 1:
+                raise SequenceGap(
+                    f"line {line_no}: expected seq {len(events) + 1}, got {values[0]}"
+                )
+            events.append(tuple.__new__(RewardEvent, values))
         return log
 
 
@@ -306,12 +353,15 @@ def _long_integer() -> str:
 def load_json(path, error: type[Exception], what: str):
     """The JSON document in the file at ``path``.
 
-    JSON that Python cannot build, nested deeper than the recursion limit
-    or holding an integer of too many digits, raises ``error`` with a
-    message naming ``what``; malformed JSON raises json's own error.
+    A file that is not UTF-8, or JSON that Python cannot build, nested
+    deeper than the recursion limit or holding an integer of too many
+    digits, raises ``error`` with a message naming ``what``; malformed
+    JSON raises json's own error.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        text = _read_text(path)
+    except ParseError as exc:
+        raise error(f"{what} {exc}") from None
     try:
         return json.loads(text)
     except RecursionError:

@@ -1,6 +1,7 @@
 """The pair runner's summary: medians, inclusive quartiles and wins."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -88,3 +89,26 @@ def test_pairs_below_one_refused_before_any_tree_is_built(monkeypatch, capsys,
     assert exc.value.code == 2
     assert built == []
     assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("flag,value,known", [
+    ("--workload", "audti", [w["name"] for w in BENCHMARK["workloads"]]),
+    ("--claim", "p50_ms", [m["name"] for m in BENCHMARK["end_to_end"]]),
+])
+def test_names_not_in_the_benchmark_refused_before_any_tree_is_built(
+        monkeypatch, capsys, flag, value, known):
+    # an unknown workload used to export and copy both trees before
+    # run.py refused it, and an unknown claim was written to the record
+    built = []
+    monkeypatch.setattr(bench_pairs, "fresh", built.append)
+    argv = {"--pr": "0", "--workload": "sweep", "--seed": "1", "--pairs": "1",
+            flag: value}
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([arg for item in argv.items() for arg in item])
+    assert exc.value.code == 2
+    assert built == []
+    assert (f"{flag} must be one of {', '.join(known)}, got {value!r}"
+            in capsys.readouterr().err)

@@ -563,6 +563,16 @@ class TestImpact:
         assert captured.err.splitlines() == ["error: --cap must be >= 0, got -1"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["--table"], []], ids=["table", "estimate"])
+    def test_negative_users_exits_1_naming_the_flag(self, capsys, argv):
+        # the estimate used to print leakage_estimate's own message, and
+        # the table to ignore the flag and exit 0
+        code = main(["impact", *argv, "--users", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == ["error: --users must be >= 0, got -1"]
+        assert captured.out == ""
+
 
 class TestDeepNesting:
     DEEP = "[" * 100_000 + "]" * 100_000
@@ -634,6 +644,74 @@ class TestLongIntegers:
         assert code == EXIT_INPUT
         assert captured.err.splitlines() == [
             "error: --p holds an integer of more than 4300 digits"]
+        assert captured.out == ""
+
+
+def run_cli(argv, options=(), **env):
+    """``rewardsim`` in a child process, under interpreter ``options``
+    and with ``env`` added to its environment."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **env)
+    return subprocess.run(
+        [sys.executable, *options, "-m", "rewardsim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestEncoding:
+    def test_utf8_scenario_reads_under_the_c_locale(self, tmp_path):
+        # the scenario was read in the locale's encoding, ASCII here:
+        # "error: 'ascii' codec can't decode byte 0xc3 in position 27"
+        path, sc = write_scenario(tmp_path)
+        raw = {**sc.to_json_dict(), "label": "café"}
+        path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        proc = run_cli(["simulate", "--scenario", str(path), "--format", "json"],
+                       PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["label"] == "café"
+
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path):
+        path, _ = write_scenario(tmp_path)
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        out = tmp_path / "report.json"
+        for argv in (["simulate", "--scenario", str(path), "--out", str(out),
+                      "--log-out", str(tmp_path / "out.jsonl")],
+                     ["check", "--log", str(log_path), "--config", str(cfg_path)]):
+            proc = run_cli(argv, strict)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert (tmp_path / "out.jsonl").read_bytes() == log_path.read_bytes()
+
+    def test_log_that_is_not_utf8_names_the_line(self, tmp_path, capsys):
+        # used to print the codec's message with a file offset, no line
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b'"u1"', b'"u\xff"')
+        log_path.write_bytes(b"".join(lines))
+        code = main(["check", "--log", str(log_path), "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == ["error: line 4: not valid UTF-8"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["scenario", "config"])
+    def test_input_file_that_is_not_utf8_names_its_kind(self, tmp_path, capsys,
+                                                         where):
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        if where == "scenario":
+            path, _ = write_scenario(tmp_path)
+            argv = ["simulate", "--scenario", str(path)]
+        else:
+            path = cfg_path
+            argv = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        # byte 0xff in the first key, on line 2 after a \r\n line end
+        head, rest = json.dumps(json.loads(path.read_text()), indent=2).split("\n", 1)
+        bad = rest.encode().replace(b'"', b'"\xff', 1)
+        path.write_bytes(head.encode() + b"\r\n" + bad)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [f"error: {where} line 2: not valid UTF-8"]
         assert captured.out == ""
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import reference_codec as ref
 from rewardsim import EventLog, ParseError, RewardEvent, Scenario, run
+from rewardsim import ledger
 from rewardsim.cli import main
 from rewardsim.ledger import EVENT_KINDS
 
@@ -178,3 +179,115 @@ def test_report_events_are_the_wire_events(fixtures_dir, name):
     doc = report.to_json_dict()
     wire = [json.loads(ref.to_json_line(ev)) for ev in report.log]
     assert json.dumps(doc, indent=2) == json.dumps({**doc, "events": wire}, indent=2)
+
+
+# -- the wire-line fast path ------------------------------------------
+
+
+def refuse_scanner_path(mp):
+    """Make the scanner path raise, so a read passes only on lines the
+    compiled wire-line pattern takes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanner path taken")
+    mp.setattr(ledger, "_scan", refuse)
+    mp.setattr(json, "loads", refuse)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_logs_read_on_the_fast_path(fixtures_dir, monkeypatch, name):
+    path = fixtures_dir / f"{name}.jsonl"
+    expected = ref.read_jsonl(path).events
+    refuse_scanner_path(monkeypatch)
+    assert EventLog.read_jsonl(path).events == expected
+
+
+# the text the fast path takes: printable ASCII without '"' or '\'
+wire_texts = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                   blacklist_characters='"\\'), max_size=10)
+wire_ints = st.integers(min_value=-(10**18) + 1, max_value=10**18 - 1)
+
+
+@given(st.lists(st.tuples(wire_ints, st.sampled_from(sorted(EVENT_KINDS)),
+                          wire_texts, wire_texts, wire_ints, wire_texts,
+                          wire_ints), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_ascii_logs_read_on_the_fast_path(tmp_path_factory, rows):
+    log = EventLog()
+    for seq, row in enumerate(rows, start=1):
+        log.append(RewardEvent(seq, *row))
+    path = tmp_path_factory.getbasetemp() / "fast.jsonl"
+    log.write_jsonl(path)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_scanner_path(mp)
+        assert EventLog.read_jsonl(path).events == log.events
+
+
+def outcome(read, path):
+    """The events ``read`` gives for the file, or its exception."""
+    try:
+        return read(path).events
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+FIRST = line()
+SECOND = line(seq=2, day=3, kind="settle", amount_minor=5)
+EDGE = {
+    "canonical": [FIRST, SECOND],
+    "extra-spaces": [FIRST.replace(": ", ":  "), "  " + SECOND + "\t"],
+    "no-spaces": [json.dumps(json.loads(FIRST), separators=(",", ":"))],
+    "reordered-keys": [json.dumps(dict(reversed(json.loads(FIRST).items())))],
+    "unicode-escapes": [FIRST.replace('"t1"', '"\\u0041\\u00e9"')],
+    "escaped-quote-and-backslash": [FIRST.replace('"t1"', '"a\\"b\\\\c"')],
+    "minus-zero": [line(day="@").replace('"@"', "-0")],
+    "leading-zero": [line(day="@").replace('"@"', "07")],
+    "non-ascii-digit": [line(day="@").replace('"@"', "1\u0667")],
+    "18-digit-ints": [line(day=10**18 - 1, amount_minor=-(10**18 - 1))],
+    "19-digit-ints": [line(day=10**18, amount_minor=-(10**18))],
+    "true-in-amount": [line(amount_minor=True)],
+    "float-in-period": [line(period=1.5)],
+    "string-in-seq": [line(seq="1")],
+    "unknown-kind": [FIRST, line(seq=2, kind="refund-request")],
+    "kind-prefix": [line(kind="refund-")],
+    "seq-gap": [FIRST, line(seq=3)],
+    "crlf": [FIRST + "\r", SECOND + "\r"],
+    "cr": [FIRST + "\r" + SECOND],
+    "raw-u2028-and-nel": [FIRST.replace('"t1"', '"t\u2028x\x85y"')],
+    "raw-control": [FIRST.replace('"t1"', '"t\x1cx"')],
+    "raw-delete": [FIRST.replace('"t1"', '"t\x7fx"')],
+    "blank-lines": ["", "   ", FIRST, "\t", "\x1c", SECOND, ""],
+}
+
+
+@pytest.mark.parametrize("lines", EDGE.values(), ids=EDGE.keys())
+def test_reader_agrees_with_reference_on_edge_lines(tmp_path, lines):
+    path = tmp_path / "edge.jsonl"
+    path.write_bytes("".join(text + "\n" for text in lines).encode("utf-8"))
+    assert outcome(EventLog.read_jsonl, path) == outcome(ref.read_jsonl, path)
+
+
+def test_reader_agrees_with_reference_on_a_long_integer(tmp_path):
+    # past the digit limit the reference lets int()'s ValueError escape
+    # and the reader names the line; with no limit both read the number
+    path = tmp_path / "long.jsonl"
+    path.write_text(line(amount_minor="@").replace('"@"', "9" * 4301) + "\n")
+    with pytest.raises(ParseError) as got:
+        EventLog.read_jsonl(path)
+    assert str(got.value) == "line 1: integer of more than 4300 digits"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        events = EventLog.read_jsonl(path).events
+        assert events == ref.read_jsonl(path).events
+        assert events[0].amount_minor == int("9" * 4301)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    # a lone \r ends a line, as it does in text-mode reading
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(FIRST.encode() + b"\r" + SECOND.encode() + b"\r\n\xff\n")
+    with pytest.raises(ParseError) as got:
+        EventLog.read_jsonl(path)
+    assert str(got.value) == "line 3: not valid UTF-8"
