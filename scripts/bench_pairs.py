@@ -26,7 +26,9 @@ change's median is worse than the parent's by no more than the metric's
 (the median of every per-layer metric).  Both record in
 ``digests_match`` whether the two sides of every pair wrote the same
 output digest.  ``--claim`` names the metric the change claims to
-improve on this workload.
+improve on this workload.  ``src_lines`` holds the lines of
+``src/**/*.py`` in the parent and the change trees, the net line delta
+every change states.
 """
 
 from __future__ import annotations
@@ -73,6 +75,17 @@ def fresh(side: str) -> Path:
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     return dest
+
+
+def src_lines(trees: dict) -> dict:
+    """The lines of ``src/**/*.py`` in each side's tree, also printed
+    with their difference."""
+    lines = {side: sum(path.read_bytes().count(b"\n")
+                       for path in (tree / "src").rglob("*.py"))
+             for side, tree in trees.items()}
+    print(f"src/ lines: {lines['parent']} -> {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})", flush=True)
+    return lines
 
 
 def run_once(tree: Path, argv: list, name: str) -> dict:
@@ -193,6 +206,7 @@ def main(argv=None) -> int:
     trees = {side: fresh(side) for side in SIDES}
     export("HEAD", trees["parent"])
     copy_checkout(trees["change"])
+    lines = src_lines(trees)
 
     runs = []
     for i in range(args.pairs):
@@ -211,6 +225,7 @@ def main(argv=None) -> int:
     doc["what"] = ("Alternating parent/change pairs of perfbench/run.py on the parent "
                    "commit and on this change, each run in its own copy of the tree.")
     doc["parent_commit"] = git("rev-parse", "HEAD").decode().strip()
+    doc["src_lines"] = lines
     doc["host"] = (f"{prov['nproc']} CPUs, {prov['platform']}, Python {prov['python']}; "
                    "timings scaled by perfbench's gauge")
     if args.claim:

@@ -49,6 +49,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 
+# impact's estimate when --p or --users is not given
+DEFAULT_ABUSE_RATE = "0.01"
+DEFAULT_USERS = 1_000_000
+
 
 def _load_config(path) -> EngineConfig:
     return EngineConfig.from_json_dict(load_json(path, ConfigError, "config"))
@@ -134,7 +138,13 @@ def cmd_matrix(args) -> int:
     battery = {name: run_battery(name) for name in MATRIX_VARIANTS + ["V3a"]}
     rows = comparison_matrix(battery)
     if args.format == "json":
-        print(json.dumps(rows, indent=2, ensure_ascii=False))
+        text = json.dumps(rows, indent=2, ensure_ascii=False)
+        try:  # io.StringIO has no encoding and takes any text
+            text.encode(getattr(sys.stdout, "encoding", None) or "utf-8")
+        except UnicodeEncodeError:
+            # stdout's backslash escapes are not JSON; JSON's own are
+            text = json.dumps(rows, indent=2)
+        print(text)
     else:
         sys.stdout.write(render_matrix(rows))
     return EXIT_OK
@@ -177,9 +187,13 @@ def _abuse_rate(text: str) -> Fraction:
 def cmd_impact(args) -> int:
     # checked before the table prints its header
     for flag, value in (("--users", args.users), ("--cap", args.cap)):
-        if value < 0:
+        if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
     if args.table:
+        for flag, value in (("--p", args.p), ("--users", args.users)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --table, "
+                                 "which prints a fixed grid of rates and cohorts")
         rates = [Fraction(1, 1000), Fraction(1, 100), Fraction(5, 100)]
         cohorts = [100_000, 1_000_000, 10_000_000]
         cap = args.cap
@@ -193,11 +207,13 @@ def cmd_impact(args) -> int:
             print(f"{pct + '%':<10}" + "".join(f"{c:>14}" for c in cells))
         print(f"(annual loss, $M, monthly cap {format_usd(cap)} per user)")
         return EXIT_OK
-    loss = leakage_estimate(_abuse_rate(args.p), args.users, args.cap)
+    p = DEFAULT_ABUSE_RATE if args.p is None else args.p
+    users = DEFAULT_USERS if args.users is None else args.users
+    loss = leakage_estimate(_abuse_rate(p), users, args.cap)
     print(
         f"annual loss: {format_usd(int(loss))} "
-        f"({format_millions(loss)} $M) at abuse rate {args.p}, "
-        f"{args.users:,} users, cap {format_usd(args.cap)}"
+        f"({format_millions(loss)} $M) at abuse rate {p}, "
+        f"{users:,} users, cap {format_usd(args.cap)}"
     )
     return EXIT_OK
 
@@ -247,8 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("impact", help="annual loss estimate for abuse at scale")
-    p.add_argument("--p", default="0.01", help="abuser share, e.g. 0.01 or 1/100")
-    p.add_argument("--users", type=int, default=1_000_000)
+    # None until resolved: --table refuses both flags
+    p.add_argument("--p", help="abuser share, e.g. 0.01 or 1/100 "
+                   f"(default {DEFAULT_ABUSE_RATE})")
+    p.add_argument("--users", type=int, help=f"cohort size (default {DEFAULT_USERS:,})")
     p.add_argument("--cap", type=int, default=ATTACK_CAP_MINOR,
                    help="monthly reward cap in minor units")
     p.add_argument("--table", action="store_true",
@@ -259,6 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # print text stdout's encoding cannot take as backslash escapes, as
+    # Python's stderr does, rather than fail after the work is done; a
+    # stream with no reconfigure, such as io.StringIO, takes any text
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the error

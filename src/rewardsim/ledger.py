@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from json.scanner import make_scanner
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -168,21 +167,20 @@ class RewardEvent(NamedTuple):
         return self._asdict()
 
 
-_INT_FIELDS = ("seq", "day", "amount_minor", "period")
-_TEXT_FIELDS = ("kind", "txn_id", "user", "category")
 # the eight fields in wire order; a missing one raises KeyError naming it
-_wire_values = itemgetter(
-    "seq", "day", "kind", "txn_id", "user", "amount_minor", "category", "period"
-)
-# the C scanner json.loads runs, called without the loads, decode and
-# raw_decode frames or their two whitespace matches per line
-_scan = make_scanner(json.JSONDecoder())
+_wire_values = itemgetter(*RewardEvent._fields)
+# each checked field's name and place in the wire order
+_INT_FIELDS = tuple((name, RewardEvent._fields.index(name))
+                    for name in ("seq", "day", "amount_minor", "period"))
+_TEXT_FIELDS = tuple((name, RewardEvent._fields.index(name))
+                     for name in ("kind", "txn_id", "user", "category"))
+_KIND = RewardEvent._fields.index("kind")
 
 # A whole line as to_json_line writes it, when each integer has at most
 # 18 digits (int() takes any such group), each text field is printable
 # ASCII with no '"' or '\' (so its JSON string is its own text) and the
-# kind is known.  A match proves every check the scanner path makes but
-# the seq gap; any other line takes the scanner path.
+# kind is known.  A match proves every check _scan_line makes but the
+# seq gap; any other line takes _scan_line.
 _INT = "(-?(?:0|[1-9][0-9]{0,17}))"
 _TEXT = '"([ !#-\\[\\]-~]*)"'
 _WIRE_LINE = re.compile(
@@ -193,38 +191,14 @@ _WIRE_LINE = re.compile(
 )
 
 
-def _check_types(line_no: int, ev: RewardEvent) -> None:
-    """Raise the located error for the first field of the wrong type, or
-    of text that is not valid UTF-8, such as a lone surrogate, which
-    neither the text output nor a replay can take."""
-    for name in _INT_FIELDS:
-        value = getattr(ev, name)
-        # bool is an int subclass; JSON true is not a number
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(line_no, f"{name} must be an integer, got {value!r}")
-    for name in _TEXT_FIELDS:
-        value = getattr(ev, name)
-        if not isinstance(value, str):
-            raise ParseError(line_no, f"{name} must be a string")
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError(line_no, f"{name} is not valid UTF-8 text") from None
-
-
 def _scan_line(line_no: int, line: str) -> tuple:
     """The eight wire values of a stripped line read as json.loads reads
-    it, or the located error for the first thing wrong with it."""
+    it, or the located error for the first thing wrong with it: a field
+    of the wrong type (integers first), text that is not valid UTF-8,
+    such as a lone surrogate, which neither the text output nor a replay
+    can take, then an unknown kind."""
     try:
-        try:
-            raw, end = _scan(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = 0
-        if end != len(line):
-            # a line the scanner cannot read whole: json.loads raises
-            # json's own error for it
-            raw = json.loads(line)
-        values = _wire_values(raw)
+        values = _wire_values(json.loads(line))
     except KeyError as exc:
         raise ParseError(line_no, f"missing field {exc}") from exc
     except (json.JSONDecodeError, TypeError) as exc:
@@ -233,16 +207,19 @@ def _scan_line(line_no: int, line: str) -> tuple:
         raise ParseError(line_no, "JSON nested too deep") from None
     except ValueError:
         raise ParseError(line_no, _long_integer()) from None
-    seq, day, kind, txn_id, user, amount, category, period = values
-    if not (type(seq) is int and type(day) is int
-            and type(amount) is int and type(period) is int
-            and type(kind) is str and type(txn_id) is str
-            and type(user) is str and type(category) is str
-            and kind.isascii() and txn_id.isascii()
-            and user.isascii() and category.isascii()):
-        _check_types(line_no, tuple.__new__(RewardEvent, values))
-    if kind not in EVENT_KINDS:
-        raise ParseError(line_no, f"unknown event kind {kind!r}")
+    for name, i in _INT_FIELDS:
+        # json.loads builds exact types; JSON true is a bool, not an int
+        if type(values[i]) is not int:
+            raise ParseError(line_no, f"{name} must be an integer, got {values[i]!r}")
+    for name, i in _TEXT_FIELDS:
+        if type(values[i]) is not str:
+            raise ParseError(line_no, f"{name} must be a string")
+        try:
+            values[i].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(line_no, f"{name} is not valid UTF-8 text") from None
+    if values[_KIND] not in EVENT_KINDS:
+        raise ParseError(line_no, f"unknown event kind {values[_KIND]!r}")
     return values
 
 

@@ -1,9 +1,11 @@
 """Reference event-log codec: the original ``json.dumps`` encoder and
 per-field reader, kept unchanged as a test-only oracle.
 
-``rewardsim.ledger`` encodes with one f-string and reads with one
-batched type check; ``tests/test_codec.py`` asserts that both give the
-same bytes, the same events and the same errors as these functions.
+``rewardsim.ledger`` encodes with one f-string and reads each line
+either by one compiled pattern of the writer's own bytes or by
+``json.loads`` and one per-field check; ``tests/test_codec.py`` asserts
+that both give the same bytes, the same events and the same errors as
+these functions.
 """
 
 from __future__ import annotations

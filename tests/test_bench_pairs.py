@@ -1,4 +1,5 @@
-"""The pair runner's summary: medians, inclusive quartiles and wins."""
+"""The pair runner's summary: medians, inclusive quartiles and wins,
+and the net line count of ``src/``."""
 
 import importlib.util
 import json
@@ -112,3 +113,18 @@ def test_names_not_in_the_benchmark_refused_before_any_tree_is_built(
     assert built == []
     assert (f"{flag} must be one of {', '.join(known)}, got {value!r}"
             in capsys.readouterr().err)
+
+
+def test_src_lines_counts_python_files_under_src_in_both_trees(tmp_path, capsys):
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    files = {
+        "parent": {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n",
+                   "src/pkg/data.txt": "not\ncounted\n", "tests/t.py": "t = 0\n"},
+        "change": {"src/pkg/a.py": "x = 1\n", "src/pkg/data.txt": "not\n"},
+    }
+    for side, tree in trees.items():
+        for name, text in files[side].items():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(text)
+    assert bench_pairs.src_lines(trees) == {"parent": 3, "change": 1}
+    assert capsys.readouterr().out == "src/ lines: 3 -> 1 (-2)\n"

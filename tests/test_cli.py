@@ -573,6 +573,22 @@ class TestImpact:
         assert captured.err.splitlines() == ["error: --users must be >= 0, got -1"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--p", "0.5"], "--p"),
+        (["--users", "7"], "--users"),
+        (["--p", "0.5", "--users", "7"], "--p"),
+        (["--p", "0.01", "--cap", "5000"], "--p"),
+    ], ids=["rate", "users", "both", "default-rate"])
+    def test_table_refuses_rate_and_users(self, capsys, argv, flag):
+        # the table used to ignore both and print its fixed grid
+        code = main(["impact", "--table", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [
+            f"error: {flag} does not apply to --table, "
+            "which prints a fixed grid of rates and cohorts"]
+        assert captured.out == ""
+
 
 class TestDeepNesting:
     DEEP = "[" * 100_000 + "]" * 100_000
@@ -713,6 +729,74 @@ class TestEncoding:
         assert code == EXIT_INPUT
         assert captured.err.splitlines() == [f"error: {where} line 2: not valid UTF-8"]
         assert captured.out == ""
+
+    C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+    @staticmethod
+    def escaped(text):
+        return text.encode("ascii", "backslashreplace").decode("ascii")
+
+    def assert_escaped_under_the_c_locale(self, capsys, argv):
+        # the same code and stdout as in a UTF-8 locale, each character
+        # ASCII cannot take printed as a backslash escape; this used to
+        # exit 1 with "error: 'ascii' codec can't encode character"
+        code = main(argv)
+        expected = capsys.readouterr().out
+        assert not expected.isascii()
+        proc = run_cli(argv, **self.C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert proc.stdout == self.escaped(expected)
+        return code, expected
+
+    def test_matrix_prints_escapes_under_the_c_locale(self, fixtures_dir, capsys):
+        code, out = self.assert_escaped_under_the_c_locale(capsys, ["matrix"])
+        assert code == EXIT_OK
+        assert out == (fixtures_dir / "matrix_golden.txt").read_text(encoding="utf-8")
+
+    def test_matrix_json_stays_valid_under_the_c_locale(self, capsys):
+        # a backslash escape such as \xd7 is not valid JSON; the rows'
+        # marks print as JSON escapes instead
+        code = main(["matrix", "--format", "json"])
+        expected = capsys.readouterr().out
+        assert not expected.isascii()
+        proc = run_cli(["matrix", "--format", "json"], **self.C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (code, "") == (EXIT_OK, "")
+        assert proc.stdout.isascii()
+        assert json.loads(proc.stdout) == json.loads(expected)
+
+    def test_simulate_prints_a_label_escaped_under_the_c_locale(self, tmp_path,
+                                                                 capsys):
+        path, sc = write_scenario(tmp_path, variant="A")
+        path.write_text(json.dumps({**sc.to_json_dict(), "label": "café"}))
+        log_path = tmp_path / "out.jsonl"
+        code, out = self.assert_escaped_under_the_c_locale(
+            capsys, ["simulate", "--scenario", str(path), "--log-out", str(log_path)])
+        assert code == EXIT_VIOLATION
+        assert out.splitlines()[0] == "scenario: café"
+
+    def test_check_prints_every_violation_escaped_under_the_c_locale(self, tmp_path,
+                                                                     capsys):
+        events = [
+            ScenarioEvent(day=1, kind="purchase", txn_id=txn, amount_minor=10000,
+                          category="GROCERY")
+            for txn in ("té1", "té2")
+        ] + [
+            ScenarioEvent(day=5, kind="refund", txn_id=txn, amount_minor=10000)
+            for txn in ("té1", "té2")
+        ]
+        _, sc = write_scenario(tmp_path, variant="A", events=events)
+        log_path = tmp_path / "log.jsonl"
+        run(sc).log.write_jsonl(log_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(sc.config.to_json_dict()))
+        code, out = self.assert_escaped_under_the_c_locale(
+            capsys, ["check", "--log", str(log_path), "--config", str(cfg_path)])
+        assert code == EXIT_VIOLATION
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "INTEGRITY VIOLATION day 5",
+            "CONSISTENCY VIOLATION txn té1",
+            "CONSISTENCY VIOLATION txn té2",
+        ]
 
 
 class TestScripts:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import reference_codec as ref
 from rewardsim import EventLog, ParseError, RewardEvent, Scenario, run
-from rewardsim import ledger
 from rewardsim.cli import main
 from rewardsim.ledger import EVENT_KINDS
 
@@ -66,6 +65,14 @@ def test_writer_and_reader_match_reference(tmp_path_factory, evs):
     assert loaded.events == ref.read_jsonl(path).events == evs
     loaded.write_jsonl(ref_path)
     assert ref_path.read_bytes() == path.read_bytes()
+    # the same events in json.dumps forms other than the writer's; every
+    # line the wire-line pattern does not match is read by json.loads and
+    # the per-field check
+    for form in ({"sort_keys": True}, {"separators": (",", ":")},
+                 {"ensure_ascii": False}):
+        path.write_text("".join(json.dumps(ev.to_json_dict(), **form) + "\n"
+                                for ev in evs), encoding="utf-8")
+        assert EventLog.read_jsonl(path).events == ref.read_jsonl(path).events == evs
 
 
 def line(**overrides):
@@ -102,7 +109,8 @@ MALFORMED = {
     "seq-gap": [line(), line(seq=3, kind="settle")],
     "seq-repeat": [line(), line(kind="settle")],
     "seq-zero": [line(seq=0)],
-    # the scanner's own failure paths, each handed to json.loads
+    # lines json.loads refuses (a BOM, trailing data, a fault inside the
+    # object, a bad escape) or reads to a float (NaN, infinities, exponents)
     "bom": ["\ufeff" + line()],
     "two-objects": [line() + line()],
     "fault-inside-object": ['{"seq": 1, "day": }'],
@@ -126,9 +134,9 @@ def test_reader_rejects_text_that_is_not_utf8(tmp_path, name):
 
 
 def test_reader_rejects_deep_nesting_at_any_depth(tmp_path):
-    # an unclosed innermost array makes the scanner fail and json.loads
-    # parse the line again, a few frames deeper; near the recursion limit
-    # either may run out of stack, and neither may escape as RecursionError
+    # near the recursion limit json.loads either reaches the unclosed
+    # innermost array or runs out of stack first; the second may not
+    # escape as RecursionError
     path = tmp_path / "deep.jsonl"
     limit = sys.getrecursionlimit()
     messages = set()
@@ -185,11 +193,11 @@ def test_report_events_are_the_wire_events(fixtures_dir, name):
 
 
 def refuse_scanner_path(mp):
-    """Make the scanner path raise, so a read passes only on lines the
-    compiled wire-line pattern takes."""
+    """Make json.loads raise: it reads every line the compiled wire-line
+    pattern does not match, so a read then passes only on lines the
+    pattern takes."""
     def refuse(*args, **kwargs):
-        raise AssertionError("scanner path taken")
-    mp.setattr(ledger, "_scan", refuse)
+        raise AssertionError("json.loads path taken")
     mp.setattr(json, "loads", refuse)
 
 
