@@ -15,14 +15,17 @@ of the checkout's files as they are: tracked, and untracked but not
 ignored.  Both trees are built under ``.bench_build/``
 and each run is ``perfbench/run.py`` in its own tree, one at a time.
 Pair ``i`` runs the parent first when ``i`` is even and the change first
-when it is odd.
+when it is odd.  Every run has ``PYTHONDONTWRITEBYTECODE=1``, so neither
+tree caches compiled sources and each import probe compiles them, whatever
+the caller's environment.
 
 Each call adds one workload to ``BENCH_<pr>.json``, or replaces it:
 untraced runs under ``runs`` and ``summary`` (per end-to-end metric of
 ``BENCHMARK.json``: the medians and quartiles of both sides, the change
 in percent, the pairs the change won and ``within_bound``, whether the
 change's median is worse than the parent's by no more than the metric's
-``bound``), traced runs under ``trace``
+``bound``; and the medians of ``setup_s``'s two parts, ``import_s`` and
+``inputs_s``), traced runs under ``trace``
 (the median of every per-layer metric).  Both record in
 ``digests_match`` whether the two sides of every pair wrote the same
 output digest.  ``--claim`` names the metric the change claims to
@@ -47,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SIDES = ("parent", "change")
+# the parts of setup_s that every result document records under "setup"
+SETUP_PARTS = ("import_s", "inputs_s")
 
 
 def git(*args: str) -> bytes:
@@ -93,7 +98,8 @@ def run_once(tree: Path, argv: list, name: str) -> dict:
     result = tree / ".bench_work" / "results" / name
     result.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=tree,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode != 0 or not result.is_file():
         sys.exit(f"error: run in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(result.read_text())
@@ -144,6 +150,11 @@ def summarise(runs: list, spec: dict) -> dict:
                                for p, c in zip(values["parent"], values["change"])),
             "within_bound": within_bound(parent, change, metric),
         }
+    summary["setup"] = {
+        part: {f"{side}_median": statistics.median(r[side]["setup"][part] for r in runs)
+               for side in SIDES}
+        for part in SETUP_PARTS
+    }
     return summary
 
 
@@ -173,6 +184,9 @@ def report(workload: str, summary: dict, spec: dict) -> None:
               f"wins {m['change_wins']}/{summary['pairs']}  parent IQR {q3 - q1:.4g}  "
               f"{'within' if m['within_bound'] else 'OUTSIDE'} bound "
               f"{metric['bound']:.0%}")
+    print("  setup_s parts     " + "  ".join(
+        f"{part} {m['parent_median']:.6g} -> {m['change_median']:.6g}"
+        for part, m in summary["setup"].items()))
 
 
 def main(argv=None) -> int:

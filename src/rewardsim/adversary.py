@@ -10,8 +10,8 @@ is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .harness import Scenario, ScenarioEvent, SimulationReport, run
 from .invariants import check_rrc, net_reward_from_log, oracle_bound
@@ -28,8 +28,7 @@ DEFAULT_PURCHASE_MINOR = 100_00
 DEFAULT_CYCLES = 12
 
 
-@dataclass
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     variant: str
     timing: str
     purchase_minor: int
@@ -105,12 +104,13 @@ def build_ddra_scenario(
             p_day, r_day = k * length + 2, None
         else:
             raise ValueError(f"unknown attack timing {timing!r}")
-        # day, kind, txn_id, amount_minor, category
-        events.append(
-            ScenarioEvent(p_day, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)
-        )
+        # day, kind, txn_id, amount_minor, category; tuple.__new__ skips
+        # the named tuple's Python-level __new__
+        events.append(tuple.__new__(ScenarioEvent, (
+            p_day, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)))
         if r_day is not None:
-            events.append(ScenarioEvent(r_day, "refund", txn_id, refund_minor))
+            events.append(tuple.__new__(ScenarioEvent, (
+                r_day, "refund", txn_id, refund_minor, "")))
     return Scenario(
         label=f"ddra-{variant}-{timing}",
         config=config,

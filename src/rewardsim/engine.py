@@ -8,7 +8,7 @@ steps: same inputs, same outputs, no clocks and no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ledger import (
     EngineConfig,
@@ -43,8 +43,7 @@ class RedeemDenied(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class RedeemDecision:
+class RedeemDecision(NamedTuple):
     allowed: bool
     reason: str  # "ok" | "grace-hold" | "insufficient-balance"
 

@@ -12,9 +12,9 @@ re-executes the intent events and must reproduce the log byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import engine
 from .invariants import check_rrc, integrity_series, net_reward, net_spend
@@ -26,6 +26,7 @@ from .ledger import (
     Transaction,
     TransactionStatus,
     UserLedger,
+    equal_slots,
     load_json,
     transition,
 )
@@ -51,8 +52,7 @@ def _check_utf8(text: str, what: str) -> None:
         raise ScenarioInvalid(f"{what} is not valid UTF-8 text: {text!r}") from None
 
 
-@dataclass(slots=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     day: int
     kind: str
     txn_id: str = ""
@@ -60,13 +60,18 @@ class ScenarioEvent:
     category: str = ""
 
 
-@dataclass
 class Scenario:
-    label: str
-    config: EngineConfig
-    events: list = field(default_factory=list)
-    auto_redeem: bool = False
-    user: str = "u1"
+    __slots__ = ("label", "config", "events", "auto_redeem", "user")
+    __eq__ = equal_slots
+    __hash__ = None
+
+    def __init__(self, label: str, config: EngineConfig, events: list | None = None,
+                 auto_redeem: bool = False, user: str = "u1"):
+        self.label = label
+        self.config = config
+        self.events = [] if events is None else events
+        self.auto_redeem = auto_redeem
+        self.user = user
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,15 +80,17 @@ class Scenario:
             "config": self.config.to_json_dict(),
             "auto_redeem": self.auto_redeem,
             "user": self.user,
-            "events": [asdict(e) for e in self.events],
+            "events": [e._asdict() for e in self.events],
         }
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "Scenario":
         if type(raw) is not dict:
             raise ScenarioInvalid("a scenario must be a JSON object")
-        if raw.get("schema") != 1:
-            raise ScenarioInvalid(f"unsupported scenario schema: {raw.get('schema')!r}")
+        schema = raw.get("schema")
+        # by type first: JSON true and 1.0 equal 1
+        if type(schema) is not int or schema != 1:
+            raise ScenarioInvalid(f"unsupported scenario schema: {schema!r}")
         if not _SCENARIO_KEYS.issuperset(raw):
             unknown = next(k for k in raw if k not in _SCENARIO_KEYS)
             raise ScenarioInvalid(f"unknown scenario key {unknown!r}")
@@ -103,8 +110,13 @@ class Scenario:
             for key in ("day", "kind"):
                 if key not in e:
                     raise ScenarioInvalid(f"event {index}: missing key {key!r}")
-            events.append(ScenarioEvent(**e))
-        # absent optional keys take the dataclass defaults
+            # ScenarioEvent's defaults; tuple.__new__ skips the named
+            # tuple's Python-level __new__, which costs more than the tuple
+            get = e.get
+            events.append(tuple.__new__(ScenarioEvent, (
+                e["day"], e["kind"], get("txn_id", ""), get("amount_minor", 0),
+                get("category", ""))))
+        # absent optional keys take the defaults
         scenario = cls(
             config=EngineConfig.from_json_dict(raw["config"]), events=events,
             **{k: raw[k] for k in ("label", "auto_redeem", "user") if k in raw},
@@ -131,15 +143,19 @@ class Scenario:
         return cls.from_json_dict(load_json(path, ScenarioInvalid, "scenario"))
 
 
-@dataclass
 class SimulationReport:
-    label: str
-    config: EngineConfig
-    ledger: UserLedger
-    log: EventLog
-    final_day: int
-    snapshots: list = field(default_factory=list)
-    rrc: list = field(default_factory=list)
+    __slots__ = ("label", "config", "ledger", "log", "final_day", "snapshots", "rrc")
+
+    def __init__(self, label: str, config: EngineConfig, ledger: UserLedger,
+                 log: EventLog, final_day: int, snapshots: list | None = None,
+                 rrc: list | None = None):
+        self.label = label
+        self.config = config
+        self.ledger = ledger
+        self.log = log
+        self.final_day = final_day
+        self.snapshots = [] if snapshots is None else snapshots
+        self.rrc = [] if rrc is None else rrc
 
     @property
     def net_reward(self) -> int:
@@ -165,8 +181,8 @@ class SimulationReport:
                 "net_reward_minor": self.net_reward,
                 "net_spend_minor": self.net_spend,
             },
-            "integrity": [asdict(s) for s in self.snapshots],
-            "consistency": [asdict(v) for v in self.rrc],
+            "integrity": [s._asdict() for s in self.snapshots],
+            "consistency": [v._asdict() for v in self.rrc],
             "events": [ev.to_json_dict() for ev in self.log],
         }
 
@@ -387,10 +403,10 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     # and sorting the days equals a stable sort by day, then grouping.
     by_day: dict[int, list] = {}
     for index, ev in enumerate(scenario.events):
-        day, kind, txn_id, category = ev.day, ev.kind, ev.txn_id, ev.category
+        day, kind, txn_id, amount, category = ev
         # one test passes every well-typed ASCII event; any other event
         # is checked field by field, which names the first fault
-        if not (type(day) is int and type(ev.amount_minor) is int
+        if not (type(day) is int and type(amount) is int
                 and type(kind) is str and type(txn_id) is str
                 and type(category) is str and kind.isascii()
                 and txn_id.isascii() and category.isascii()):
@@ -421,15 +437,15 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             if txn.status is TransactionStatus.PENDING:
                 sim._settle_instant(day, txn)
         if day == next_intent:
-            for ev in by_day[day]:
-                if ev.kind == "purchase":
-                    sim.purchase(day, ev.txn_id, ev.amount_minor, ev.category)
-                elif ev.kind == "refund":
-                    sim.refund(day, ev.txn_id, ev.amount_minor)
-                elif ev.kind == "chargeback":
-                    sim.chargeback(day, ev.txn_id)
-                elif ev.kind == "redeem-request":
-                    sim.redeem_request(day, ev.amount_minor)
+            for _, kind, txn_id, amount, category in by_day[day]:
+                if kind == "purchase":
+                    sim.purchase(day, txn_id, amount, category)
+                elif kind == "refund":
+                    sim.refund(day, txn_id, amount)
+                elif kind == "chargeback":
+                    sim.chargeback(day, txn_id)
+                elif kind == "redeem-request":
+                    sim.redeem_request(day, amount)
             next_intent = next(intent_days, None)
         if scenario.auto_redeem:
             # a sweep posts an intent, which moves the horizon as the
@@ -482,8 +498,8 @@ def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
         kind = _INTENT_TO_SCENARIO.get(ev.kind)
         if kind is None:
             continue
-        events.append(ScenarioEvent(ev.day, kind, ev.txn_id, abs(ev.amount_minor),
-                                    ev.category))
+        events.append(tuple.__new__(ScenarioEvent, (
+            ev.day, kind, ev.txn_id, abs(ev.amount_minor), ev.category)))
         if ev.user:
             user = ev.user
     return Scenario(label=label, config=config, events=events,

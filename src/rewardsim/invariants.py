@@ -28,10 +28,9 @@ the event's seq.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .ledger import (
     PRINCIPAL_KINDS,
@@ -44,30 +43,18 @@ from .ledger import (
 from .money import rate_ceil
 
 
-@dataclass
-class IntegritySnapshot:
+class IntegritySnapshot(NamedTuple):
     day: int
     net_reward: int
     bound: int
     ok: bool
 
 
-@dataclass
-class RrcVerdict:
+class RrcVerdict(NamedTuple):
     txn_id: str
     refund_day: int
     restored_day: int | None  # None: consistency never restored
     ok: bool
-
-
-@dataclass(slots=True)
-class _TxnFlow:
-    """Principal and reward flow for one transaction, rebuilt from the log."""
-
-    rate: Fraction  # the reward rate of the purchase's category
-    principal: int  # the purchase less its reversals
-    reward: int = 0  # grants less clawbacks; kept by the RRC pass only
-    ceiling: int = 0  # ceil(rate * remaining principal); kept by the RRC pass only
 
 
 _DAY = attrgetter("day")
@@ -84,18 +71,17 @@ def _no_purchase(ev) -> LogInvalid:
 
 
 def _flows(log: EventLog, config: EngineConfig, as_of_day: int | None = None) -> dict:
-    """Each purchase's rate and remaining principal."""
-    flows: dict[str, _TxnFlow] = {}
+    """Each purchase's ``[rate, remaining principal]``."""
+    flows: dict[str, list] = {}
     try:
         for ev in _up_to(log, as_of_day):
             kind = ev.kind
             if kind == "purchase":
                 if ev.txn_id in flows:
                     raise _duplicate_purchase(ev)
-                flows[ev.txn_id] = _TxnFlow(config.rate(ev.category),
-                                            ev.amount_minor)
+                flows[ev.txn_id] = [config.rate(ev.category), ev.amount_minor]
             elif kind in REVERSAL_KINDS:
-                flows[ev.txn_id].principal += ev.amount_minor
+                flows[ev.txn_id][1] += ev.amount_minor
             elif kind in REWARD_KINDS and ev.txn_id not in flows:
                 raise _no_purchase(ev)
     except KeyError:
@@ -155,8 +141,8 @@ def oracle_bound(
     under any refund sequence.
     """
     total = 0
-    for flow in _flows(log, config, as_of_day).values():
-        total += rate_ceil(flow.rate, max(flow.principal, 0))
+    for rate, principal in _flows(log, config, as_of_day).values():
+        total += rate_ceil(rate, max(principal, 0))
     return total
 
 
@@ -170,7 +156,7 @@ def check_integrity(
     snapshots = _ri_pass(_up_to(log, as_of_day), config)
     if not snapshots:
         return IntegritySnapshot(day=as_of_day, net_reward=0, bound=0, ok=True)
-    return replace(snapshots[-1], day=as_of_day)
+    return snapshots[-1]._replace(day=as_of_day)
 
 
 def _by_day(log):
@@ -230,7 +216,9 @@ def _ri_pass(log, config: EngineConfig) -> list[IntegritySnapshot]:
             bucket[0] = spend
             bucket[1] = new
             entitled += new - old
-        snapshots.append(IntegritySnapshot(day, reward, entitled, reward <= entitled))
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        snapshots.append(tuple.__new__(IntegritySnapshot, (
+            day, reward, entitled, reward <= entitled)))
     return snapshots
 
 
@@ -243,7 +231,9 @@ def _rrc_pass(log, config: EngineConfig) -> list:
     and are resolved at the end of the first day on which both RRC
     conditions hold (see ``check_rrc``).
     """
-    flows: dict[str, _TxnFlow] = {}
+    # txn_id -> [rate, remaining principal, surviving reward, ceiling], the
+    # ceiling being ceil(rate * remaining principal)
+    flows: dict[str, list] = {}
     reward = ceiling = 0  # net reward; sum of per-txn ceilings (the oracle bound)
     reversals = []
     pending: dict[str, list] = {}  # txn_id -> its unresolved reversals
@@ -255,23 +245,22 @@ def _rrc_pass(log, config: EngineConfig) -> list:
             if kind == "purchase":
                 if ev.txn_id in flows:
                     raise _duplicate_purchase(ev)
-                flow = flows[ev.txn_id] = _TxnFlow(config.rate(ev.category),
-                                                   ev.amount_minor)
-                flow.ceiling = rate_ceil(flow.rate, max(ev.amount_minor, 0))
-                ceiling += flow.ceiling
+                rate = config.rate(ev.category)
+                new = rate_ceil(rate, max(ev.amount_minor, 0))
+                flows[ev.txn_id] = [rate, ev.amount_minor, 0, new]
+                ceiling += new
                 continue
             if kind in REVERSAL_KINDS:
                 flow = _purchase_of(flows, ev)
-                flow.principal += ev.amount_minor
-                new = rate_ceil(flow.rate, max(flow.principal, 0))
-                ceiling += new - flow.ceiling
-                flow.ceiling = new
+                principal = flow[1] = flow[1] + ev.amount_minor
+                new = rate_ceil(flow[0], max(principal, 0))
+                ceiling += new - flow[3]
+                flow[3] = new
                 rev = [ev.seq, ev.txn_id, day, None]
                 reversals.append(rev)
                 pending.setdefault(ev.txn_id, []).append(rev)
             elif kind in REWARD_KINDS:
-                flow = _purchase_of(flows, ev)
-                flow.reward += ev.amount_minor
+                _purchase_of(flows, ev)[2] += ev.amount_minor
                 reward += ev.amount_minor
             else:
                 continue
@@ -281,7 +270,7 @@ def _rrc_pass(log, config: EngineConfig) -> list:
         # today can change their answer
         for txn_id in touched:
             flow = flows[txn_id]
-            if flow.reward <= flow.ceiling:
+            if flow[2] <= flow[3]:
                 ready.add(txn_id)
             else:
                 ready.discard(txn_id)
@@ -326,9 +315,9 @@ def check_rrc(
     """
     reversals = sorted(_rrc_pass(log, config), key=itemgetter(0))
     return [
-        RrcVerdict(
-            txn_id=txn_id, refund_day=day, restored_day=restored,
-            ok=restored is not None and restored - day <= delta_days,
-        )
+        # txn_id, refund_day, restored_day, ok
+        tuple.__new__(RrcVerdict, (
+            txn_id, day, restored,
+            restored is not None and restored - day <= delta_days))
         for _, txn_id, day, restored in reversals
     ]

@@ -11,7 +11,7 @@ checkmark / cross / tilde labels of the comparison matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # refund_adjustment: when (whether) granted rewards are clawed back.
 # Same-cycle netting of pending refunds happens before any grant, so a
@@ -21,8 +21,7 @@ ADJ_IMMEDIATE = "immediate"
 ADJ_STATEMENT_CLOSE = "statement-close"
 
 
-@dataclass(frozen=True)
-class IssuerVariant:
+class IssuerVariant(NamedTuple):
     name: str
     instant: bool  # credit at settlement; False: at the statement close
     refund_adjustment: str

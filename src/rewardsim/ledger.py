@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -73,19 +72,21 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-@dataclass(slots=True)
 class Transaction:
-    id: str
-    user: str
-    merchant: str
-    amount: int  # minor units, > 0
-    category: str
-    period: int  # billing-period index of the purchase
-    status: TransactionStatus = TransactionStatus.PENDING
+    __slots__ = ("id", "user", "merchant", "amount", "category", "period", "status")
 
-    def __post_init__(self):
-        if self.amount <= 0:
-            raise ValueError(f"transaction amount must be positive, got {self.amount}")
+    def __init__(self, id: str, user: str, merchant: str, amount: int,
+                 category: str, period: int,
+                 status: TransactionStatus = TransactionStatus.PENDING):
+        if amount <= 0:
+            raise ValueError(f"transaction amount must be positive, got {amount}")
+        self.id = id
+        self.user = user
+        self.merchant = merchant
+        self.amount = amount  # minor units, > 0
+        self.category = category
+        self.period = period  # billing-period index of the purchase
+        self.status = status
 
 
 def transition(txn: Transaction, target: TransactionStatus) -> Transaction:
@@ -96,7 +97,6 @@ def transition(txn: Transaction, target: TransactionStatus) -> Transaction:
     return txn
 
 
-@dataclass(slots=True)
 class RewardRecord:
     """Per-transaction reward state.  Persists for the account lifetime.
 
@@ -107,18 +107,27 @@ class RewardRecord:
     including any netted out before settlement.
     """
 
-    reward_current: int
-    reward_original: int
-    total_refunded: int
-    claw_base: int
+    __slots__ = ("reward_current", "reward_original", "total_refunded", "claw_base")
+
+    def __init__(self, reward_current: int, reward_original: int,
+                 total_refunded: int, claw_base: int):
+        self.reward_current = reward_current
+        self.reward_original = reward_original
+        self.total_refunded = total_refunded
+        self.claw_base = claw_base
 
 
-@dataclass(slots=True)
 class UserLedger:
-    balance: int = 0  # may go negative via clawback only
-    redeemed_total: int = 0
-    monthly_used: dict = field(default_factory=dict)  # (period, category) -> int
-    redemption_hold_until: int | None = None  # day index
+    __slots__ = ("balance", "redeemed_total", "monthly_used", "redemption_hold_until")
+
+    def __init__(self, balance: int = 0, redeemed_total: int = 0,
+                 monthly_used: dict | None = None,
+                 redemption_hold_until: int | None = None):
+        self.balance = balance  # may go negative via clawback only
+        self.redeemed_total = redeemed_total
+        # (period, category) -> int
+        self.monthly_used = {} if monthly_used is None else monthly_used
+        self.redemption_hold_until = redemption_hold_until  # day index
 
     def used(self, period: int, category: str) -> int:
         return self.monthly_used.get((period, category), 0)
@@ -191,16 +200,36 @@ _WIRE_LINE = re.compile(
 )
 
 
+class _RepeatedKey(Exception):
+    """A JSON object gives one key, ``args[0]``, twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; ``_RepeatedKey`` for a key given
+    twice, whose first value json.loads would silently drop."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
 def _scan_line(line_no: int, line: str) -> tuple:
     """The eight wire values of a stripped line read as json.loads reads
     it, or the located error for the first thing wrong with it: a field
     of the wrong type (integers first), text that is not valid UTF-8,
     such as a lone surrogate, which neither the text output nor a replay
-    can take, then an unknown kind."""
+    can take, then an unknown kind.  An object that repeats a key is
+    refused, not read with the key's last value."""
     try:
-        values = _wire_values(json.loads(line))
+        values = _wire_values(json.loads(line, object_pairs_hook=_unique_keys))
     except KeyError as exc:
         raise ParseError(line_no, f"missing field {exc}") from exc
+    except _RepeatedKey as exc:
+        raise ParseError(line_no, f"repeated key {exc.args[0]!r}") from None
     except (json.JSONDecodeError, TypeError) as exc:
         raise ParseError(line_no, str(exc)) from exc
     except RecursionError:
@@ -332,15 +361,17 @@ def load_json(path, error: type[Exception], what: str):
 
     A file that is not UTF-8, or JSON that Python cannot build, nested
     deeper than the recursion limit or holding an integer of too many
-    digits, raises ``error`` with a message naming ``what``; malformed
-    JSON raises json's own error.
+    digits, or an object that repeats a key, raises ``error`` with a
+    message naming ``what``; malformed JSON raises json's own error.
     """
     try:
         text = _read_text(path)
     except ParseError as exc:
         raise error(f"{what} {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        raise error(f"{what} JSON repeats key {exc.args[0]!r}") from None
     except RecursionError:
         raise error(f"{what} JSON nested too deep") from None
     except json.JSONDecodeError:
@@ -359,7 +390,18 @@ _CONFIG_KEYS = frozenset({
 })
 
 
-@dataclass
+def equal_slots(self, other):
+    """``self == other`` for slotted classes: same class, every slot equal."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+# the default of a mapping argument: a new empty dict for each instance,
+# distinct from None, which is refused
+_NEW_DICT = object()
+
+
 class EngineConfig:
     """Program rules plus the issuer-variant selector.
 
@@ -368,15 +410,21 @@ class EngineConfig:
     units ("*" fallback again); an absent category is uncapped.
     """
 
-    reward_rate: dict = field(default_factory=dict)
-    monthly_cap: dict = field(default_factory=dict)
-    b_min: int = 0
-    grace_days: int = 7
-    period_length_days: int = 30
-    variant: str = "defensive-instant"
-    delivery_delay_days: int = 0
+    __slots__ = ("reward_rate", "monthly_cap", "b_min", "grace_days",
+                 "period_length_days", "variant", "delivery_delay_days")
+    __eq__ = equal_slots
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, reward_rate: dict = _NEW_DICT, monthly_cap: dict = _NEW_DICT,
+                 b_min: int = 0, grace_days: int = 7, period_length_days: int = 30,
+                 variant: str = "defensive-instant", delivery_delay_days: int = 0):
+        self.reward_rate = {} if reward_rate is _NEW_DICT else reward_rate
+        self.monthly_cap = {} if monthly_cap is _NEW_DICT else monthly_cap
+        self.b_min = b_min
+        self.grace_days = grace_days
+        self.period_length_days = period_length_days
+        self.variant = variant
+        self.delivery_delay_days = delivery_delay_days
         # checked by type, not by isinstance: bool is an int subclass, and
         # a float rate or day count would reach the ledger's arithmetic
         for name in ("reward_rate", "monthly_cap"):

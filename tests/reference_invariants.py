@@ -9,8 +9,8 @@ the fold returns exactly what these return.  The package has no
 refund-to-clawback lag of its own: it reads RRC restore lags, and the
 tests assert that ``classify`` and ``attack`` read the same from both.
 
-The verdict dataclasses are the package's own, so results compare with
-plain dataclass equality.
+The verdict records are the package's own named tuples, so results
+compare with plain tuple equality.
 """
 
 from __future__ import annotations

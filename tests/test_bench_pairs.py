@@ -4,6 +4,7 @@ and the net line count of ``src/``."""
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -17,10 +18,11 @@ SPEC = {"end_to_end": [{"name": "p50", "better": "lower", "bound": 0.2},
                        {"name": "rate", "better": "higher", "bound": 0.1}]}
 
 
-def result(p50, rate, failed=0, digest="d1"):
+def result(p50, rate, failed=0, digest="d1", import_s=0.05, inputs_s=0.01):
     return {"failed": failed, "attempted": 10, "output_sha256": digest,
             "metrics": {"p50": {"value": p50}, "rate": {"value": rate}},
-            "host_slowdown": 1.0}
+            "host_slowdown": 1.0,
+            "setup": {"repeats": 5, "import_s": import_s, "inputs_s": inputs_s}}
 
 
 def test_summary_counts_wins_in_each_metric_direction():
@@ -76,6 +78,40 @@ def test_summary_line_names_a_metric_outside_its_bound(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("  p50") and lines[1].endswith("OUTSIDE bound 20%")
     assert lines[2].startswith("  rate") and lines[2].endswith("within bound 10%")
+
+
+def test_setup_parts_are_summarised_and_printed(capsys):
+    runs = [
+        {"first": "parent", "parent": result(10.0, 5.0, import_s=0.07),
+         "change": result(9.0, 5.0, import_s=0.05, inputs_s=0.02)},
+        {"first": "change", "parent": result(10.0, 5.0, import_s=0.09),
+         "change": result(9.0, 5.0, import_s=0.04, inputs_s=0.02)},
+    ]
+    summary = bench_pairs.summarise(runs, SPEC)
+    assert summary["setup"] == {
+        "import_s": {"parent_median": 0.08, "change_median": 0.045},
+        "inputs_s": {"parent_median": 0.01, "change_median": 0.02},
+    }
+    bench_pairs.report("w", summary, SPEC)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  setup_s parts     import_s 0.08 -> 0.045  inputs_s 0.01 -> 0.02")
+
+
+def test_every_run_compiles_its_sources(monkeypatch, tmp_path):
+    # otherwise the first run writes bytecode that every later import
+    # probe reads, and import_s leaves out compiling the sources
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        seen.append(env.get("PYTHONDONTWRITEBYTECODE"))
+        (cwd / ".bench_work" / "results" / "r.json").write_text("{}")
+        return subprocess.CompletedProcess(argv, 0)
+
+    (tmp_path / ".bench_work" / "results").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(tmp_path, [], "r.json") == {}
+    assert seen == ["1"]
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

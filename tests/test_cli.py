@@ -663,6 +663,39 @@ class TestLongIntegers:
         assert captured.out == ""
 
 
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("where,message", [
+        ("log", "error: line 2: repeated key 'amount_minor'"),
+        ("config", "error: config JSON repeats key 'grace_days'"),
+        ("scenario", "error: scenario JSON repeats key 'amount_minor'"),
+    ])
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, where, message):
+        # json.loads keeps the last value: the log passed check, the
+        # config took the second grace and the scenario ran a purchase
+        # of 10000, each with exit 0
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        argv = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        if where == "log":
+            lines = log_path.read_text().splitlines(keepends=True)
+            lines[1] = lines[1].replace('"amount_minor": ',
+                                        '"amount_minor": 1, "amount_minor": ')
+            log_path.write_text("".join(lines))
+        elif where == "config":
+            cfg_path.write_text(cfg_path.read_text().replace(
+                '"grace_days": 7', '"grace_days": 7, "grace_days": 3'))
+        else:
+            path, sc = write_scenario(tmp_path)
+            path.write_text(path.read_text().replace(
+                '"amount_minor": 10000', '"amount_minor": 100, "amount_minor": 10000',
+                1))
+            argv = ["simulate", "--scenario", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+
 def run_cli(argv, options=(), **env):
     """``rewardsim`` in a child process, under interpreter ``options``
     and with ``env`` added to its environment."""

@@ -299,3 +299,18 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
     assert str(got.value) == "line 3: not valid UTF-8"
+
+
+@pytest.mark.parametrize("second,key", [
+    (SECOND[:-1] + ', "amount_minor": 10000}', "amount_minor"),
+    (SECOND[:-1] + ', "note": {"x": 1, "x": 2}}', "x"),
+], ids=["wire-field", "nested-object"])
+def test_reader_refuses_a_repeated_key(tmp_path, second, key):
+    # json.loads keeps a repeated key's last value, and the reference
+    # reader accepts both lines
+    path = tmp_path / "repeated.jsonl"
+    path.write_text(FIRST + "\n" + second + "\n")
+    assert len(ref.read_jsonl(path).events) == 2
+    with pytest.raises(ParseError) as got:
+        EventLog.read_jsonl(path)
+    assert str(got.value) == f"line 2: repeated key {key!r}"

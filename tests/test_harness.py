@@ -263,6 +263,14 @@ class TestScenarioJson:
         with pytest.raises(ScenarioInvalid):
             Scenario.load(path)
 
+    @pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "1.0"])
+    def test_schema_must_be_the_integer_one(self, schema):
+        # both equal 1, and used to run
+        raw = {"schema": schema, "label": "x", "config": {}}
+        with pytest.raises(ScenarioInvalid,
+                           match=f"^unsupported scenario schema: {schema!r}$"):
+            Scenario.from_json_dict(raw)
+
     @pytest.mark.parametrize("value", [1.5, 1000.5, True, "5"],
                              ids=["1.5", "1000.5", "true", "string"])
     @pytest.mark.parametrize("field", ["day", "amount_minor"])

@@ -1,0 +1,24 @@
+"""What importing the package loads: every one of its modules, so a
+command finds all it needs loaded, and neither ``dataclasses`` nor
+``inspect``, which together cost more than the rest of the import."""
+
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_loads_every_module_and_no_dataclasses():
+    # -S: no site-packages hook may load either module first
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import rewardsim, rewardsim.cli\n"
+             "print(*sorted(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(proc.stdout.split())
+    package = {f"rewardsim.{path.stem}" for path in (SRC / "rewardsim").glob("*.py")
+               if path.stem != "__init__"}
+    assert package <= loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)

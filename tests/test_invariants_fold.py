@@ -2,7 +2,7 @@
 
 ``integrity_series`` and ``check_rrc`` each answer every "as of day d"
 question from one pass over the log; ``reference_invariants`` rebuilds
-the log state for each day instead.  Both must return equal dataclasses
+the log state for each day instead.  Both must return equal records
 on engine logs of every variant and on arbitrary hand-built logs.
 
 The attack battery's lags are RRC restore lags; wherever ``classify``
@@ -11,7 +11,6 @@ days from each refund to its transaction's next clawback.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -204,7 +203,7 @@ def longest_float(lags) -> int:
 
 
 def assert_lags_read_alike(outcomes):
-    rescans = [RescanLags(**vars(o)) for o in outcomes]
+    rescans = [RescanLags._make(o) for o in outcomes]
     variant = VARIANTS[outcomes[0].variant]
     assert classify(variant, outcomes) == classify(variant, rescans)
     # ``attack`` refunds in full, and prints the longest lag
@@ -241,7 +240,7 @@ class TestClawbackLags:
         # partial refunds and chargebacks, where the two lag definitions
         # part: restore lags are the reference RRC checker's
         report = run(heavy_scenario(variant, seed=11), daily_snapshots=False)
-        outcome = replace(run_ddra(variant, cycles=1), report=report)
+        outcome = run_ddra(variant, cycles=1)._replace(report=report)
         assert outcome.restore_lags() == [
             None if v.restored_day is None else v.restored_day - v.refund_day
             for v in ref.check_rrc(report.log, 0, report.config)

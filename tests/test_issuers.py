@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -45,7 +45,7 @@ class TestPresets:
 
     def test_defensive_instant_mirrors_c(self):
         c = get_variant("C")
-        assert replace(c, name="defensive-instant") == get_variant("defensive-instant")
+        assert c._replace(name="defensive-instant") == get_variant("defensive-instant")
 
     def test_only_instant_variants_that_never_wait_skip_the_close(self):
         # credit at settlement, adjust refunds never or at once, no hold
@@ -59,7 +59,7 @@ class TestPresets:
     ])
     def test_each_policy_field_can_defer_work(self, field, value):
         assert not get_variant("C").defers_to_close
-        assert replace(get_variant("C"), **{field: value}).defers_to_close
+        assert get_variant("C")._replace(**{field: value}).defers_to_close
 
 
 class TestClassify:
