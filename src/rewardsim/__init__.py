@@ -35,9 +35,7 @@ from .harness import (
 from .invariants import (
     IntegritySnapshot,
     RrcVerdict,
-    check_integrity,
     check_rrc,
-    entitlement_bound,
     integrity_series,
     net_reward,
     net_reward_from_log,
@@ -92,11 +90,9 @@ __all__ = [
     "TransactionStatus",
     "UserLedger",
     "can_redeem",
-    "check_integrity",
     "check_rrc",
     "classify",
     "comparison_matrix",
-    "entitlement_bound",
     "format_millions",
     "format_usd",
     "get_variant",

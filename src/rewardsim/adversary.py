@@ -34,7 +34,6 @@ class AttackOutcome(NamedTuple):
     purchase_minor: int
     cycles: int
     refund_fraction: Fraction
-    net_reward_final: int
     redeemed_minor: int
     balance_minor: int
     value_extracted: int
@@ -141,7 +140,6 @@ def run_ddra(
         purchase_minor=purchase_minor,
         cycles=cycles,
         refund_fraction=refund_fraction,
-        net_reward_final=reward,
         redeemed_minor=report.ledger.redeemed_total,
         balance_minor=report.ledger.balance,
         value_extracted=max(0, reward - bound),

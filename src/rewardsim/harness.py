@@ -147,15 +147,14 @@ class SimulationReport:
     __slots__ = ("label", "config", "ledger", "log", "final_day", "snapshots", "rrc")
 
     def __init__(self, label: str, config: EngineConfig, ledger: UserLedger,
-                 log: EventLog, final_day: int, snapshots: list | None = None,
-                 rrc: list | None = None):
+                 log: EventLog, final_day: int):
         self.label = label
         self.config = config
         self.ledger = ledger
         self.log = log
         self.final_day = final_day
-        self.snapshots = [] if snapshots is None else snapshots
-        self.rrc = [] if rrc is None else rrc
+        self.snapshots = []
+        self.rrc = []
 
     @property
     def net_reward(self) -> int:

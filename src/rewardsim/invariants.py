@@ -15,11 +15,14 @@ one streaming pass over it that keeps only the state it reads: the
 integrity pass (``_ri_pass``) the spend and capped ceiling of each
 (period, category) bucket, the consistency pass (``_rrc_pass``) the
 principal, reward and ceiling of each transaction and the open
-reversals.  The one-day questions of ``entitlement_bound`` and
-``check_integrity`` read the integrity pass's last snapshot.  The
-aggregates the simulation reads on every run (``net_spend``,
-``oracle_bound``, ``net_reward_from_log``) stay single lean passes: on a
-short log they are cheaper than either checker's pass.
+reversals.  The aggregates the simulation reads on every run
+(``net_spend``, ``oracle_bound``, ``net_reward_from_log``) stay single
+lean passes: on a short log they are cheaper than either checker's pass.
+
+Every function answers for the whole log it is given.  Reward integrity
+as of the log's end is ``integrity_series(log, config)[-1]``, and its
+``.bound`` the capped entitlement.  To ask any question as of day ``d``,
+pass the prefix ``[ev for ev in log if ev.day <= d]``.
 
 An event that reverses, grants or claws for a transaction with no
 purchase, or a second purchase of one id, raises ``LogInvalid`` naming
@@ -70,11 +73,40 @@ def _no_purchase(ev) -> LogInvalid:
     )
 
 
-def _flows(log: EventLog, config: EngineConfig, as_of_day: int | None = None) -> dict:
-    """Each purchase's ``[rate, remaining principal]``."""
-    flows: dict[str, list] = {}
+def net_spend(log: EventLog) -> int:
+    """Signed principal flow: purchases minus refunds and chargebacks."""
+    return sum(ev.amount_minor for ev in log if ev.kind in PRINCIPAL_KINDS)
+
+
+def net_reward(ledger) -> int:
+    """Rewards the user holds or has already taken out of the program."""
+    return ledger.balance + ledger.redeemed_total
+
+
+def net_reward_from_log(log: EventLog) -> int:
+    """Net reward recomputed from the log alone.
+
+    Redemptions move value from balance to redeemed without changing the
+    total, so they are excluded from the sum.
+    """
+    return sum(ev.amount_minor for ev in log if ev.kind in REWARD_KINDS)
+
+
+def oracle_bound(log: EventLog, config: EngineConfig) -> int:
+    """Per-transaction uncapped entitlement ceiling.
+
+    Sums ceil(rate * remaining principal) over every purchase.  Ignores
+    caps on purpose: the engine's net reward must stay at or below this
+    under any refund sequence.
+    """
+    # The same sum is _rrc_pass's final ceiling, but that pass also keeps
+    # each transaction's reward and the open reversals.  Per log (CPython
+    # 3.11, 2 vCPUs) this pass takes 5 us and _rrc_pass 18 on a sweep
+    # scenario (~14 events), 46 and 109 us on an attack-battery run (~105
+    # events); the sweep and attack-grid workloads bound every run.
+    flows: dict[str, list] = {}  # txn_id -> [rate, remaining principal]
     try:
-        for ev in _up_to(log, as_of_day):
+        for ev in log:
             kind = ev.kind
             if kind == "purchase":
                 if ev.txn_id in flows:
@@ -86,77 +118,10 @@ def _flows(log: EventLog, config: EngineConfig, as_of_day: int | None = None) ->
                 raise _no_purchase(ev)
     except KeyError:
         raise _no_purchase(ev) from None
-    return flows
-
-
-def net_spend(log: EventLog, as_of_day: int | None = None) -> int:
-    """Signed principal flow: purchases minus refunds and chargebacks."""
-    return sum(
-        ev.amount_minor
-        for ev in log
-        if ev.kind in PRINCIPAL_KINDS
-        and (as_of_day is None or ev.day <= as_of_day)
-    )
-
-
-def net_reward(ledger) -> int:
-    """Rewards the user holds or has already taken out of the program."""
-    return ledger.balance + ledger.redeemed_total
-
-
-def net_reward_from_log(log: EventLog, as_of_day: int | None = None) -> int:
-    """Net reward recomputed from the log alone.
-
-    Redemptions move value from balance to redeemed without changing the
-    total, so they are excluded from the sum.
-    """
-    return sum(
-        ev.amount_minor
-        for ev in log
-        if ev.kind in REWARD_KINDS
-        and (as_of_day is None or ev.day <= as_of_day)
-    )
-
-
-def entitlement_bound(
-    log: EventLog, config: EngineConfig, as_of_day: int | None = None
-) -> int:
-    """Capped entitlement implied by net spend per (period, category).
-
-    Reversals count against the bucket of the original purchase.  Each
-    bucket's entitlement rounds up, so the bound never trips on the
-    engine's own downward rounding.
-    """
-    snapshots = _ri_pass(_up_to(log, as_of_day), config)
-    return snapshots[-1].bound if snapshots else 0
-
-
-def oracle_bound(
-    log: EventLog, config: EngineConfig, as_of_day: int | None = None
-) -> int:
-    """Per-transaction uncapped entitlement ceiling.
-
-    Sums ceil(rate * remaining principal) over every purchase.  Ignores
-    caps on purpose: the engine's net reward must stay at or below this
-    under any refund sequence.
-    """
     total = 0
-    for rate, principal in _flows(log, config, as_of_day).values():
+    for rate, principal in flows.values():
         total += rate_ceil(rate, max(principal, 0))
     return total
-
-
-def check_integrity(
-    log: EventLog, config: EngineConfig, as_of_day: int | None = None
-) -> IntegritySnapshot:
-    """One point-in-time reward-integrity check of the log's net reward,
-    as of ``as_of_day`` (default: the log's last day)."""
-    if as_of_day is None:
-        as_of_day = max((ev.day for ev in log), default=0)
-    snapshots = _ri_pass(_up_to(log, as_of_day), config)
-    if not snapshots:
-        return IntegritySnapshot(day=as_of_day, net_reward=0, bound=0, ok=True)
-    return snapshots[-1]._replace(day=as_of_day)
 
 
 def _by_day(log):
@@ -283,16 +248,15 @@ def _rrc_pass(log, config: EngineConfig) -> list:
     return reversals
 
 
-def _up_to(log: EventLog, as_of_day: int | None):
-    """The events of ``log`` dated up to ``as_of_day``, or all of them."""
-    return log if as_of_day is None else [ev for ev in log if ev.day <= as_of_day]
-
-
 def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
     """Integrity snapshots at every day on which anything happened.
 
-    Each snapshot equals ``check_integrity(log, config, as_of_day=day)``:
-    all events dated up to and including that day count.
+    Each snapshot counts every event dated up to and including its day.
+    Its ``bound`` is the capped entitlement of the net spend per (period,
+    category): reversals count against the bucket of the original
+    purchase, and each bucket's entitlement rounds up, so the bound never
+    trips on the engine's own downward rounding.  The last snapshot
+    answers for the whole log; an empty log has none.
     """
     return _ri_pass(log, config)
 

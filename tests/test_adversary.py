@@ -122,9 +122,9 @@ class TestNetSpend:
         # no verdict reads the net spend, so the battery makes no pass for it
         passes = []
 
-        def counted(log, as_of_day=None):
+        def counted(log):
             passes.append(log)
-            return net_spend(log, as_of_day)
+            return net_spend(log)
 
         monkeypatch.setattr(harness, "net_spend", counted)
         o = run_ddra("C", timing=CROSS_CYCLE, cycles=3, refund_fraction=Fraction(1, 2))

@@ -1,10 +1,14 @@
 """What importing the package loads: every one of its modules, so a
 command finds all it needs loaded, and neither ``dataclasses`` nor
-``inspect``, which together cost more than the rest of the import."""
+``inspect``, which together cost more than the rest of the import.
+And what ``from rewardsim import *`` exports: each name once, in order,
+and every one of them defined."""
 
 import pathlib
 import subprocess
 import sys
+
+import rewardsim
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -22,3 +26,9 @@ def test_import_loads_every_module_and_no_dataclasses():
                if path.stem != "__init__"}
     assert package <= loaded
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = rewardsim.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(rewardsim, name)] == []

@@ -9,9 +9,7 @@ from rewardsim import (
     EventLog,
     Scenario,
     ScenarioEvent,
-    check_integrity,
     check_rrc,
-    entitlement_bound,
     integrity_series,
     net_reward_from_log,
     net_spend,
@@ -37,7 +35,7 @@ class TestAggregates:
         log.emit(day=3, kind="refund-posted", txn_id="t1", user="u1",
                  amount_minor=-4000, category="GROCERY", period=0)
         assert net_spend(log) == 6000
-        assert net_spend(log, as_of_day=0) == 10000
+        assert net_spend([ev for ev in log if ev.day <= 0]) == 10000
 
     def test_net_reward_ignores_redemptions(self):
         log = simple_log()
@@ -65,7 +63,7 @@ class TestEntitlementBound:
         log = EventLog()
         log.emit(day=0, kind="purchase", txn_id="t1", user="u1",
                  amount_minor=200000, category="GROCERY", period=0)
-        assert entitlement_bound(log, self.config()) == 5000
+        assert integrity_series(log, self.config())[-1].bound == 5000
 
     def test_refund_shrinks_original_bucket(self):
         log = EventLog()
@@ -74,7 +72,7 @@ class TestEntitlementBound:
         # refund posts in period 1 but counts against period 0's bucket
         log.emit(day=35, kind="refund-posted", txn_id="t1", user="u1",
                  amount_minor=-10000, category="GROCERY", period=0)
-        assert entitlement_bound(log, self.config()) == 0
+        assert integrity_series(log, self.config())[-1].bound == 0
 
     def test_negative_bucket_floors_at_zero(self):
         log = EventLog()
@@ -88,14 +86,14 @@ class TestEntitlementBound:
             reward_rate={"GROCERY": Fraction(5, 100), "FUEL": Fraction(2, 100)}
         )
         # the refunded grocery bucket cannot subsidize the fuel bucket
-        assert entitlement_bound(log, cfg) == 100
+        assert integrity_series(log, cfg)[-1].bound == 100
 
     def test_integrity_check_flags_excess(self):
         log = simple_log()
         log.emit(day=3, kind="refund-posted", txn_id="t1", user="u1",
                  amount_minor=-10000, category="GROCERY", period=0)
         # no clawback ever posts: the 5.00 is now unbacked
-        snap = check_integrity(log, self.config())
+        snap = integrity_series(log, self.config())[-1]
         assert not snap.ok
         assert snap.net_reward == 500
         assert snap.bound == 0
@@ -174,17 +172,24 @@ class TestRrc:
 
 def assert_one_day_checks_match(log, config):
     days = sorted({ev.day for ev in log})
-    for day in [None, -1, *days, days[-1] + 1 if days else 0]:
-        assert entitlement_bound(log, config, day) == ref.entitlement_bound(
-            log, config, day)
-        assert check_integrity(log, config, day) == ref.check_integrity(
-            log, config, day)
-        assert oracle_bound(log, config, day) == ref.oracle_bound(log, config, day)
+    for day in [-1, *days, days[-1] + 1 if days else 0]:
+        prefix = [ev for ev in log if ev.day <= day]
+        expected = ref.check_integrity(log, config, day)
+        series = integrity_series(prefix, config)
+        if prefix:
+            # the prefix's last snapshot holds from its own day through day
+            last_day = max(ev.day for ev in prefix)
+            assert series[-1] == expected._replace(day=last_day)
+        else:
+            assert series == [] and expected == (day, 0, 0, True)
+        assert oracle_bound(prefix, config) == ref.oracle_bound(log, config, day)
+        assert net_spend(prefix) == ref.net_spend(log, day)
+        assert net_reward_from_log(prefix) == ref.net_reward_from_log(log, day)
 
 
 class TestOneDayChecksAgainstReference:
-    # entitlement_bound and check_integrity answer from the integrity pass
-    # over the events up to the day; the rescanning originals must agree
+    # the package answers for the log it is given: on the prefix dated up
+    # to each day it must agree with the reference's as-of-day rescans
     @pytest.mark.parametrize(
         "name", ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
                  "cross_cycle_B", "empty", "close_refunds_cycle",

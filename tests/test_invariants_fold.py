@@ -24,9 +24,7 @@ from rewardsim import (
     LogInvalid,
     Scenario,
     ScenarioEvent,
-    check_integrity,
     check_rrc,
-    entitlement_bound,
     integrity_series,
     oracle_bound,
     run,
@@ -270,12 +268,10 @@ class TestLocatedErrors:
 
     @staticmethod
     def assert_every_check_raises(log, message):
-        # the checkers' passes and the lean one-pass bounds alike
+        # the checkers' passes and the lean oracle pass alike
         config = EngineConfig(reward_rate={"G": Fraction(5, 100)})
         for check in (lambda: integrity_series(log, config),
                       lambda: check_rrc(log, 0, config),
-                      lambda: oracle_bound(log, config),
-                      lambda: entitlement_bound(log, config),
-                      lambda: check_integrity(log, config)):
+                      lambda: oracle_bound(log, config)):
             with pytest.raises(LogInvalid, match=message):
                 check()
