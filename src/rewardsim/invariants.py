@@ -15,9 +15,13 @@ one streaming pass over it that keeps only the state it reads: the
 integrity pass (``_ri_pass``) the spend and capped ceiling of each
 (period, category) bucket, the consistency pass (``_rrc_pass``) the
 principal, reward and ceiling of each transaction and the open
-reversals.  The aggregates the simulation reads on every run
-(``net_spend``, ``oracle_bound``, ``net_reward_from_log``) stay single
-lean passes: on a short log they are cheaper than either checker's pass.
+reversals.  Each bucket and each purchase keeps its rate as the integer
+terms ``(-numerator, denominator)`` of ``money.ceil_terms``, taken once
+with ``rate_ceil``'s check, so every ceiling after an event is the one
+integer expression ``-(n * amount // d)``.  The aggregates the
+simulation reads on every run (``net_spend``, ``oracle_bound``,
+``net_reward_from_log``) stay single lean passes: on a short log they
+are cheaper than either checker's pass.
 
 Every function answers for the whole log it is given.  Reward integrity
 as of the log's end is ``integrity_series(log, config)[-1]``, and its
@@ -43,7 +47,7 @@ from .ledger import (
     EventLog,
     LogInvalid,
 )
-from .money import rate_ceil
+from .money import ceil_terms, rate_ceil
 
 
 class IntegritySnapshot(NamedTuple):
@@ -149,33 +153,34 @@ def _ri_pass(log, config: EngineConfig) -> list[IntegritySnapshot]:
     and their sum, the entitlement bound; each principal event moves one
     bucket, the one its purchase fell in.
     """
-    buckets: dict[tuple, list] = {}  # (period, category) -> [spend, ceiling, rate, cap]
+    # (period, category) -> [spend, ceiling, *ceil_terms(rate), cap]
+    buckets: dict[tuple, list] = {}
     purchases: dict[str, list] = {}  # txn_id -> the bucket of its purchase
     entitled = reward = 0
     snapshots = []
     for day, events in _by_day(log):
         for ev in events:
-            kind = ev.kind
+            _, _, kind, txn_id, _, amount, category, period = ev
             if kind == "purchase":
-                if ev.txn_id in purchases:
+                if txn_id in purchases:
                     raise _duplicate_purchase(ev)
-                key = (ev.period, ev.category)
-                bucket = buckets.get(key)
+                bucket = buckets.get((period, category))
                 if bucket is None:
-                    bucket = buckets[key] = [0, 0, config.rate(ev.category),
-                                             config.cap(ev.category)]
-                purchases[ev.txn_id] = bucket
+                    bucket = buckets[period, category] = [
+                        0, 0, *ceil_terms(config.rate(category)),
+                        config.cap(category)]
+                purchases[txn_id] = bucket
             elif kind in REVERSAL_KINDS:
                 bucket = _purchase_of(purchases, ev)
             elif kind in REWARD_KINDS:
                 _purchase_of(purchases, ev)
-                reward += ev.amount_minor
+                reward += amount
                 continue
             else:
                 continue
-            spend, old, rate, cap = bucket
-            spend += ev.amount_minor
-            new = rate_ceil(rate, max(spend, 0))
+            spend, old, n, d, cap = bucket
+            spend += amount
+            new = -(n * spend // d) if spend > 0 else 0
             if cap is not None and new > cap:
                 new = cap
             bucket[0] = spend
@@ -196,8 +201,8 @@ def _rrc_pass(log, config: EngineConfig) -> list:
     and are resolved at the end of the first day on which both RRC
     conditions hold (see ``check_rrc``).
     """
-    # txn_id -> [rate, remaining principal, surviving reward, ceiling], the
-    # ceiling being ceil(rate * remaining principal)
+    # txn_id -> [*ceil_terms(rate), remaining principal, surviving reward,
+    # ceiling], the ceiling being ceil(rate * remaining principal)
     flows: dict[str, list] = {}
     reward = ceiling = 0  # net reward; sum of per-txn ceilings (the oracle bound)
     reversals = []
@@ -206,36 +211,36 @@ def _rrc_pass(log, config: EngineConfig) -> list:
     ready = set()  # txns with open reversals whose reward fits
     for day, events in _by_day(log):
         for ev in events:
-            kind = ev.kind
+            seq, _, kind, txn_id, _, amount, category, _ = ev
             if kind == "purchase":
-                if ev.txn_id in flows:
+                if txn_id in flows:
                     raise _duplicate_purchase(ev)
-                rate = config.rate(ev.category)
-                new = rate_ceil(rate, max(ev.amount_minor, 0))
-                flows[ev.txn_id] = [rate, ev.amount_minor, 0, new]
+                n, d = ceil_terms(config.rate(category))
+                new = -(n * amount // d) if amount > 0 else 0
+                flows[txn_id] = [n, d, amount, 0, new]
                 ceiling += new
                 continue
             if kind in REVERSAL_KINDS:
                 flow = _purchase_of(flows, ev)
-                principal = flow[1] = flow[1] + ev.amount_minor
-                new = rate_ceil(flow[0], max(principal, 0))
-                ceiling += new - flow[3]
-                flow[3] = new
-                rev = [ev.seq, ev.txn_id, day, None]
+                principal = flow[2] = flow[2] + amount
+                new = -(flow[0] * principal // flow[1]) if principal > 0 else 0
+                ceiling += new - flow[4]
+                flow[4] = new
+                rev = [seq, txn_id, day, None]
                 reversals.append(rev)
-                pending.setdefault(ev.txn_id, []).append(rev)
+                pending.setdefault(txn_id, []).append(rev)
             elif kind in REWARD_KINDS:
-                _purchase_of(flows, ev)[2] += ev.amount_minor
-                reward += ev.amount_minor
+                _purchase_of(flows, ev)[3] += amount
+                reward += amount
             else:
                 continue
-            if ev.txn_id in pending:
-                touched.add(ev.txn_id)
+            if txn_id in pending:
+                touched.add(txn_id)
         # a txn's own RRC test reads only its flow, so only txns touched
         # today can change their answer
         for txn_id in touched:
             flow = flows[txn_id]
-            if flow[2] <= flow[3]:
+            if flow[3] <= flow[4]:
                 ready.add(txn_id)
             else:
                 ready.discard(txn_id)

@@ -2,7 +2,8 @@
 
 All ledger state is plain Python ints.  Fractional quantities (reward
 rates) are `fractions.Fraction`; the only divisions that touch ledger
-values happen here, each with a single terminal rounding.
+values happen here, each with a single terminal rounding, or on the
+integer terms that ``ceil_terms`` gives for ``rate_ceil``'s division.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def rate_ceil(rate: Fraction, amount: int) -> int:
     if rate.numerator < 0:
         raise ValueError(f"rate must be non-negative, got {rate}")
     return -((-rate.numerator * amount) // rate.denominator)
+
+
+def ceil_terms(rate: Fraction) -> tuple[int, int]:
+    """The integer terms ``(n, d)`` of ``rate`` for which ``rate_ceil(rate,
+    amount)`` is ``-((n * amount) // d)``: ``(-numerator, denominator)``,
+    for a loop that takes the ceiling of one rate many times."""
+    if rate.numerator < 0:
+        raise ValueError(f"rate must be non-negative, got {rate}")
+    return -rate.numerator, rate.denominator
 
 
 def format_usd(minor: int) -> str:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_codec as ref
-from rewardsim import EventLog, ParseError, RewardEvent, Scenario, run
+from rewardsim import EventLog, ParseError, RewardEvent, Scenario, ledger, run
 from rewardsim.cli import main
 from rewardsim.ledger import EVENT_KINDS
 
@@ -65,9 +65,9 @@ def test_writer_and_reader_match_reference(tmp_path_factory, evs):
     assert loaded.events == ref.read_jsonl(path).events == evs
     loaded.write_jsonl(ref_path)
     assert ref_path.read_bytes() == path.read_bytes()
-    # the same events in json.dumps forms other than the writer's; every
-    # line the wire-line pattern does not match is read by json.loads and
-    # the per-field check
+    # the same events in json.dumps forms other than the writer's; a file
+    # with any line the writer would not emit is read line by line, by
+    # json.loads and the per-field check
     for form in ({"sort_keys": True}, {"separators": (",", ":")},
                  {"ensure_ascii": False}):
         path.write_text("".join(json.dumps(ev.to_json_dict(), **form) + "\n"
@@ -189,24 +189,35 @@ def test_report_events_are_the_wire_events(fixtures_dir, name):
     assert json.dumps(doc, indent=2) == json.dumps({**doc, "events": wire}, indent=2)
 
 
-# -- the wire-line fast path ------------------------------------------
+# -- the fast path: a file made only of the writer's own lines --------
 
 
-def refuse_scanner_path(mp):
-    """Make json.loads raise: it reads every line the compiled wire-line
-    pattern does not match, so a read then passes only on lines the
-    pattern takes."""
+def refuse_line_path(mp):
+    """Make ``_scan_line`` raise: it reads every line of a file that is not
+    made only of lines the writer emits, so a read then passes only on
+    the one-pattern scan of the whole file."""
     def refuse(*args, **kwargs):
-        raise AssertionError("json.loads path taken")
-    mp.setattr(json, "loads", refuse)
+        raise AssertionError("line-by-line path taken")
+    mp.setattr(ledger, "_scan_line", refuse)
 
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_logs_read_on_the_fast_path(fixtures_dir, monkeypatch, name):
     path = fixtures_dir / f"{name}.jsonl"
     expected = ref.read_jsonl(path).events
-    refuse_scanner_path(monkeypatch)
+    refuse_line_path(monkeypatch)
     assert EventLog.read_jsonl(path).events == expected
+
+
+def test_writer_files_read_on_the_fast_path(fixtures_dir, tmp_path, monkeypatch):
+    # every golden log, and a log as write_jsonl writes it
+    written = tmp_path / "written.jsonl"
+    run(Scenario.load(fixtures_dir / "ddra_defensive_cycle.json")).log.write_jsonl(written)
+    paths = [*sorted(fixtures_dir.glob("*.jsonl")), written]
+    expected = [ref.read_jsonl(path).events for path in paths]
+    assert len(paths) == len(GOLDEN) + 1
+    refuse_line_path(monkeypatch)
+    assert [EventLog.read_jsonl(path).events for path in paths] == expected
 
 
 # the text the fast path takes: printable ASCII without '"' or '\'
@@ -226,7 +237,7 @@ def test_ascii_logs_read_on_the_fast_path(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "fast.jsonl"
     log.write_jsonl(path)
     with pytest.MonkeyPatch.context() as mp:
-        refuse_scanner_path(mp)
+        refuse_line_path(mp)
         assert EventLog.read_jsonl(path).events == log.events
 
 
@@ -264,6 +275,8 @@ EDGE = {
     "raw-control": [FIRST.replace('"t1"', '"t\x1cx"')],
     "raw-delete": [FIRST.replace('"t1"', '"t\x7fx"')],
     "blank-lines": ["", "   ", FIRST, "\t", "\x1c", SECOND, ""],
+    "empty-file": [],
+    "blank-lines-only": ["", "   ", "\t"],
 }
 
 
@@ -272,6 +285,59 @@ def test_reader_agrees_with_reference_on_edge_lines(tmp_path, lines):
     path = tmp_path / "edge.jsonl"
     path.write_bytes("".join(text + "\n" for text in lines).encode("utf-8"))
     assert outcome(EventLog.read_jsonl, path) == outcome(ref.read_jsonl, path)
+
+
+# -- where a file leaves the fast path ---------------------------------
+
+
+def canonical(count):
+    """``count`` lines as the writer emits them, seqs 1..count."""
+    return [RewardEvent(seq, seq, "purchase", f"t{seq}", "u1", 100 * seq, "G",
+                        0).to_json_line() for seq in range(1, count + 1)]
+
+
+def assert_reads_like_reference(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(EventLog.read_jsonl, path) == outcome(ref.read_jsonl, path)
+
+
+# a line of a canonical file made non-canonical, still readable or not
+RESHAPE = {
+    "no-spaces": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "surrounding-space": lambda text: " " + text + "\t",
+    "escaped-text": lambda text: text.replace('"u1"', '"\\u0075\\u0031"'),
+    "broken": lambda text: text[:-1],
+    "unknown-kind": lambda text: text.replace('"purchase"', '"mystery"'),
+}
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("reshape", RESHAPE.values(), ids=RESHAPE.keys())
+def test_one_non_canonical_line_reads_like_the_reference(tmp_path, reshape, at):
+    lines = canonical(5)
+    lines[at] = reshape(lines[at])
+    assert_reads_like_reference(tmp_path / "one.jsonl",
+                                "".join(text + "\n" for text in lines))
+
+
+@pytest.mark.parametrize("reshape", [str, *RESHAPE.values()],
+                         ids=["canonical", *RESHAPE.keys()])
+@pytest.mark.parametrize("count", [1, 3])
+def test_no_final_newline_reads_like_the_reference(tmp_path, reshape, count):
+    # the unended last line canonical or not
+    lines = canonical(count)
+    lines[-1] = reshape(lines[-1])
+    assert_reads_like_reference(tmp_path / "open.jsonl", "\n".join(lines))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("seq", [lambda k: k + 1, lambda k: k - 1],
+                         ids=["skip", "repeat"])
+def test_seq_gap_at_line_k_reads_like_the_reference(tmp_path, seq, k):
+    lines = canonical(4)
+    lines[k - 1] = lines[k - 1].replace(f'"seq": {k},', f'"seq": {seq(k)},')
+    assert_reads_like_reference(tmp_path / "gap.jsonl",
+                                "".join(text + "\n" for text in lines))
 
 
 def test_reader_agrees_with_reference_on_a_long_integer(tmp_path):

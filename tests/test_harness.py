@@ -168,6 +168,15 @@ class TestRun:
         ]
         assert report.integrity_ok
 
+    @pytest.mark.parametrize("snapshots", [True, False])
+    def test_integrity_ok_reads_the_log_without_snapshots(self, fixtures_dir,
+                                                          snapshots):
+        # ddra_A's net reward exceeds its bound; a run that takes no daily
+        # snapshots must still say so
+        sc = Scenario.load(fixtures_dir / "ddra_A.json")
+        assert not run(sc, daily_snapshots=snapshots).integrity_ok
+        assert run(scenario([]), daily_snapshots=snapshots).integrity_ok
+
 
 class TestPeriodIndex:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))

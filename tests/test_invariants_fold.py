@@ -27,6 +27,7 @@ from rewardsim import (
     check_rrc,
     integrity_series,
     oracle_bound,
+    rate_ceil,
     run,
     run_battery,
     run_ddra,
@@ -120,6 +121,12 @@ NEGATIVE_KINDS = {"refund-posted", "chargeback-posted", "refund", "chargeback",
                   "reconcile-clawback"}
 
 
+# hundredths, and rates whose ceilings need more than hundredths: thirds,
+# sevenths and the whole purchase
+RATES = [*(Fraction(n, 100) for n in (0, 1, 2, 5, 7, 33)),
+         Fraction(1, 3), Fraction(2, 7), Fraction(1)]
+
+
 @st.composite
 def logs_and_configs(draw):
     """Hand-built logs: several reversals per txn, grants and claws of any
@@ -132,8 +139,7 @@ def logs_and_configs(draw):
     transaction's purchase comes first in log order and is dated no later
     than its other events, the one ordering rule a log must keep.
     """
-    rates = {c: Fraction(draw(st.sampled_from([0, 1, 2, 5, 7, 33])), 100)
-             for c in "ABC"}
+    rates = {c: draw(st.sampled_from(RATES)) for c in "ABC"}
     caps = {c: draw(st.integers(0, 3000)) for c in "AB" if draw(st.booleans())}
     config = EngineConfig(reward_rate=rates, monthly_cap=caps)
     entries = []
@@ -265,6 +271,19 @@ class TestLocatedErrors:
                  amount_minor=500, category="G", period=0)
         self.assert_every_check_raises(
             log, "seq 2: duplicate purchase of transaction 't1'")
+
+    def test_negative_rate_is_refused_as_rate_ceil_refuses_it(self):
+        # a rate mutated past the config's own check
+        config = EngineConfig(reward_rate={"G": Fraction(5, 100)})
+        config.reward_rate["G"] = Fraction(-1, 20)
+        with pytest.raises(ValueError) as expected:
+            rate_ceil(Fraction(-1, 20), 10000)
+        for check in (lambda: integrity_series(self.purchase_log(), config),
+                      lambda: check_rrc(self.purchase_log(), 0, config),
+                      lambda: oracle_bound(self.purchase_log(), config)):
+            with pytest.raises(ValueError) as got:
+                check()
+            assert str(got.value) == str(expected.value)
 
     @staticmethod
     def assert_every_check_raises(log, message):
