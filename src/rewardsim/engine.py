@@ -291,8 +291,10 @@ def statement_cycle_reconcile(
     transaction of ``period_txns`` (the period's purchases, in purchase
     order) that is still PENDING, net of the principal ``refunded``
     names for it, or cancels it when that covers it in full;
-    ``refunded`` is read, never changed.  Finally the redemption hold
-    is pushed out by ``grace_days``; ``user`` is named on its event.
+    ``refunded`` is read, never changed.  Finally a positive
+    ``grace_days`` pushes the redemption hold out to ``day +
+    grace_days``; ``user`` is named on its event.  With none, the hold
+    is left as it is.
 
     Phase 2 also settles an instant variant's purchase whose delivery
     delay runs past this close: it credits today as ``reconcile-settle``
@@ -313,7 +315,6 @@ def statement_cycle_reconcile(
             )
 
     new_hold = day + grace_days
-    if ledger.redemption_hold_until != new_hold:
+    if grace_days > 0 and ledger.redemption_hold_until != new_hold:
         ledger.redemption_hold_until = new_hold
-        if grace_days > 0:
-            log.emit(day, "hold-set", "", user, 0, "", period)
+        log.emit(day, "hold-set", "", user, 0, "", period)

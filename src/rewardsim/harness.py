@@ -380,10 +380,8 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     Closes are visited only under a variant that defers work to them
     (``IssuerVariant.defers_to_close``) or with a delivery delay, which
     can leave a settlement pending at a close.  Under any other variant
-    a close logs nothing and sets the redemption hold to its own day,
-    which never holds a later one, so the run skips it: it visits only
-    intent days, from the first to the last, and
-    ``ledger.redemption_hold_until`` stays ``None``.
+    a close has nothing to do, so the run skips it: it visits only
+    intent days, from the first to the last.
 
     The sweep is a no-op on every day skipped, because:
 

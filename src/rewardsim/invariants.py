@@ -11,17 +11,17 @@ Two checks run over the audit trail alone, never over engine internals:
 Both recompute entitlements from the principal-flow events, so they act
 as independent oracles for the engine's own arithmetic.  Both questions
 are asked "as of" every day of the log, and each checker answers them in
-one streaming pass over it that keeps only the state it reads: the
-integrity pass (``_ri_pass``) the spend and capped ceiling of each
-(period, category) bucket, the consistency pass (``_rrc_pass``) the
-principal, reward and ceiling of each transaction and the open
-reversals.  Each bucket and each purchase keeps its rate as the integer
-terms ``(-numerator, denominator)`` of ``money.ceil_terms``, taken once
-with ``rate_ceil``'s check, so every ceiling after an event is the one
-integer expression ``-(n * amount // d)``.  The aggregates the
-simulation reads on every run (``net_spend``, ``oracle_bound``,
-``net_reward_from_log``) stay single lean passes: on a short log they
-are cheaper than either checker's pass.
+one streaming pass over it that keeps only the state it reads:
+``integrity_series`` the spend and capped ceiling of each (period,
+category) bucket, ``check_rrc`` the principal, reward and ceiling of
+each transaction and the open reversals.  Each bucket and each
+purchase keeps its rate as the integer terms ``(-numerator,
+denominator)`` of ``money.ceil_terms``, taken once with ``rate_ceil``'s
+check, so every ceiling after an event is the one integer expression
+``-(n * amount // d)``.  The aggregates the simulation reads on every
+run (``net_spend``, ``oracle_bound``, ``net_reward_from_log``) stay
+single lean passes: on a short log they are cheaper than either
+checker's pass.
 
 Every function answers for the whole log it is given.  Reward integrity
 as of the log's end is ``integrity_series(log, config)[-1]``, and its
@@ -103,9 +103,9 @@ def oracle_bound(log: EventLog, config: EngineConfig) -> int:
     caps on purpose: the engine's net reward must stay at or below this
     under any refund sequence.
     """
-    # The same sum is _rrc_pass's final ceiling, but that pass also keeps
+    # The same sum is check_rrc's final ceiling, but that pass also keeps
     # each transaction's reward and the open reversals.  Per log (CPython
-    # 3.11, 2 vCPUs) this pass takes 5 us and _rrc_pass 18 on a sweep
+    # 3.11, 2 vCPUs) this pass takes 5 us and check_rrc's 18 on a sweep
     # scenario (~14 events), 46 and 109 us on an attack-battery run (~105
     # events); the sweep and attack-grid workloads bound every run.
     flows: dict[str, list] = {}  # txn_id -> [rate, remaining principal]
@@ -146,12 +146,15 @@ def _purchase_of(purchases: dict, ev):
         raise _no_purchase(ev) from None
 
 
-def _ri_pass(log, config: EngineConfig) -> list[IntegritySnapshot]:
-    """Reward-integrity snapshots at the end of every day ``log`` names.
+def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
+    """Integrity snapshots at every day on which anything happened.
 
-    Keeps per (period, category) bucket its net spend and capped ceiling,
-    and their sum, the entitlement bound; each principal event moves one
-    bucket, the one its purchase fell in.
+    Each snapshot counts every event dated up to and including its day.
+    Its ``bound`` is the capped entitlement of the net spend per (period,
+    category): reversals count against the bucket of the original
+    purchase, and each bucket's entitlement rounds up, so the bound never
+    trips on the engine's own downward rounding.  The last snapshot
+    answers for the whole log; an empty log has none.
     """
     # (period, category) -> [spend, ceiling, *ceil_terms(rate), cap]
     buckets: dict[tuple, list] = {}
@@ -192,22 +195,33 @@ def _ri_pass(log, config: EngineConfig) -> list[IntegritySnapshot]:
     return snapshots
 
 
-def _rrc_pass(log, config: EngineConfig) -> list:
-    """Every reversal of ``log`` as ``[seq, txn_id, day, restored day]``,
-    in day order; the restored day is None while RRC is not restored.
+def check_rrc(
+    log: EventLog, delta_days: int, config: EngineConfig
+) -> list[RrcVerdict]:
+    """Refund-reward consistency: one verdict per reversal event, in log order.
 
-    Keeps each transaction's remaining principal, surviving reward and
-    ceiling, and their global sums.  Open reversals wait per transaction
-    and are resolved at the end of the first day on which both RRC
-    conditions hold (see ``check_rrc``).
+    A reversal on day d is restored on the first day d' >= d where both
+    hold, evaluated on the log state as of d':
+
+    * the transaction's surviving reward (granted minus clawed) fits in
+      the ceiling entitlement of its remaining principal, and
+    * the global net reward fits in the global per-transaction ceiling.
+
+    The verdict passes when d' - d <= delta_days.  A reversal whose
+    reward is never re-aligned (no clawback path exists) gets
+    restored_day None and fails for any delta.
+
+    The first clause is tested as each event of a transaction with open
+    reversals posts: only its own events move its flow, so its last test
+    of a day is its answer at the end of that day.  The second is tested
+    once, at the end of each day.
     """
     # txn_id -> [*ceil_terms(rate), remaining principal, surviving reward,
     # ceiling], the ceiling being ceil(rate * remaining principal)
     flows: dict[str, list] = {}
     reward = ceiling = 0  # net reward; sum of per-txn ceilings (the oracle bound)
-    reversals = []
+    reversals = []  # [seq, txn_id, day, restored day or None]
     pending: dict[str, list] = {}  # txn_id -> its unresolved reversals
-    touched = set()  # txns with open reversals touched today
     ready = set()  # txns with open reversals whose reward fits
     for day, events in _by_day(log):
         for ev in events:
@@ -230,59 +244,23 @@ def _rrc_pass(log, config: EngineConfig) -> list:
                 reversals.append(rev)
                 pending.setdefault(txn_id, []).append(rev)
             elif kind in REWARD_KINDS:
-                _purchase_of(flows, ev)[3] += amount
+                flow = _purchase_of(flows, ev)
+                flow[3] += amount
                 reward += amount
+                if txn_id not in pending:
+                    continue
             else:
                 continue
-            if txn_id in pending:
-                touched.add(txn_id)
-        # a txn's own RRC test reads only its flow, so only txns touched
-        # today can change their answer
-        for txn_id in touched:
-            flow = flows[txn_id]
             if flow[3] <= flow[4]:
                 ready.add(txn_id)
             else:
                 ready.discard(txn_id)
-        touched.clear()
         if ready and reward <= ceiling:
             for txn_id in ready:
                 for rev in pending.pop(txn_id):
                     rev[3] = day
             ready.clear()
-    return reversals
-
-
-def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
-    """Integrity snapshots at every day on which anything happened.
-
-    Each snapshot counts every event dated up to and including its day.
-    Its ``bound`` is the capped entitlement of the net spend per (period,
-    category): reversals count against the bucket of the original
-    purchase, and each bucket's entitlement rounds up, so the bound never
-    trips on the engine's own downward rounding.  The last snapshot
-    answers for the whole log; an empty log has none.
-    """
-    return _ri_pass(log, config)
-
-
-def check_rrc(
-    log: EventLog, delta_days: int, config: EngineConfig
-) -> list[RrcVerdict]:
-    """Refund-reward consistency: one verdict per reversal event, in log order.
-
-    A reversal on day d is restored on the first day d' >= d where both
-    hold, evaluated on the log state as of d':
-
-    * the transaction's surviving reward (granted minus clawed) fits in
-      the ceiling entitlement of its remaining principal, and
-    * the global net reward fits in the global per-transaction ceiling.
-
-    The verdict passes when d' - d <= delta_days.  A reversal whose
-    reward is never re-aligned (no clawback path exists) gets
-    restored_day None and fails for any delta.
-    """
-    reversals = sorted(_rrc_pass(log, config), key=itemgetter(0))
+    reversals.sort(key=itemgetter(0))
     return [
         # txn_id, refund_day, restored_day, ok
         tuple.__new__(RrcVerdict, (

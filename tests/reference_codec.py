@@ -1,11 +1,12 @@
 """Reference event-log codec: the original ``json.dumps`` encoder and
 per-field reader, kept unchanged as a test-only oracle.
 
-``rewardsim.ledger`` encodes with one f-string and reads each line
-either by one compiled pattern of the writer's own bytes or by
-``json.loads`` and one per-field check; ``tests/test_codec.py`` asserts
-that both give the same bytes, the same events and the same errors as
-these functions.
+``rewardsim.ledger`` encodes with one f-string and chooses its read
+path per file: a file made only of the writer's own lines is read by
+one scan of a compiled pattern of those bytes (``_wire_events``), any
+other file line by line by ``json.loads`` and one per-field check
+(``_scan_lines``); ``tests/test_codec.py`` asserts that both paths give
+the same bytes, the same events and the same errors as these functions.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rewardsim import (
     oracle_bound,
     run,
 )
+from rewardsim.cli import main
 from test_invariants_fold import logs_and_configs
 
 
@@ -203,3 +205,48 @@ class TestOneDayChecksAgainstReference:
     @given(logs_and_configs())
     def test_arbitrary_logs(self, log_and_config):
         assert_one_day_checks_match(*log_and_config)
+
+
+class TestOnePass:
+    # each checker reads the log once, counted at EventLog.__iter__ as the
+    # benchmark's tracer counts invariants.log_passes
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counted = []
+        raw_iter = EventLog.__iter__
+
+        def iter_counted(log):
+            counted.append(log)
+            return raw_iter(log)
+
+        monkeypatch.setattr(EventLog, "__iter__", iter_counted)
+        return counted
+
+    @pytest.fixture
+    def walkthrough(self, fixtures_dir):
+        return (EventLog.read_jsonl(fixtures_dir / "walkthrough.jsonl"),
+                Scenario.load(fixtures_dir / "walkthrough.json").config)
+
+    @pytest.mark.parametrize("check", [
+        lambda log, config: integrity_series(log, config),
+        lambda log, config: check_rrc(log, 3, config),
+        lambda log, config: oracle_bound(log, config),
+        lambda log, config: net_spend(log),
+        lambda log, config: net_reward_from_log(log),
+    ], ids=["integrity_series", "check_rrc", "oracle_bound", "net_spend",
+            "net_reward_from_log"])
+    def test_each_checker_reads_the_log_once(self, walkthrough, passes, check):
+        log, config = walkthrough
+        check(log, config)
+        assert passes == [log]
+
+    def test_check_command_reads_the_log_once_per_checker(
+            self, fixtures_dir, tmp_path, passes, capsys):
+        # integrity_series and check_rrc each make their own pass
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            Scenario.load(fixtures_dir / "walkthrough.json").config.to_json_dict()))
+        main(["check", "--log", str(fixtures_dir / "walkthrough.jsonl"),
+              "--config", str(cfg_path)])
+        assert "invariants hold" in capsys.readouterr().out
+        assert len(passes) == 2
