@@ -5,8 +5,11 @@ Two checks run over the audit trail alone, never over engine internals:
 * reward integrity: cumulative net reward never exceeds what the net
   spend (purchases minus refunds and chargebacks) entitles the user to,
   bucketed by billing period and category with caps applied;
-* refund-reward consistency: after every refund the granted rewards are
-  re-aligned with the reduced spend within a stated number of days.
+* refund-reward consistency: after every refund or chargeback, that
+  transaction's surviving reward is re-aligned with its remaining
+  principal within a stated number of days.  Each verdict reads only
+  its own transaction; the aggregate bound on the net reward is reward
+  integrity's.
 
 Both recompute entitlements from the principal-flow events, so they act
 as independent oracles for the engine's own arithmetic.  Both questions
@@ -103,11 +106,6 @@ def oracle_bound(log: EventLog, config: EngineConfig) -> int:
     caps on purpose: the engine's net reward must stay at or below this
     under any refund sequence.
     """
-    # The same sum is check_rrc's final ceiling, but that pass also keeps
-    # each transaction's reward and the open reversals.  Per log (CPython
-    # 3.11, 2 vCPUs) this pass takes 5 us and check_rrc's 18 on a sweep
-    # scenario (~14 events), 46 and 109 us on an attack-battery run (~105
-    # events); the sweep and attack-grid workloads bound every run.
     flows: dict[str, list] = {}  # txn_id -> [rate, remaining principal]
     try:
         for ev in log:
@@ -200,26 +198,23 @@ def check_rrc(
 ) -> list[RrcVerdict]:
     """Refund-reward consistency: one verdict per reversal event, in log order.
 
-    A reversal on day d is restored on the first day d' >= d where both
-    hold, evaluated on the log state as of d':
-
-    * the transaction's surviving reward (granted minus clawed) fits in
-      the ceiling entitlement of its remaining principal, and
-    * the global net reward fits in the global per-transaction ceiling.
+    A reversal on day d is restored at the first end of a day d' >= d on
+    which its own transaction's surviving reward (granted minus clawed)
+    fits in ceil(rate * remaining principal).  Only that transaction's
+    events decide the verdict; the aggregate bound on the whole log's
+    net reward is reward integrity's, which ``integrity_series`` checks.
 
     The verdict passes when d' - d <= delta_days.  A reversal whose
     reward is never re-aligned (no clawback path exists) gets
     restored_day None and fails for any delta.
 
-    The first clause is tested as each event of a transaction with open
+    The clause is tested as each event of a transaction with open
     reversals posts: only its own events move its flow, so its last test
-    of a day is its answer at the end of that day.  The second is tested
-    once, at the end of each day.
+    of a day is its answer at the end of that day.
     """
     # txn_id -> [*ceil_terms(rate), remaining principal, surviving reward,
     # ceiling], the ceiling being ceil(rate * remaining principal)
     flows: dict[str, list] = {}
-    reward = ceiling = 0  # net reward; sum of per-txn ceilings (the oracle bound)
     reversals = []  # [seq, txn_id, day, restored day or None]
     pending: dict[str, list] = {}  # txn_id -> its unresolved reversals
     ready = set()  # txns with open reversals whose reward fits
@@ -230,23 +225,18 @@ def check_rrc(
                 if txn_id in flows:
                     raise _duplicate_purchase(ev)
                 n, d = ceil_terms(config.rate(category))
-                new = -(n * amount // d) if amount > 0 else 0
-                flows[txn_id] = [n, d, amount, 0, new]
-                ceiling += new
+                flows[txn_id] = [n, d, amount, 0, -(n * amount // d) if amount > 0 else 0]
                 continue
             if kind in REVERSAL_KINDS:
                 flow = _purchase_of(flows, ev)
                 principal = flow[2] = flow[2] + amount
-                new = -(flow[0] * principal // flow[1]) if principal > 0 else 0
-                ceiling += new - flow[4]
-                flow[4] = new
+                flow[4] = -(flow[0] * principal // flow[1]) if principal > 0 else 0
                 rev = [seq, txn_id, day, None]
                 reversals.append(rev)
                 pending.setdefault(txn_id, []).append(rev)
             elif kind in REWARD_KINDS:
                 flow = _purchase_of(flows, ev)
                 flow[3] += amount
-                reward += amount
                 if txn_id not in pending:
                     continue
             else:
@@ -255,11 +245,10 @@ def check_rrc(
                 ready.add(txn_id)
             else:
                 ready.discard(txn_id)
-        if ready and reward <= ceiling:
-            for txn_id in ready:
-                for rev in pending.pop(txn_id):
-                    rev[3] = day
-            ready.clear()
+        for txn_id in ready:
+            for rev in pending.pop(txn_id):
+                rev[3] = day
+        ready.clear()
     reversals.sort(key=itemgetter(0))
     return [
         # txn_id, refund_day, restored_day, ok

@@ -221,13 +221,15 @@ def _unique_keys(pairs: list) -> dict:
 
 def _scan_line(line_no: int, line: str) -> tuple:
     """The eight wire values of a stripped line read as json.loads reads
-    it, or the located error for the first thing wrong with it: a field
-    of the wrong type (integers first), text that is not valid UTF-8,
-    such as a lone surrogate, which neither the text output nor a replay
-    can take, then an unknown kind.  An object that repeats a key is
-    refused, not read with the key's last value."""
+    it, or the located error for the first thing wrong with it: a
+    missing field, an unknown field, a field of the wrong type (integers
+    first), text that is not valid UTF-8, such as a lone surrogate,
+    which neither the text output nor a replay can take, then an unknown
+    kind.  An object that repeats a key is refused, not read with the
+    key's last value."""
     try:
-        values = _wire_values(json.loads(line, object_pairs_hook=_unique_keys))
+        raw = json.loads(line, object_pairs_hook=_unique_keys)
+        values = _wire_values(raw)
     except KeyError as exc:
         raise ParseError(line_no, f"missing field {exc}") from exc
     except _RepeatedKey as exc:
@@ -238,6 +240,9 @@ def _scan_line(line_no: int, line: str) -> tuple:
         raise ParseError(line_no, "JSON nested too deep") from None
     except ValueError:
         raise ParseError(line_no, _long_integer()) from None
+    if len(raw) > len(values):
+        unknown = next(key for key in raw if key not in RewardEvent._fields)
+        raise ParseError(line_no, f"unknown field {unknown!r}")
     for name, i in _INT_FIELDS:
         # json.loads builds exact types; JSON true is a bool, not an int
         if type(values[i]) is not int:
@@ -483,6 +488,8 @@ class EngineConfig:
             raise ConfigError("period_length_days must be positive")
         if not 0 <= self.grace_days < self.period_length_days:
             raise ConfigError("grace_days must be in [0, period_length_days)")
+        if self.b_min < 0:
+            raise ConfigError("b_min must be >= 0")
         if self.delivery_delay_days < 0:
             raise ConfigError("delivery_delay_days must be >= 0")
 

@@ -1,5 +1,7 @@
 """Reference event-log codec: the original ``json.dumps`` encoder and
-per-field reader, kept unchanged as a test-only oracle.
+per-field reader, kept as a test-only oracle.  The reader has learned
+one rule since: a line with a field the wire format does not name is
+refused, as unknown scenario, event and config keys are.
 
 ``rewardsim.ledger`` encodes with one f-string and chooses its read
 path per file: a file made only of the writer's own lines is read by
@@ -64,6 +66,9 @@ def read_jsonl(path) -> EventLog:
                 raise ParseError(line_no, f"missing field {exc}") from exc
             except (json.JSONDecodeError, TypeError) as exc:
                 raise ParseError(line_no, str(exc)) from exc
+            unknown = [key for key in raw if key not in RewardEvent._fields]
+            if unknown:
+                raise ParseError(line_no, f"unknown field {unknown[0]!r}")
             for name in _INT_FIELDS:
                 value = getattr(ev, name)
                 # bool is an int subclass; JSON true is not a number

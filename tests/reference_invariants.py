@@ -167,12 +167,10 @@ def check_rrc(
 ) -> list[RrcVerdict]:
     """Refund-reward consistency: one verdict per reversal event.
 
-    A reversal on day d is restored on the first day d' >= d where both
-    hold, evaluated on the log state as of d':
-
-    * the transaction's surviving reward (granted minus clawed) fits in
-      the ceiling entitlement of its remaining principal, and
-    * the global net reward fits in the global per-transaction ceiling.
+    A reversal on day d is restored on the first day d' >= d where the
+    transaction's surviving reward (granted minus clawed) fits in the
+    ceiling entitlement of its remaining principal, evaluated on the log
+    state as of d'.  No other transaction's events enter the verdict.
 
     The verdict passes when d' - d <= delta_days.  A reversal whose
     reward is never re-aligned (no clawback path exists) gets
@@ -193,10 +191,6 @@ def check_rrc(
             remaining = max(flow.amount - flow.refunded, 0)
             txn_bound = rate_ceil(config.rate(flow.category), remaining)
             if flow.granted - flow.clawed > txn_bound:
-                continue
-            if net_reward_from_log(log, as_of_day=d) > oracle_bound(
-                log, config, as_of_day=d
-            ):
                 continue
             restored = d
             break

@@ -110,8 +110,11 @@ class TestSimulate:
              "error: period_length_days must be an integer, got 30.0"),
             ({"grace_days": True}, "error: grace_days must be an integer, got True"),
             ({"grace_day": 3}, "error: unknown config key 'grace_day'"),
+            # a negative b_min let the redemption gate overdraw the balance
+            ({"b_min_minor": -1}, "error: b_min must be >= 0"),
         ],
-        ids=["list", "rate-map", "float-period", "bool-grace", "unknown-key"],
+        ids=["list", "rate-map", "float-period", "bool-grace", "unknown-key",
+             "negative-b-min"],
     )
     def test_bad_config_exits_1(self, tmp_path, capsys, config, message):
         # a list config used to end in an AttributeError traceback, and
@@ -456,6 +459,9 @@ class TestCheck:
              "error: line 1: amount_minor must be an integer, got True"),
             ([log_line(1, "purchase", period=True)],
              "error: line 1: period must be an integer, got True"),
+            # an unknown key used to be dropped, and the log passed
+            ([log_line(1, "purchase"), log_line(2, "settle", note="dropped")],
+             "error: line 2: unknown field 'note'"),
             # a log that violates both invariants: check used to print the
             # integrity line, then fail on the text of the consistency line
             ([log_line(1, "purchase", "t\ud800"),
@@ -466,7 +472,7 @@ class TestCheck:
         ids=["reversal-no-purchase", "grant-no-purchase", "claw-no-purchase",
              "duplicate-purchase", "unknown-kind", "seq-gap", "missing-field",
              "bool-seq", "bool-day", "bool-amount", "bool-period",
-             "lone-surrogate"],
+             "unknown-field", "lone-surrogate"],
     )
     def test_bad_log_exits_1_with_located_message(self, tmp_path, capsys, lines,
                                                    message):

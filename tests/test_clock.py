@@ -127,7 +127,7 @@ def scenarios(draw):
     config = EngineConfig(
         reward_rate={"G": Fraction(draw(st.sampled_from([100, 500, 2500])), 10000)},
         monthly_cap=draw(st.sampled_from([{}, {"G": 700}])),
-        b_min=draw(st.sampled_from([-300, -1, 0, 1, 250, 10_000])),
+        b_min=draw(st.sampled_from([0, 1, 250, 10_000])),
         grace_days=draw(st.integers(0, period - 1)),
         period_length_days=period,
         variant=variant,

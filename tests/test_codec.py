@@ -109,6 +109,10 @@ MALFORMED = {
     "seq-gap": [line(), line(seq=3, kind="settle")],
     "seq-repeat": [line(), line(kind="settle")],
     "seq-zero": [line(seq=0)],
+    # json.loads reads the extra key; the wire format has no place for it
+    "unknown-field": [line(note="dropped")],
+    "unknown-field-and-bool-seq": [line(seq=True, note="dropped")],
+    "unknown-field-and-missing-day": [without("day")[:-1] + ', "note": 1}'],
     # lines json.loads refuses (a BOM, trailing data, a fault inside the
     # object, a bad escape) or reads to a float (NaN, infinities, exponents)
     "bom": ["\ufeff" + line()],
@@ -161,7 +165,8 @@ def test_reader_errors_match_reference(tmp_path, lines):
 
 
 GOLDEN = ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
-          "cross_cycle_B", "empty", "close_refunds_cycle", "delayed_refund_instant"]
+          "cross_cycle_B", "empty", "close_refunds_cycle", "delayed_refund_instant",
+          "rrc_blame_cycle", "rrc_blame_F"]
 
 
 @pytest.mark.parametrize("name", GOLDEN)
@@ -367,16 +372,22 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
     assert str(got.value) == "line 3: not valid UTF-8"
 
 
-@pytest.mark.parametrize("second,key", [
-    (SECOND[:-1] + ', "amount_minor": 10000}', "amount_minor"),
-    (SECOND[:-1] + ', "note": {"x": 1, "x": 2}}', "x"),
+@pytest.mark.parametrize("second,key,ref_error", [
+    (SECOND[:-1] + ', "amount_minor": 10000}', "amount_minor", None),
+    (SECOND[:-1] + ', "note": {"x": 1, "x": 2}}', "x",
+     "line 2: unknown field 'note'"),
 ], ids=["wire-field", "nested-object"])
-def test_reader_refuses_a_repeated_key(tmp_path, second, key):
-    # json.loads keeps a repeated key's last value, and the reference
-    # reader accepts both lines
+def test_reader_refuses_a_repeated_key(tmp_path, second, key, ref_error):
+    # json.loads keeps a repeated key's last value: the reference reader
+    # accepts a repeated wire field, and refuses the nested object only
+    # for the unknown field that holds it
     path = tmp_path / "repeated.jsonl"
     path.write_text(FIRST + "\n" + second + "\n")
-    assert len(ref.read_jsonl(path).events) == 2
+    if ref_error is None:
+        assert len(ref.read_jsonl(path).events) == 2
+    else:
+        with pytest.raises(ParseError, match=f"^{ref_error}$"):
+            ref.read_jsonl(path)
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
     assert str(got.value) == f"line 2: repeated key {key!r}"

@@ -195,7 +195,7 @@ class TestOneDayChecksAgainstReference:
     @pytest.mark.parametrize(
         "name", ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
                  "cross_cycle_B", "empty", "close_refunds_cycle",
-                 "delayed_refund_instant"],
+                 "delayed_refund_instant", "rrc_blame_cycle", "rrc_blame_F"],
     )
     def test_fixtures(self, fixtures_dir, name):
         sc = Scenario.load(fixtures_dir / f"{name}.json")

@@ -5,6 +5,11 @@ question from one pass over the log; ``reference_invariants`` rebuilds
 the log state for each day instead.  Both must return equal records
 on engine logs of every variant and on arbitrary hand-built logs.
 
+``check_rrc`` gives each reversal the verdict its own transaction's
+events give alone, and wherever reward integrity holds the net reward
+fits the sum of per-transaction ceilings, so RRC needs no aggregate
+clause of its own.
+
 The attack battery's lags are RRC restore lags; wherever ``classify``
 and ``attack`` read them, they must agree with the reference rescan of
 days from each refund to its transaction's next clawback.
@@ -26,6 +31,7 @@ from rewardsim import (
     ScenarioEvent,
     check_rrc,
     integrity_series,
+    net_reward_from_log,
     oracle_bound,
     rate_ceil,
     run,
@@ -33,7 +39,10 @@ from rewardsim import (
     run_ddra,
 )
 from rewardsim.adversary import CONTROL, CROSS_CYCLE, SAME_CYCLE, AttackOutcome
+from rewardsim.cli import main
+from rewardsim.harness import default_consistency_window
 from rewardsim.issuers import VARIANTS, classify
+from conftest import FIXTURES
 from test_acceptance import _random_scenario
 
 DELTAS = (0, 1, 7, 30, 10**6)
@@ -91,7 +100,7 @@ def heavy_scenario(variant, seed, purchases=40, days=150):
 class TestAgainstReference:
     @pytest.mark.parametrize(
         "name", ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
-                 "cross_cycle_B", "empty"],
+                 "cross_cycle_B", "empty", "rrc_blame_cycle", "rrc_blame_F"],
     )
     def test_fixtures(self, fixtures_dir, name):
         sc = Scenario.load(fixtures_dir / f"{name}.json")
@@ -191,6 +200,64 @@ class TestHypothesis:
     def test_arbitrary_logs(self, log_and_config):
         log, config = log_and_config
         assert_same(log, config)
+
+
+def assert_rrc_is_local(log, config):
+    """The verdicts on each transaction's reversals are the verdicts on a
+    log of that transaction's events alone."""
+    verdicts = check_rrc(log, 0, config)
+    for txn_id in {v.txn_id for v in verdicts}:
+        own = [ev for ev in log if ev.txn_id == txn_id]
+        assert (check_rrc(own, 0, config)
+                == [v for v in verdicts if v.txn_id == txn_id])
+
+
+def assert_integrity_bounds_the_aggregate(log, config):
+    """Wherever reward integrity holds, the net reward fits the sum of
+    per-transaction ceilings.  So the aggregate clause that RRC no longer
+    tests can fail only on a day that ``integrity_series`` reports."""
+    for day in sorted({ev.day for ev in log}):
+        prefix = [ev for ev in log if ev.day <= day]
+        if integrity_series(prefix, config)[-1].ok:
+            assert net_reward_from_log(prefix) <= oracle_bound(prefix, config)
+
+
+# accounts where one transaction's refund posts after the statement close
+# that claws back another's
+WITNESSES = {"rrc_blame_cycle": {"t0": 60, "t1": 90},
+             "rrc_blame_F": {"t00110": 330, "t00128": 360}}
+
+
+def witness(name):
+    return (EventLog.read_jsonl(FIXTURES / f"{name}.jsonl"),
+            Scenario.load(FIXTURES / f"{name}.json").config)
+
+
+class TestOwnTransaction:
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_witness_logs(self, name):
+        assert_rrc_is_local(*witness(name))
+        assert_integrity_bounds_the_aggregate(*witness(name))
+
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_witness_restored_by_its_own_clawback(self, capsys, name):
+        # the aggregate clause held t0 open to day 90 and t00110 to day
+        # 360, past the window, until the other refund's clawback posted
+        log, config = witness(name)
+        verdicts = check_rrc(log, default_consistency_window(config), config)
+        assert {v.txn_id: v.restored_day for v in verdicts} == WITNESSES[name]
+        assert all(v.ok for v in verdicts)
+        code = main(["simulate", "--scenario", str(FIXTURES / f"{name}.json")])
+        out = capsys.readouterr().out
+        assert "CONSISTENCY VIOLATION" not in out
+        # reward integrity still fails between the statement closes
+        assert "INTEGRITY VIOLATION" in out and code == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(logs_and_configs())
+    def test_arbitrary_logs(self, log_and_config):
+        assert_rrc_is_local(*log_and_config)
+        assert_integrity_bounds_the_aggregate(*log_and_config)
 
 
 class RescanLags(AttackOutcome):

@@ -34,6 +34,8 @@ EXIT_CODES = {
     "ddra_defensive_cycle": 2,
     "delayed_refund_instant": 0,
     "empty": 0,
+    "rrc_blame_F": 2,
+    "rrc_blame_cycle": 2,
     "walkthrough": 0,
 }
 

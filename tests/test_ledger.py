@@ -276,6 +276,8 @@ class TestEngineConfig:
             ({"monthly_cap": {"G": True}}, "cap for 'G'"),
             ({"monthly_cap": None}, "monthly_cap"),
             ({"b_min": True}, "b_min"),
+            # a negative b_min let a redemption overdraw the balance
+            ({"b_min": -1}, "b_min"),
             ({"grace_days": 7.0}, "grace_days"),
             ({"period_length_days": 30.0}, "period_length_days"),
             ({"period_length_days": True}, "period_length_days"),
@@ -284,7 +286,7 @@ class TestEngineConfig:
             ({"variant": "Z"}, "variant"),
         ],
         ids=["float-rate", "int-rate", "rate-pairs", "int-category", "float-cap",
-             "bool-cap", "no-cap-map", "bool-b-min", "float-grace", "float-period",
+             "bool-cap", "no-cap-map", "bool-b-min", "negative-b-min", "float-grace", "float-period",
              "bool-period", "text-delay", "no-variant", "unknown-variant"],
     )
     def test_python_built_config_checked(self, kw, field):
@@ -304,11 +306,13 @@ class TestEngineConfig:
             ({"period_length_days": 30.0}, "period_length_days"),
             ({"grace_days": False}, "grace_days"),
             ({"b_min_minor": None}, "b_min"),
+            ({"b_min_minor": -1}, "b_min"),
             ({"variant": ["A"]}, "variant"),
             ({"variant": "defensive"}, "variant"),
         ],
         ids=["list", "text", "rate-list", "int-cap-map", "float-bps", "bool-bps",
-             "text-cap", "float-period", "bool-grace", "null-b-min", "list-variant",
+             "text-cap", "float-period", "bool-grace", "null-b-min", "negative-b-min",
+             "list-variant",
              "unknown-variant"],
     )
     def test_json_config_checked(self, raw, field):
