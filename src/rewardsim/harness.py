@@ -26,6 +26,7 @@ from .ledger import (
     Transaction,
     TransactionStatus,
     UserLedger,
+    _collector_paused,
     equal_slots,
     load_json,
     transition,
@@ -363,6 +364,7 @@ def _check_event_types(index: int, ev: ScenarioEvent) -> None:
             _check_utf8(value, f"event {index}: {name}")
 
 
+@_collector_paused
 def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     """Execute a scenario to quiescence.
 
@@ -484,6 +486,7 @@ _INTENT_TO_SCENARIO = {
 }
 
 
+@_collector_paused
 def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
                       user: str = "u1") -> Scenario:
     """Rebuild the intent stream of a log as a runnable scenario.
@@ -491,6 +494,8 @@ def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
     Reward-layer events are dropped: re-running the intents regenerates
     them.  Policy-driven sweeps appear in the log as redeem-request
     intents, so the rebuilt scenario never enables the sweep policy.
+    Each intent keeps the user it was logged with, an empty one too; a
+    log without intents keeps ``user``.
     """
     events = []
     for ev in log:
@@ -499,12 +504,12 @@ def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
             continue
         events.append(tuple.__new__(ScenarioEvent, (
             ev.day, kind, ev.txn_id, abs(ev.amount_minor), ev.category)))
-        if ev.user:
-            user = ev.user
+        user = ev.user
     return Scenario(label=label, config=config, events=events,
                     auto_redeem=False, user=user)
 
 
+@_collector_paused
 def replay(log_path, config: EngineConfig, label: str = "replay") -> SimulationReport:
     """Re-run the intents of a stored log; the result must match it."""
     log = EventLog.read_jsonl(log_path)

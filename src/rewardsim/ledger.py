@@ -8,6 +8,8 @@ reproduces ledger state bit for bit.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import re
 import sys
@@ -64,6 +66,30 @@ class LogInvalid(Exception):
     def __init__(self, seq: int, message: str):
         super().__init__(f"seq {seq}: {message}")
         self.seq = seq
+
+
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused.
+
+    The records a log or scenario holds are tuple subclasses, which the
+    collector tracks for life, and building thousands of them makes it
+    walk them again and again while it frees nothing: these builders make
+    no reference cycles.  The collector is turned back on at exit only if
+    it was on at entry, so a caller that turned it off finds it off, and
+    nested builders turn it on once, at the outermost exit.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class ParseError(Exception):
@@ -330,6 +356,7 @@ class EventLog:
             fh.write("\n".join(lines))
 
     @classmethod
+    @_collector_paused
     def read_jsonl(cls, path) -> "EventLog":
         log = cls()
         text = _read_text(path)

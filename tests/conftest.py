@@ -1,3 +1,4 @@
+import gc
 import pathlib
 from fractions import Fraction
 
@@ -6,6 +7,16 @@ import pytest
 from rewardsim import EngineConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that ends with the cyclic garbage collector off, and
+    turn it back on so the tests after it run as they would alone."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

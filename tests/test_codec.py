@@ -8,6 +8,7 @@ logs in ``tests/fixtures`` were written by that original codec; they
 catch a format drift that a round trip through one codec would hide.
 """
 
+import gc
 import json
 import sys
 
@@ -391,3 +392,38 @@ def test_reader_refuses_a_repeated_key(tmp_path, second, key, ref_error):
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
     assert str(got.value) == f"line 2: repeated key {key!r}"
+
+
+def test_reader_runs_with_the_collector_paused(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_text(FIRST + "\n" + SECOND + "\n")
+    seen = []
+    read_text = ledger._read_text
+
+    def spy(path):
+        seen.append(gc.isenabled())
+        return read_text(path)
+
+    monkeypatch.setattr(ledger, "_read_text", spy)
+    assert len(EventLog.read_jsonl(path)) == 2
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_reader_turns_the_collector_on_after_a_parse_error(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(FIRST + "\n{}\n")
+    with pytest.raises(ParseError):
+        EventLog.read_jsonl(path)
+    assert gc.isenabled()
+
+
+def test_reader_leaves_the_collector_off_for_a_caller_that_turned_it_off(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(FIRST + "\n" + SECOND + "\n")
+    gc.disable()
+    try:
+        EventLog.read_jsonl(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -407,6 +408,13 @@ class TestReplay:
         assert not rebuilt.auto_redeem
         assert any(e.kind == "redeem-request" for e in rebuilt.events)
 
+    def test_rebuilt_scenario_takes_the_logged_user(self):
+        sc = scenario([ev(1, "purchase", "t1", 10000)])
+        sc.user = ""
+        log = run(sc, daily_snapshots=False).log
+        assert scenario_from_log(log, sc.config, "again", user="bob").user == ""
+        assert scenario_from_log(EventLog(), sc.config, "none", user="bob").user == "bob"
+
     @settings(max_examples=40, deadline=None)
     @given(
         variant=st.sampled_from(["defensive-instant", "defensive-cycle", "B", "F"]),
@@ -416,15 +424,91 @@ class TestReplay:
         ),
         refund_all=st.booleans(),
         auto=st.booleans(),
+        user=st.sampled_from(["", "u1", "bob"]),
     )
-    def test_replay_identity_random(self, variant, purchases, refund_all, auto):
+    def test_replay_identity_random(self, variant, purchases, refund_all, auto, user):
         events = []
         for i, (day, dollars) in enumerate(purchases):
             events.append(ev(day, "purchase", f"t{i}", dollars * 100))
             if refund_all:
                 events.append(ev(day + 9, "refund", f"t{i}", dollars * 100))
         sc = scenario(events, variant=variant, auto_redeem=auto)
+        sc.user = user
         self.replay_round_trip(sc)
+
+
+class TestCollectorPause:
+    """The builders of large record sets run with the cyclic collector
+    paused, and leave it as the caller had it."""
+
+    def spy_settlement(self, monkeypatch) -> list:
+        seen = []
+        settle = engine.reward_on_settlement
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return settle(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "reward_on_settlement", spy)
+        return seen
+
+    def test_off_inside_run(self, monkeypatch):
+        seen = self.spy_settlement(monkeypatch)
+        run(scenario([ev(1, "purchase", "t1", 10000)]))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_off_inside_scenario_from_log(self):
+        sc = scenario([ev(1, "purchase", "t1", 10000)])
+        log = run(sc, daily_snapshots=False).log
+        seen = []
+
+        def events():
+            seen.append(gc.isenabled())
+            yield from log
+
+        rebuilt = scenario_from_log(events(), sc.config, "again")
+        assert seen == [False]
+        assert len(rebuilt.events) == 1
+        assert gc.isenabled()
+
+    def test_on_again_after_scenario_invalid(self):
+        with pytest.raises(ScenarioInvalid):
+            run(scenario([ev(1, "refund", "t1", 10000)]))
+        assert gc.isenabled()
+
+    def test_stays_off_for_a_caller_that_turned_it_off(self, tmp_path):
+        sc = scenario([ev(1, "purchase", "t1", 10000)])
+        path = tmp_path / "a.jsonl"
+        gc.disable()
+        try:
+            log = run(sc).log
+            assert not gc.isenabled()
+            scenario_from_log(log, sc.config, "again")
+            assert not gc.isenabled()
+            log.write_jsonl(path)
+            replay(path, sc.config)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_replay_turns_it_on_once(self, tmp_path, monkeypatch):
+        sc = scenario([ev(1, "purchase", "t1", 10000), ev(5, "refund", "t1", 10000)])
+        path = tmp_path / "a.jsonl"
+        run(sc).log.write_jsonl(path)
+        seen = self.spy_settlement(monkeypatch)
+        enables = []
+        enable = gc.enable
+
+        def counting():
+            enables.append(gc.isenabled())
+            enable()
+
+        monkeypatch.setattr(gc, "enable", counting)
+        replay(path, sc.config)
+        assert seen == [False]
+        assert enables == [False]
+        assert gc.isenabled()
 
 
 class TestLeakage:
