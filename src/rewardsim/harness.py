@@ -27,6 +27,8 @@ from .ledger import (
     TransactionStatus,
     UserLedger,
     _collector_paused,
+    check_fields,
+    check_keys,
     equal_slots,
     load_json,
     transition,
@@ -39,18 +41,13 @@ class ScenarioInvalid(Exception):
     pass
 
 
-# the keys of a scenario file and of its events; any other key is a typo
-# that would otherwise run with a default
-_SCENARIO_KEYS = frozenset({"schema", "label", "config", "auto_redeem", "user", "events"})
-_EVENT_KEYS = frozenset({"day", "kind", "txn_id", "amount_minor", "category"})
-
-
-def _check_utf8(text: str, what: str) -> None:
-    """Reject text that cannot be written out, such as a lone surrogate."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ScenarioInvalid(f"{what} is not valid UTF-8 text: {text!r}") from None
+# the type of each plain field of a scenario file and of an event, in
+# check order, and the keys each may hold
+_SCENARIO_FIELDS = {"label": str, "user": str, "auto_redeem": bool}
+_SCENARIO_KEYS = frozenset({"schema", "config", "events", *_SCENARIO_FIELDS})
+_EVENT_FIELDS = {"day": int, "amount_minor": int, "kind": str, "txn_id": str,
+                 "category": str}
+_EVENT_KEYS = _EVENT_FIELDS.keys()
 
 
 class ScenarioEvent(NamedTuple):
@@ -92,47 +89,28 @@ class Scenario:
         # by type first: JSON true and 1.0 equal 1
         if type(schema) is not int or schema != 1:
             raise ScenarioInvalid(f"unsupported scenario schema: {schema!r}")
-        if not _SCENARIO_KEYS.issuperset(raw):
-            unknown = next(k for k in raw if k not in _SCENARIO_KEYS)
-            raise ScenarioInvalid(f"unknown scenario key {unknown!r}")
-        for key in ("label", "config"):
-            if key not in raw:
-                raise ScenarioInvalid(f"missing scenario key {key!r}")
-        raw_events = raw.get("events", [])
-        if type(raw_events) is not list:
-            raise ScenarioInvalid(f"events must be a JSON array, got {raw_events!r}")
+        check_keys(raw, _SCENARIO_KEYS, ("label", "config"), ScenarioInvalid,
+                   "scenario key")
+        check_fields({"events": list}, raw, ScenarioInvalid)
         events = []
-        for index, e in enumerate(raw_events):
+        for index, e in enumerate(raw.get("events", [])):
             if type(e) is not dict:
                 raise ScenarioInvalid(f"event {index} must be a JSON object, got {e!r}")
-            if not _EVENT_KEYS.issuperset(e):
-                unknown = next(k for k in e if k not in _EVENT_KEYS)
-                raise ScenarioInvalid(f"event {index}: unknown key {unknown!r}")
-            for key in ("day", "kind"):
-                if key not in e:
-                    raise ScenarioInvalid(f"event {index}: missing key {key!r}")
+            check_keys(e, _EVENT_KEYS, ("day", "kind"), ScenarioInvalid, "key",
+                       f"event {index}: ")
             # ScenarioEvent's defaults; tuple.__new__ skips the named
             # tuple's Python-level __new__, which costs more than the tuple
             get = e.get
             events.append(tuple.__new__(ScenarioEvent, (
                 e["day"], e["kind"], get("txn_id", ""), get("amount_minor", 0),
                 get("category", ""))))
+        config = EngineConfig.from_json_dict(raw["config"])
+        # every type is checked before any text is
+        check_fields(_SCENARIO_FIELDS, raw, ScenarioInvalid, utf8=False)
+        check_fields(_SCENARIO_FIELDS, raw, ScenarioInvalid)
         # absent optional keys take the defaults
-        scenario = cls(
-            config=EngineConfig.from_json_dict(raw["config"]), events=events,
-            **{k: raw[k] for k in ("label", "auto_redeem", "user") if k in raw},
-        )
-        for name, kind, noun in (
-            ("label", str, "a string"),
-            ("user", str, "a string"),
-            ("auto_redeem", bool, "true or false"),
-        ):
-            value = getattr(scenario, name)
-            if type(value) is not kind:
-                raise ScenarioInvalid(f"{name} must be {noun}, got {value!r}")
-        _check_utf8(scenario.label, "label")
-        _check_utf8(scenario.user, "user")
-        return scenario
+        return cls(config=config, events=events,
+                   **{k: raw[k] for k in _SCENARIO_FIELDS if k in raw})
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -345,25 +323,6 @@ class Simulation:
             engine.redeem(self.ledger, y, day, self.config, self.log, self.user)
 
 
-def _check_event_types(index: int, ev: ScenarioEvent) -> None:
-    """Raise the error for the first field of ``ev`` of the wrong type, or
-    of text that is not valid UTF-8; valid non-ASCII text passes."""
-    for name in ("day", "amount_minor"):
-        value = getattr(ev, name)
-        if type(value) is not int:
-            raise ScenarioInvalid(
-                f"event {index}: {name} must be an integer, got {value!r}"
-            )
-    for name in ("kind", "txn_id", "category"):
-        value = getattr(ev, name)
-        if type(value) is not str:
-            raise ScenarioInvalid(
-                f"event {index}: {name} must be a string, got {value!r}"
-            )
-        if not value.isascii():
-            _check_utf8(value, f"event {index}: {name}")
-
-
 @_collector_paused
 def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     """Execute a scenario to quiescence.
@@ -411,11 +370,12 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
                 and type(kind) is str and type(txn_id) is str
                 and type(category) is str and kind.isascii()
                 and txn_id.isascii() and category.isascii()):
-            _check_event_types(index, ev)
+            check_fields(_EVENT_FIELDS, ev._asdict(), ScenarioInvalid,
+                         f"event {index}: ")
         if kind not in SCENARIO_KINDS:
-            raise ScenarioInvalid(f"unknown scenario event kind {kind!r}")
+            raise ScenarioInvalid(f"event {index}: unknown scenario event kind {kind!r}")
         if day < 0:
-            raise ScenarioInvalid(f"negative day {day}")
+            raise ScenarioInvalid(f"event {index}: negative day {day}")
         by_day.setdefault(day, []).append(ev)
     days = sorted(by_day)
     if days:

@@ -205,12 +205,9 @@ class RewardEvent(NamedTuple):
 
 # the eight fields in wire order; a missing one raises KeyError naming it
 _wire_values = itemgetter(*RewardEvent._fields)
-# each checked field's name and place in the wire order
-_INT_FIELDS = tuple((name, RewardEvent._fields.index(name))
-                    for name in ("seq", "day", "amount_minor", "period"))
-_TEXT_FIELDS = tuple((name, RewardEvent._fields.index(name))
-                     for name in ("kind", "txn_id", "user", "category"))
-_KIND = RewardEvent._fields.index("kind")
+# each field's type, in check order: integers first
+_LINE_FIELDS = {"seq": int, "day": int, "amount_minor": int, "period": int,
+                "kind": str, "txn_id": str, "user": str, "category": str}
 
 # Every line of a text as to_json_line writes it, when each integer has
 # at most 18 digits (int() takes any such group), each text field is
@@ -226,6 +223,47 @@ _WIRE_LINES = re.compile(
     f'"category": {_TEXT}, "period": {_INT}}}$',
     re.MULTILINE,
 )
+
+
+# how a refusal names each field type
+_NOUNS = {int: "an integer", str: "a string", bool: "true or false",
+          dict: "a JSON object", list: "a JSON array"}
+
+
+def check_keys(raw: dict, known, required, error, noun: str, where: str = "") -> None:
+    """Refuse the first key of ``raw`` not in ``known`` (a set or a dict's
+    keys), then the first of ``required`` it lacks: ``error`` is raised
+    with ``{where}unknown {noun} 'key'`` or ``{where}missing {noun} 'key'``."""
+    if not raw.keys() <= known:
+        unknown = next(key for key in raw if key not in known)
+        raise error(f"{where}unknown {noun} {unknown!r}")
+    for key in required:
+        if key not in raw:
+            raise error(f"{where}missing {noun} {key!r}")
+
+
+def check_fields(table: dict, values: dict, error, where: str = "",
+                 show_text: bool = True, utf8: bool = True) -> None:
+    """Refuse, field by field in the order of ``table`` (name to type),
+    the first of ``values`` not exactly of its type (JSON true is a bool,
+    not an int) or, with ``utf8``, text that is not valid UTF-8, such as
+    a lone surrogate.  ``error`` is raised with ``{where}{name} must be
+    {noun}, got {value!r}`` or ``{where}{name} is not valid UTF-8 text:
+    {value!r}``; without ``show_text`` a text's refusal names no value.
+    A name ``values`` lacks is skipped: it takes its default."""
+    for name, kind in table.items():
+        if name not in values:
+            continue
+        value = values[name]
+        if type(value) is not kind:
+            got = f", got {value!r}" if show_text or kind is not str else ""
+            raise error(f"{where}{name} must be {_NOUNS[kind]}{got}")
+        if utf8 and kind is str and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                got = f": {value!r}" if show_text else ""
+                raise error(f"{where}{name} is not valid UTF-8 text{got}") from None
 
 
 class _RepeatedKey(Exception):
@@ -248,9 +286,9 @@ def _unique_keys(pairs: list) -> dict:
 def _scan_line(line_no: int, line: str) -> tuple:
     """The eight wire values of a stripped line read as json.loads reads
     it, or the located error for the first thing wrong with it: a
-    missing field, an unknown field, a field of the wrong type (integers
-    first), text that is not valid UTF-8, such as a lone surrogate,
-    which neither the text output nor a replay can take, then an unknown
+    missing field (named by the wire-order read, so before an unknown
+    one), an unknown field, a field of the wrong type or text that is
+    not valid UTF-8 (``check_fields``, integers first), then an unknown
     kind.  An object that repeats a key is refused, not read with the
     key's last value."""
     try:
@@ -266,22 +304,11 @@ def _scan_line(line_no: int, line: str) -> tuple:
         raise ParseError(line_no, "JSON nested too deep") from None
     except ValueError:
         raise ParseError(line_no, _long_integer()) from None
-    if len(raw) > len(values):
-        unknown = next(key for key in raw if key not in RewardEvent._fields)
-        raise ParseError(line_no, f"unknown field {unknown!r}")
-    for name, i in _INT_FIELDS:
-        # json.loads builds exact types; JSON true is a bool, not an int
-        if type(values[i]) is not int:
-            raise ParseError(line_no, f"{name} must be an integer, got {values[i]!r}")
-    for name, i in _TEXT_FIELDS:
-        if type(values[i]) is not str:
-            raise ParseError(line_no, f"{name} must be a string")
-        try:
-            values[i].encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError(line_no, f"{name} is not valid UTF-8 text") from None
-    if values[_KIND] not in EVENT_KINDS:
-        raise ParseError(line_no, f"unknown event kind {values[_KIND]!r}")
+    error = functools.partial(ParseError, line_no)
+    check_keys(raw, _LINE_FIELDS.keys(), (), error, "field")
+    check_fields(_LINE_FIELDS, raw, error, show_text=False)
+    if raw["kind"] not in EVENT_KINDS:
+        raise ParseError(line_no, f"unknown event kind {raw['kind']!r}")
     return values
 
 
@@ -440,12 +467,14 @@ def load_json(path, error: type[Exception], what: str):
 
 _NO_RATE = Fraction(0)  # of a category with no rate and no "*" fallback
 
-# the keys of EngineConfig's JSON layout; any other key is a typo that
-# would otherwise run with a default
-_CONFIG_KEYS = frozenset({
-    "variant", "reward_rate_bps", "monthly_cap_minor", "b_min_minor",
-    "grace_days", "period_length_days", "delivery_delay_days",
-})
+# each key of EngineConfig's JSON layout, in order, and the field it holds
+_CONFIG_KEYS = {"variant": "variant", "reward_rate_bps": "reward_rate",
+                "monthly_cap_minor": "monthly_cap", "b_min_minor": "b_min",
+                "grace_days": "grace_days", "period_length_days": "period_length_days",
+                "delivery_delay_days": "delivery_delay_days"}
+_CONFIG_MAPS = {"reward_rate_bps": dict, "monthly_cap_minor": dict}
+_CONFIG_INTS = {"b_min": int, "grace_days": int, "period_length_days": int,
+                "delivery_delay_days": int}
 
 
 def equal_slots(self, other):
@@ -502,11 +531,7 @@ class EngineConfig:
                 raise ConfigError(f"cap for {cat!r} must be an integer, got {cap!r}")
             if cap < 0:
                 raise ConfigError(f"cap for {cat!r} negative: {cap}")
-        for name in ("b_min", "grace_days", "period_length_days",
-                     "delivery_delay_days"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_fields(_CONFIG_INTS, locals(), ConfigError)  # the arguments by name
         if type(self.variant) is not str or self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {sorted(VARIANTS)}, got {self.variant!r}"
@@ -547,40 +572,28 @@ class EngineConfig:
                     f"rate for {c!r} is not a whole number of basis points: {r}"
                 )
             bps[c] = whole.numerator
-        return {
-            "variant": self.variant,
-            "reward_rate_bps": bps,
-            "monthly_cap_minor": dict(sorted(self.monthly_cap.items())),
-            "b_min_minor": self.b_min,
-            "grace_days": self.grace_days,
-            "period_length_days": self.period_length_days,
-            "delivery_delay_days": self.delivery_delay_days,
-        }
+        doc = {key: getattr(self, name) for key, name in _CONFIG_KEYS.items()}
+        doc["reward_rate_bps"] = bps
+        doc["monthly_cap_minor"] = dict(sorted(self.monthly_cap.items()))
+        return doc
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "EngineConfig":
         """Load the JSON layout; every field is checked as in ``__init__``."""
         if type(raw) is not dict:
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
-        if not _CONFIG_KEYS.issuperset(raw):
-            unknown = next(k for k in raw if k not in _CONFIG_KEYS)
-            raise ConfigError(f"unknown config key {unknown!r}")
-        for name in ("reward_rate_bps", "monthly_cap_minor"):
-            if type(raw.get(name, {})) is not dict:
-                raise ConfigError(f"{name} must be a JSON object, got {raw[name]!r}")
-        rates = {}
-        for c, bps in raw.get("reward_rate_bps", {}).items():
-            if type(bps) is not int:
-                raise ConfigError(
-                    f"reward_rate_bps for {c!r} must be an integer, got {bps!r}"
-                )
-            rates[c] = Fraction(bps, 10000)
-        return cls(
-            reward_rate=rates,
-            monthly_cap=dict(raw.get("monthly_cap_minor", {})),
-            b_min=raw.get("b_min_minor", 0),
-            grace_days=raw.get("grace_days", 7),
-            period_length_days=raw.get("period_length_days", 30),
-            variant=raw.get("variant", "defensive-instant"),
-            delivery_delay_days=raw.get("delivery_delay_days", 0),
-        )
+        check_keys(raw, _CONFIG_KEYS.keys(), (), ConfigError, "config key")
+        check_fields(_CONFIG_MAPS, raw, ConfigError)
+        # only the keys given: an absent one takes __init__'s default
+        kwargs = {_CONFIG_KEYS[key]: value for key, value in raw.items()}
+        if "reward_rate" in kwargs:
+            rates = kwargs["reward_rate"] = {}
+            for c, bps in raw["reward_rate_bps"].items():
+                if type(bps) is not int:
+                    raise ConfigError(
+                        f"reward_rate_bps for {c!r} must be an integer, got {bps!r}"
+                    )
+                rates[c] = Fraction(bps, 10000)
+        if "monthly_cap" in kwargs:
+            kwargs["monthly_cap"] = dict(kwargs["monthly_cap"])
+        return cls(**kwargs)

@@ -46,9 +46,11 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
                     f"event {index}: {name} must be a string, got {value!r}"
                 )
         if ev.kind not in SCENARIO_KINDS:
-            raise ScenarioInvalid(f"unknown scenario event kind {ev.kind!r}")
+            raise ScenarioInvalid(
+                f"event {index}: unknown scenario event kind {ev.kind!r}"
+            )
         if ev.day < 0:
-            raise ScenarioInvalid(f"negative day {ev.day}")
+            raise ScenarioInvalid(f"event {index}: negative day {ev.day}")
     events = sorted(scenario.events, key=lambda e: e.day)
     if events:
         # the last scenario intent bounds the run before it posts

@@ -302,6 +302,18 @@ class TestScenarioJson:
         with pytest.raises(ScenarioInvalid, match=f"event 0: {field} must be a string"):
             run(Scenario.from_json_dict(raw))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("kind", "refnud", "event 1: unknown scenario event kind 'refnud'"),
+        ("day", -3, "event 1: negative day -3"),
+    ], ids=["unknown-kind", "negative-day"])
+    def test_kind_and_day_refusals_name_the_event(self, field, value, message):
+        raw = scenario([ev(1, "purchase", "t1", 10000),
+                        ev(3, "refund", "t1", 1000)]).to_json_dict()
+        raw["events"][1][field] = value
+        with pytest.raises(ScenarioInvalid) as exc:
+            run(Scenario.from_json_dict(raw))
+        assert str(exc.value) == message
+
     def test_python_built_scenario_checked_too(self):
         # a float day used to log nothing and report integrity_ok
         with pytest.raises(ScenarioInvalid, match="event 0: day must be an integer"):

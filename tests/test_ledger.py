@@ -26,6 +26,30 @@ def make_txn(**kw):
     return Transaction(**defaults)
 
 
+# each key of the config's JSON layout and the constructor argument it sets
+FIELD_OF_KEY = {
+    "variant": "variant",
+    "reward_rate_bps": "reward_rate",
+    "monthly_cap_minor": "monthly_cap",
+    "b_min_minor": "b_min",
+    "grace_days": "grace_days",
+    "period_length_days": "period_length_days",
+    "delivery_delay_days": "delivery_delay_days",
+}
+# configs that set every field away from the constructor's default
+CONFIGS_OFF_DEFAULT = [
+    EngineConfig(
+        reward_rate={"GROCERY": Fraction(5, 100), "*": Fraction(1, 100)},
+        monthly_cap={"GROCERY": 5000}, b_min=100, grace_days=3,
+        period_length_days=14, variant="defensive-cycle", delivery_delay_days=2,
+    ),
+    EngineConfig(
+        reward_rate={"FUEL": Fraction(1, 10000)}, monthly_cap={"*": 0}, b_min=1,
+        grace_days=0, period_length_days=7, variant="A", delivery_delay_days=9,
+    ),
+]
+
+
 class TestTransaction:
     def test_positive_amount_required(self):
         with pytest.raises(ValueError):
@@ -259,6 +283,27 @@ class TestEngineConfig:
         )
         again = EngineConfig.from_json_dict(cfg.to_json_dict())
         assert again == cfg
+
+    def test_empty_json_config_is_the_default(self):
+        assert EngineConfig.from_json_dict({}) == EngineConfig()
+
+    @pytest.mark.parametrize("cfg", CONFIGS_OFF_DEFAULT, ids=["cycle", "A"])
+    def test_every_field_off_its_default_round_trips(self, cfg):
+        default = EngineConfig()
+        assert all(getattr(cfg, name) != getattr(default, name)
+                   for name in EngineConfig.__slots__)
+        assert EngineConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    @pytest.mark.parametrize("key", list(FIELD_OF_KEY))
+    def test_absent_json_key_takes_the_constructor_default(self, key):
+        cfg = CONFIGS_OFF_DEFAULT[0]
+        raw = cfg.to_json_dict()
+        del raw[key]
+        loaded = EngineConfig.from_json_dict(raw)
+        default = EngineConfig()
+        for name in EngineConfig.__slots__:
+            source = default if name == FIELD_OF_KEY[key] else cfg
+            assert getattr(loaded, name) == getattr(source, name), name
 
     def test_rates_serialize_as_basis_points(self):
         cfg = EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)})
