@@ -26,9 +26,10 @@ in percent, the pairs the change won and ``within_bound``, whether the
 change's median is worse than the parent's by no more than the metric's
 ``bound``; and the medians of ``setup_s``'s two parts, ``import_s`` and
 ``inputs_s``), traced runs under ``trace``
-(the median of every per-layer metric).  Both record in
-``digests_match`` whether the two sides of every pair wrote the same
-output digest.  ``--claim`` names the metric the change claims to
+(the median of every per-layer metric; its times are raw wall seconds,
+since perfbench scales only the end-to-end timings by its gauge).  Both
+record in ``digests_match`` whether the two sides of every pair wrote the
+same output digest.  ``--claim`` names the metric the change claims to
 improve on this workload.  ``src_lines`` holds the lines of
 ``src/**/*.py`` in the parent and the change trees, the net line delta
 every change states.
@@ -52,6 +53,10 @@ BUILD = ROOT / ".bench_build"
 SIDES = ("parent", "change")
 # the parts of setup_s that every result document records under "setup"
 SETUP_PARTS = ("import_s", "inputs_s")
+# perfbench scales its end-to-end timings by its host-speed gauge, but a
+# traced per-layer time is wall seconds divided only by the scenario count
+TRACE_TIMINGS = ("raw wall seconds, not scaled by perfbench's gauge; compare "
+                 "the sides only where their host_slowdown readings match")
 
 
 def git(*args: str) -> bytes:
@@ -158,9 +163,16 @@ def summarise(runs: list, spec: dict) -> dict:
     return summary
 
 
+def host_line(prov: dict) -> str:
+    return (f"{prov['nproc']} CPUs, {prov['platform']}, Python {prov['python']}; "
+            "end-to-end timings scaled by perfbench's gauge, traced per-layer "
+            "times in raw wall seconds")
+
+
 def trace_medians(runs: list, command: str) -> dict:
     return {
         "command": command,
+        "timings": TRACE_TIMINGS,
         "pairs": len(runs),
         "digests_match": digests_match(runs),
         "median": {side: {name: statistics.median(r[side]["metrics"][name]["value"]
@@ -240,8 +252,7 @@ def main(argv=None) -> int:
                    "commit and on this change, each run in its own copy of the tree.")
     doc["parent_commit"] = git("rev-parse", "HEAD").decode().strip()
     doc["src_lines"] = lines
-    doc["host"] = (f"{prov['nproc']} CPUs, {prov['platform']}, Python {prov['python']}; "
-                   "timings scaled by perfbench's gauge")
+    doc["host"] = host_line(prov)
     if args.claim:
         doc["claim"] = {"metric": args.claim, "workload": args.workload,
                         "command": command}

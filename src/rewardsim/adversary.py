@@ -54,15 +54,26 @@ class AttackOutcome(NamedTuple):
         ]
 
 
+CYCLE_DAYS = 30
+
+
 def attack_config(variant: str) -> EngineConfig:
     return EngineConfig(
         reward_rate={ATTACK_CATEGORY: ATTACK_RATE},
         monthly_cap={ATTACK_CATEGORY: ATTACK_CAP_MINOR},
         b_min=0,
         grace_days=7,
-        period_length_days=30,
+        period_length_days=CYCLE_DAYS,
         variant=variant,
     )
+
+
+# each timing's purchase and refund day within a cycle (a refund past the
+# cycle lands after its close); the control never refunds
+TIMINGS = {SAME_CYCLE: (2, 12), CROSS_CYCLE: (20, CYCLE_DAYS + 5), CONTROL: (2, None)}
+# the (timing, refund fraction) of each scenario the matrix is scored on
+BATTERY = ((SAME_CYCLE, Fraction(1)), (CROSS_CYCLE, Fraction(1)),
+           (CROSS_CYCLE, Fraction(1, 2)), (CONTROL, Fraction(1)))
 
 
 def build_ddra_scenario(
@@ -72,47 +83,35 @@ def build_ddra_scenario(
     cycles: int = DEFAULT_CYCLES,
     refund_fraction: Fraction = Fraction(1),
 ) -> Scenario:
-    """One purchase-and-refund pair per billing cycle.
-
-    Same-cycle refunds land mid-cycle, before the statement closes.
-    Cross-cycle refunds land early in the following cycle, after any
-    close-time settlement has already credited the reward.
-    """
+    """One purchase-and-refund pair per billing cycle, on the days
+    ``TIMINGS`` gives ``timing``."""
     if purchase_minor < 1:
         raise ValueError(f"purchase_minor must be at least 1, got {purchase_minor}")
     if cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cycles}")
+    try:
+        buy, refund = TIMINGS[timing]
+    except KeyError:
+        raise ValueError(f"unknown attack timing {timing!r}") from None
     refund_minor = int(refund_fraction * purchase_minor)
-    if timing in (SAME_CYCLE, CROSS_CYCLE) and (
-        not 0 < refund_fraction <= 1 or refund_minor == 0
-    ):
+    if refund is not None and (not 0 < refund_fraction <= 1 or refund_minor == 0):
         raise ValueError(
             f"refund_fraction must lie in (0, 1] and refund at least one minor "
             f"unit of purchase_minor, got {refund_fraction} of {purchase_minor}"
         )
-    config = attack_config(variant)
-    length = config.period_length_days
     events = []
     for k in range(cycles):
-        txn_id = f"t{k:03d}"
-        if timing == SAME_CYCLE:
-            p_day, r_day = k * length + 2, k * length + 12
-        elif timing == CROSS_CYCLE:
-            p_day, r_day = k * length + 20, (k + 1) * length + 5
-        elif timing == CONTROL:
-            p_day, r_day = k * length + 2, None
-        else:
-            raise ValueError(f"unknown attack timing {timing!r}")
+        txn_id, start = f"t{k:03d}", k * CYCLE_DAYS
         # day, kind, txn_id, amount_minor, category; tuple.__new__ skips
         # the named tuple's Python-level __new__
         events.append(tuple.__new__(ScenarioEvent, (
-            p_day, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)))
-        if r_day is not None:
+            start + buy, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)))
+        if refund is not None:
             events.append(tuple.__new__(ScenarioEvent, (
-                r_day, "refund", txn_id, refund_minor, "")))
+                start + refund, "refund", txn_id, refund_minor, "")))
     return Scenario(
         label=f"ddra-{variant}-{timing}",
-        config=config,
+        config=attack_config(variant),
         events=events,
         auto_redeem=True,
         user="attacker",
@@ -148,11 +147,6 @@ def run_ddra(
 
 
 def run_battery(variant: str, cycles: int = DEFAULT_CYCLES) -> list:
-    """The fixed four-scenario battery the comparison matrix is scored on."""
-    return [
-        run_ddra(variant, timing=SAME_CYCLE, cycles=cycles),
-        run_ddra(variant, timing=CROSS_CYCLE, cycles=cycles),
-        run_ddra(variant, timing=CROSS_CYCLE, cycles=cycles,
-                 refund_fraction=Fraction(1, 2)),
-        run_ddra(variant, timing=CONTROL, cycles=cycles),
-    ]
+    """The ``BATTERY`` scenarios the comparison matrix is scored on, in order."""
+    return [run_ddra(variant, timing=timing, cycles=cycles, refund_fraction=fraction)
+            for timing, fraction in BATTERY]

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .adversary import (
     ATTACK_CAP_MINOR,
-    CONTROL,
-    CROSS_CYCLE,
     SAME_CYCLE,
+    TIMINGS,
     DEFAULT_CYCLES,
     DEFAULT_PURCHASE_MINOR,
     run_battery,
@@ -125,9 +124,12 @@ def cmd_attack(args) -> int:
         return EXIT_VIOLATION
     lags = [l for l in outcome.restore_lags() if l is not None and l > 0]
     if lags:
+        # a clawback that outran the balance is debt, recovered only from
+        # future qualifying spend
         print(
-            f"WARNING: clawback lags refunds by up to {max(lags)} days "
-            "(float window, fully recovered by quiescence)"
+            f"WARNING: clawback lags refunds by up to {max(lags)} days (float "
+            f"window, {format_usd(max(0, -outcome.balance_minor))} still owed "
+            "at quiescence)"
         )
     else:
         print("RESULT: no value extracted")
@@ -138,13 +140,7 @@ def cmd_matrix(args) -> int:
     battery = {name: run_battery(name) for name in MATRIX_VARIANTS + ["V3a"]}
     rows = comparison_matrix(battery)
     if args.format == "json":
-        text = json.dumps(rows, indent=2, ensure_ascii=False)
-        try:  # io.StringIO has no encoding and takes any text
-            text.encode(getattr(sys.stdout, "encoding", None) or "utf-8")
-        except UnicodeEncodeError:
-            # stdout's backslash escapes are not JSON; JSON's own are
-            text = json.dumps(rows, indent=2)
-        print(text)
+        print(json.dumps(rows, indent=2))
     else:
         sys.stdout.write(render_matrix(rows))
     return EXIT_OK
@@ -244,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run the refund double-dip against a variant")
     p.add_argument("--issuer", required=True)
     p.add_argument("--strategy", choices=["ddra"], default="ddra")
-    p.add_argument("--timing", choices=[SAME_CYCLE, CROSS_CYCLE, CONTROL],
-                   default=SAME_CYCLE)
+    p.add_argument("--timing", choices=list(TIMINGS), default=SAME_CYCLE)
     p.add_argument("--purchase", type=int, default=DEFAULT_PURCHASE_MINOR,
                    help="purchase size in minor units")
     p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES)

@@ -65,6 +65,9 @@ class Scenario:
 
     def __init__(self, label: str, config: EngineConfig, events: list | None = None,
                  auto_redeem: bool = False, user: str = "u1"):
+        # the arguments by name; every type is checked before any text is
+        check_fields(_SCENARIO_FIELDS, locals(), ScenarioInvalid, utf8=False)
+        check_fields(_SCENARIO_FIELDS, locals(), ScenarioInvalid)
         self.label = label
         self.config = config
         self.events = [] if events is None else events
@@ -105,9 +108,6 @@ class Scenario:
                 e["day"], e["kind"], get("txn_id", ""), get("amount_minor", 0),
                 get("category", ""))))
         config = EngineConfig.from_json_dict(raw["config"])
-        # every type is checked before any text is
-        check_fields(_SCENARIO_FIELDS, raw, ScenarioInvalid, utf8=False)
-        check_fields(_SCENARIO_FIELDS, raw, ScenarioInvalid)
         # absent optional keys take the defaults
         return cls(config=config, events=events,
                    **{k: raw[k] for k in _SCENARIO_FIELDS if k in raw})

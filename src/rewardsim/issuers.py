@@ -122,17 +122,12 @@ CLASSIFICATION_NOTE = (
 
 
 def comparison_matrix(battery: dict) -> list[dict]:
-    """Build matrix rows from ``battery``: variant name -> outcome list.
-
-    Rows cover A-F in order, plus a V3a appendix row when present.
-    """
+    """Build matrix rows from ``battery``: variant name -> outcome list,
+    one row per entry, in the battery's order."""
     rows = []
-    names = [n for n in MATRIX_VARIANTS if n in battery]
-    if "V3a" in battery:
-        names.append("V3a")
-    for name in names:
+    for name, outcomes in battery.items():
         variant = get_variant(name)
-        label = classify(variant, battery[name])
+        label = classify(variant, outcomes)
         neg = _negative_balance_label(variant)
         if name == "F":
             neg += "*"

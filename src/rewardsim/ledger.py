@@ -518,9 +518,9 @@ class EngineConfig:
             value = getattr(self, name)
             if type(value) is not dict:
                 raise ConfigError(f"{name} must be a mapping, got {value!r}")
+            key = f"{name} category"
             for cat in value:
-                if type(cat) is not str:
-                    raise ConfigError(f"{name} category must be a string, got {cat!r}")
+                check_fields({key: str}, {key: cat}, ConfigError)
         for cat, rate in self.reward_rate.items():
             if type(rate) is not Fraction:
                 raise ConfigError(f"rate for {cat!r} must be a Fraction, got {rate!r}")

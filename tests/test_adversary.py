@@ -7,8 +7,10 @@ from rewardsim.adversary import (
     CONTROL,
     CROSS_CYCLE,
     SAME_CYCLE,
+    TIMINGS,
     build_ddra_scenario,
 )
+from rewardsim.cli import build_parser
 from rewardsim.invariants import net_spend
 
 
@@ -34,6 +36,16 @@ class TestScenarioGeometry:
     def test_unknown_timing(self):
         with pytest.raises(ValueError):
             build_ddra_scenario("A", timing="sideways")
+
+    def test_unknown_timing_named_before_the_refund_fraction(self):
+        with pytest.raises(ValueError) as exc:
+            build_ddra_scenario("A", timing="sideways", refund_fraction=Fraction(0))
+        assert str(exc.value) == "unknown attack timing 'sideways'"
+
+    def test_attack_takes_the_table_timings_in_order(self):
+        attack = build_parser()._subparsers._group_actions[0].choices["attack"]
+        timing = next(a for a in attack._actions if a.dest == "timing")
+        assert timing.choices == list(TIMINGS) == [SAME_CYCLE, CROSS_CYCLE, CONTROL]
 
     @pytest.mark.parametrize("fraction,purchase", [
         (Fraction(1, 2), 1), (Fraction(1, 3), 2), (Fraction(0), 10000),

@@ -58,6 +58,20 @@ def test_one_differing_pair_is_recorded_in_summary_and_trace():
     assert bench_pairs.trace_medians(runs[:1], "cmd")["digests_match"] is True
 
 
+def test_traced_times_are_labelled_raw_wall_seconds():
+    # perfbench divides a traced span by the scenario count only, so the
+    # record must not call those times gauge-scaled
+    runs = [{"first": "parent", "parent": result(10.0, 5.0),
+             "change": result(8.0, 6.0)}]
+    assert bench_pairs.trace_medians(runs, "cmd")["timings"] == (
+        "raw wall seconds, not scaled by perfbench's gauge; compare the sides "
+        "only where their host_slowdown readings match")
+    prov = {"nproc": 2, "platform": "Linux", "python": "3.11.7"}
+    assert bench_pairs.host_line(prov) == (
+        "2 CPUs, Linux, Python 3.11.7; end-to-end timings scaled by perfbench's "
+        "gauge, traced per-layer times in raw wall seconds")
+
+
 def test_within_bound_in_each_metric_direction():
     lower, higher = SPEC["end_to_end"]
     # p50 may grow by 20% of the parent's median, rate fall by 10%

@@ -337,6 +337,23 @@ class TestScenarioJson:
         with pytest.raises(ScenarioInvalid, match=f"^{message}$"):
             Scenario.from_json_dict(raw)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("auto_redeem", "no", "auto_redeem must be true or false, got 'no'"),
+        ("user", None, "user must be a string, got None"),
+        ("label", "t\ud800", "label is not valid UTF-8 text: 't\\ud800'"),
+    ], ids=["text-auto-redeem", "null-user", "surrogate-label"])
+    def test_python_built_scenario_fields_checked_as_in_a_file(self, field, value,
+                                                               message):
+        # a text auto_redeem used to turn the sweep on and redeem, and a
+        # None user to fail only in write_jsonl with a TypeError
+        raw = {"schema": 1, "label": "x", "config": {}, "events": [], field: value}
+        with pytest.raises(ScenarioInvalid) as from_file:
+            Scenario.from_json_dict(raw)
+        kwargs = {"label": "x", "config": EngineConfig(), field: value}
+        with pytest.raises(ScenarioInvalid) as built:
+            Scenario(**kwargs)
+        assert str(built.value) == str(from_file.value) == message
+
     def test_absent_optional_keys_take_the_defaults(self):
         raw = {"schema": 1, "label": "x", "config": {},
                "events": [{"day": 1, "kind": "purchase"}]}

@@ -90,6 +90,13 @@ class TestMatrix:
         rows = comparison_matrix(battery)
         assert [r["variant"] for r in rows] == MATRIX_VARIANTS + ["V3a"]
 
+    def test_rows_follow_the_battery_order(self):
+        # any variant the battery holds gets a row, where the battery has it
+        names = ["defensive-cycle", "V3a", "F", "A"]
+        rows = comparison_matrix({n: [outcome()] for n in names})
+        assert [r["variant"] for r in rows] == names
+        assert comparison_matrix({}) == []
+
     def test_display_labels(self):
         battery = {n: [outcome()] for n in MATRIX_VARIANTS + ["V3a"]}
         by_name = {r["variant"]: r for r in comparison_matrix(battery)}
