@@ -93,8 +93,15 @@ def build_ddra_scenario(
         buy, refund = TIMINGS[timing]
     except KeyError:
         raise ValueError(f"unknown attack timing {timing!r}") from None
-    refund_minor = int(refund_fraction * purchase_minor)
-    if refund is not None and (not 0 < refund_fraction <= 1 or refund_minor == 0):
+    # only an int or a Fraction has exact integer terms
+    if not isinstance(refund_fraction, (int, Fraction)):
+        raise ValueError(
+            f"refund_fraction must be an int or a Fraction, got {refund_fraction!r}")
+    # the integer terms give int(refund_fraction * purchase_minor) for every
+    # fraction in (0, 1] without Fraction's Python-level arithmetic
+    n, d = refund_fraction.numerator, refund_fraction.denominator
+    refund_minor = n * purchase_minor // d
+    if refund is not None and (not 0 < n <= d or refund_minor == 0):
         raise ValueError(
             f"refund_fraction must lie in (0, 1] and refund at least one minor "
             f"unit of purchase_minor, got {refund_fraction} of {purchase_minor}"

@@ -99,8 +99,11 @@ class Scenario:
         for index, e in enumerate(raw.get("events", [])):
             if type(e) is not dict:
                 raise ScenarioInvalid(f"event {index} must be a JSON object, got {e!r}")
-            check_keys(e, _EVENT_KEYS, ("day", "kind"), ScenarioInvalid, "key",
-                       f"event {index}: ")
+            # the event's prefix is built only for a refusal
+            try:
+                check_keys(e, _EVENT_KEYS, ("day", "kind"), ScenarioInvalid, "key")
+            except ScenarioInvalid as exc:
+                raise ScenarioInvalid(f"event {index}: {exc}") from None
             # ScenarioEvent's defaults; tuple.__new__ skips the named
             # tuple's Python-level __new__, which costs more than the tuple
             get = e.get

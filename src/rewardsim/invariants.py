@@ -19,12 +19,14 @@ one streaming pass over it that keeps only the state it reads:
 category) bucket, ``check_rrc`` the principal, reward and ceiling of
 each transaction and the open reversals.  Each bucket and each
 purchase keeps its rate as the integer terms ``(-numerator,
-denominator)`` of ``money.ceil_terms``, taken once with ``rate_ceil``'s
-check, so every ceiling after an event is the one integer expression
-``-(n * amount // d)``.  The aggregates the simulation reads on every
-run (``net_spend``, ``oracle_bound``, ``net_reward_from_log``) stay
-single lean passes: on a short log they are cheaper than either
-checker's pass.
+denominator)`` of ``money.ceil_terms``, so every ceiling after an event
+is the one integer expression ``-(n * amount // d)``.  A pass takes the
+terms of each category once, with ``rate_ceil``'s check, from its own
+``_CeilTerms`` table: a Fraction's ``numerator`` and ``denominator``
+are Python-level properties, which cost more than the division.  The
+aggregates the simulation reads on every run (``net_spend``,
+``oracle_bound``, ``net_reward_from_log``) stay single lean passes: on
+a short log they are cheaper than either checker's pass.
 
 Every function answers for the whole log it is given.  Reward integrity
 as of the log's end is ``integrity_series(log, config)[-1]``, and its
@@ -50,7 +52,7 @@ from .ledger import (
     EventLog,
     LogInvalid,
 )
-from .money import ceil_terms, rate_ceil
+from .money import ceil_terms
 
 
 class IntegritySnapshot(NamedTuple):
@@ -68,6 +70,20 @@ class RrcVerdict(NamedTuple):
 
 
 _DAY = attrgetter("day")
+
+
+class _CeilTerms(dict):
+    """category -> ``ceil_terms(config.rate(category))``, taken on first use;
+    one table per pass, so a pass reads each category's rate once."""
+
+    __slots__ = ("config",)
+
+    def __init__(self, config: EngineConfig):
+        self.config = config
+
+    def __missing__(self, category: str) -> tuple[int, int]:
+        terms = self[category] = ceil_terms(self.config.rate(category))
+        return terms
 
 
 def _duplicate_purchase(ev) -> LogInvalid:
@@ -106,23 +122,26 @@ def oracle_bound(log: EventLog, config: EngineConfig) -> int:
     caps on purpose: the engine's net reward must stay at or below this
     under any refund sequence.
     """
-    flows: dict[str, list] = {}  # txn_id -> [rate, remaining principal]
+    terms = _CeilTerms(config)
+    # txn_id -> [*ceil_terms(rate), remaining principal]
+    flows: dict[str, list] = {}
     try:
         for ev in log:
             kind = ev.kind
             if kind == "purchase":
                 if ev.txn_id in flows:
                     raise _duplicate_purchase(ev)
-                flows[ev.txn_id] = [config.rate(ev.category), ev.amount_minor]
+                flows[ev.txn_id] = [*terms[ev.category], ev.amount_minor]
             elif kind in REVERSAL_KINDS:
-                flows[ev.txn_id][1] += ev.amount_minor
+                flows[ev.txn_id][2] += ev.amount_minor
             elif kind in REWARD_KINDS and ev.txn_id not in flows:
                 raise _no_purchase(ev)
     except KeyError:
         raise _no_purchase(ev) from None
     total = 0
-    for rate, principal in flows.values():
-        total += rate_ceil(rate, max(principal, 0))
+    for n, d, principal in flows.values():
+        if principal > 0:
+            total -= n * principal // d
     return total
 
 
@@ -154,6 +173,7 @@ def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnaps
     trips on the engine's own downward rounding.  The last snapshot
     answers for the whole log; an empty log has none.
     """
+    terms = _CeilTerms(config)
     # (period, category) -> [spend, ceiling, *ceil_terms(rate), cap]
     buckets: dict[tuple, list] = {}
     purchases: dict[str, list] = {}  # txn_id -> the bucket of its purchase
@@ -168,7 +188,7 @@ def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnaps
                 bucket = buckets.get((period, category))
                 if bucket is None:
                     bucket = buckets[period, category] = [
-                        0, 0, *ceil_terms(config.rate(category)),
+                        0, 0, *terms[category],
                         config.cap(category)]
                 purchases[txn_id] = bucket
             elif kind in REVERSAL_KINDS:
@@ -212,6 +232,7 @@ def check_rrc(
     reversals posts: only its own events move its flow, so its last test
     of a day is its answer at the end of that day.
     """
+    terms = _CeilTerms(config)
     # txn_id -> [*ceil_terms(rate), remaining principal, surviving reward,
     # ceiling], the ceiling being ceil(rate * remaining principal)
     flows: dict[str, list] = {}
@@ -224,7 +245,7 @@ def check_rrc(
             if kind == "purchase":
                 if txn_id in flows:
                     raise _duplicate_purchase(ev)
-                n, d = ceil_terms(config.rate(category))
+                n, d = terms[category]
                 flows[txn_id] = [n, d, amount, 0, -(n * amount // d) if amount > 0 else 0]
                 continue
             if kind in REVERSAL_KINDS:

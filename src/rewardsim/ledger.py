@@ -230,16 +230,16 @@ _NOUNS = {int: "an integer", str: "a string", bool: "true or false",
           dict: "a JSON object", list: "a JSON array"}
 
 
-def check_keys(raw: dict, known, required, error, noun: str, where: str = "") -> None:
+def check_keys(raw: dict, known, required, error, noun: str) -> None:
     """Refuse the first key of ``raw`` not in ``known`` (a set or a dict's
     keys), then the first of ``required`` it lacks: ``error`` is raised
-    with ``{where}unknown {noun} 'key'`` or ``{where}missing {noun} 'key'``."""
+    with ``unknown {noun} 'key'`` or ``missing {noun} 'key'``."""
     if not raw.keys() <= known:
         unknown = next(key for key in raw if key not in known)
-        raise error(f"{where}unknown {noun} {unknown!r}")
+        raise error(f"unknown {noun} {unknown!r}")
     for key in required:
         if key not in raw:
-            raise error(f"{where}missing {noun} {key!r}")
+            raise error(f"missing {noun} {key!r}")
 
 
 def check_fields(table: dict, values: dict, error, where: str = "",
@@ -524,7 +524,9 @@ class EngineConfig:
         for cat, rate in self.reward_rate.items():
             if type(rate) is not Fraction:
                 raise ConfigError(f"rate for {cat!r} must be a Fraction, got {rate!r}")
-            if not 0 <= rate <= 1:
+            # a Fraction's denominator is positive, so this is 0 <= rate <= 1
+            # without two Fraction rich comparisons
+            if not 0 <= rate.numerator <= rate.denominator:
                 raise ConfigError(f"rate for {cat!r} outside [0,1]: {rate}")
         for cat, cap in self.monthly_cap.items():
             if type(cap) is not int:

@@ -38,26 +38,30 @@ def rate_floor(rate: Fraction, amount: int) -> int:
     the published entitlement.
     """
     # a Fraction's denominator is positive: its sign is its numerator's,
-    # and reading it skips Fraction's slow rich comparison
-    if rate.numerator < 0:
+    # and reading it skips Fraction's slow rich comparison; each read of
+    # ``numerator`` is a Python-level property call, so it is read once
+    n = rate.numerator
+    if n < 0:
         raise ValueError(f"rate must be non-negative, got {rate}")
-    return (rate.numerator * amount) // rate.denominator
+    return (n * amount) // rate.denominator
 
 
 def rate_ceil(rate: Fraction, amount: int) -> int:
     """Smallest whole number of minor units not below rate * amount."""
-    if rate.numerator < 0:
+    n = rate.numerator
+    if n < 0:
         raise ValueError(f"rate must be non-negative, got {rate}")
-    return -((-rate.numerator * amount) // rate.denominator)
+    return -((-n * amount) // rate.denominator)
 
 
 def ceil_terms(rate: Fraction) -> tuple[int, int]:
     """The integer terms ``(n, d)`` of ``rate`` for which ``rate_ceil(rate,
     amount)`` is ``-((n * amount) // d)``: ``(-numerator, denominator)``,
     for a loop that takes the ceiling of one rate many times."""
-    if rate.numerator < 0:
+    n = rate.numerator
+    if n < 0:
         raise ValueError(f"rate must be non-negative, got {rate}")
-    return -rate.numerator, rate.denominator
+    return -n, rate.denominator
 
 
 def format_usd(minor: int) -> str:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_invariants as ref
+from rewardsim import invariants
 from rewardsim import (
     EngineConfig,
     EventLog,
@@ -250,3 +251,88 @@ class TestOnePass:
               "--config", str(cfg_path)])
         assert "invariants hold" in capsys.readouterr().out
         assert len(passes) == 2
+
+
+def heavy_log():
+    """Eight months of purchases in four categories, one of them rated by
+    the ``*`` fallback, with partial refunds and a chargeback."""
+    cfg = EngineConfig(
+        reward_rate={"GROCERY": Fraction(5, 100), "FUEL": Fraction(3, 100),
+                     "TRAVEL": Fraction(1, 3), "*": Fraction(1, 100)},
+        monthly_cap={"GROCERY": 2000}, variant="defensive-cycle")
+    events = []
+    for k in range(48):
+        txn_id, day = f"t{k:02d}", 1 + 5 * k
+        category = ("GROCERY", "FUEL", "TRAVEL", "BOOKS")[k % 4]
+        events.append(ScenarioEvent(day=day, kind="purchase", txn_id=txn_id,
+                                    amount_minor=1000 + 37 * k, category=category))
+        if k % 3 == 0:
+            events.append(ScenarioEvent(day=day + 4, kind="refund", txn_id=txn_id,
+                                        amount_minor=500))
+    events.append(ScenarioEvent(day=250, kind="chargeback", txn_id="t01",
+                                amount_minor=1037))
+    return run(Scenario(label="heavy", config=cfg, events=events),
+               daily_snapshots=False).log, cfg
+
+
+class TestRateTermsPerPass:
+    # each pass takes a category's integer rate terms once, however many
+    # purchases, buckets or periods it has
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        counted = []
+        raw_terms = invariants.ceil_terms
+
+        def terms_counted(rate):
+            counted.append(rate)
+            return raw_terms(rate)
+
+        monkeypatch.setattr(invariants, "ceil_terms", terms_counted)
+        return counted
+
+    CHECKS = [
+        lambda log, config: integrity_series(log, config),
+        lambda log, config: check_rrc(log, 3, config),
+        lambda log, config: oracle_bound(log, config),
+    ]
+    IDS = ["integrity_series", "check_rrc", "oracle_bound"]
+
+    @pytest.mark.parametrize("check", CHECKS, ids=IDS)
+    def test_walkthrough(self, fixtures_dir, taken, check):
+        log = EventLog.read_jsonl(fixtures_dir / "walkthrough.jsonl")
+        check(log, Scenario.load(fixtures_dir / "walkthrough.json").config)
+        assert taken == [Fraction(5, 100)]
+
+    @pytest.mark.parametrize("check", CHECKS, ids=IDS)
+    def test_heavy_log(self, taken, check):
+        log, config = heavy_log()
+        purchases = [ev for ev in log if ev.kind == "purchase"]
+        assert len(purchases) == 48 and len({ev.period for ev in purchases}) > 4
+        check(log, config)
+        # in order of each category's first purchase
+        assert taken == [Fraction(5, 100), Fraction(3, 100), Fraction(1, 3),
+                         Fraction(1, 100)]
+
+    @pytest.mark.parametrize("check", CHECKS, ids=IDS)
+    def test_a_second_pass_takes_its_own_terms(self, taken, check):
+        log, config = heavy_log()
+        check(log, config)
+        config.reward_rate["TRAVEL"] = Fraction(1, 4)
+        check(log, config)
+        assert taken[4:] == [Fraction(5, 100), Fraction(3, 100), Fraction(1, 4),
+                             Fraction(1, 100)]
+
+    @pytest.mark.parametrize("check", CHECKS, ids=IDS)
+    def test_a_negative_rate_is_refused_at_its_purchase(self, check):
+        # oracle_bound used to meet the orphan settle first, since it read
+        # the rate's sign only after its pass
+        config = EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)})
+        config.reward_rate["GROCERY"] = Fraction(-1, 20)
+        log = EventLog()
+        log.emit(day=0, kind="purchase", txn_id="t1", user="u1",
+                 amount_minor=10000, category="GROCERY", period=0)
+        log.emit(day=1, kind="settle", txn_id="zz", user="u1",
+                 amount_minor=500, category="GROCERY", period=0)
+        with pytest.raises(ValueError) as exc:
+            check(log, config)
+        assert str(exc.value) == "rate must be non-negative, got -1/20"
