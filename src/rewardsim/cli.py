@@ -57,25 +57,20 @@ def _load_config(path) -> EngineConfig:
     return EngineConfig.from_json_dict(load_json(path, ConfigError, "config"))
 
 
-def _print_violations(snapshots, verdicts, lag_note: str = "") -> bool:
-    """Print one line per failed check; True when every check passed."""
-    ok = True
-    for s in snapshots:
-        if not s.ok:
-            ok = False
-            print(
-                f"INTEGRITY VIOLATION day {s.day}: net reward "
-                f"{format_usd(s.net_reward)} exceeds bound {format_usd(s.bound)}"
-            )
+def _violations(snapshots, verdicts, lag_note: str = "") -> list[str]:
+    """One line per failed check: each failing integrity snapshot, then
+    each failing RRC verdict.  An empty list means every check passed."""
+    lines = [
+        f"INTEGRITY VIOLATION day {s.day}: net reward "
+        f"{format_usd(s.net_reward)} exceeds bound {format_usd(s.bound)}"
+        for s in snapshots if not s.ok
+    ]
     for v in verdicts:
         if not v.ok:
-            ok = False
             where = "never" if v.restored_day is None else f"day {v.restored_day}"
-            print(
-                f"CONSISTENCY VIOLATION txn {v.txn_id}: refund on day "
-                f"{v.refund_day} restored {where}{lag_note}"
-            )
-    return ok
+            lines.append(f"CONSISTENCY VIOLATION txn {v.txn_id}: refund on day "
+                         f"{v.refund_day} restored {where}{lag_note}")
+    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -88,6 +83,7 @@ def cmd_simulate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+    violations = _violations(report.snapshots, report.rrc)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -98,11 +94,8 @@ def cmd_simulate(args) -> int:
         print(f"balance: {format_usd(report.ledger.balance)}")
         print(f"redeemed: {format_usd(report.ledger.redeemed_total)}")
         print(f"net reward: {format_usd(report.net_reward)}")
-        if _print_violations(report.snapshots, report.rrc):
-            print("invariants: ok")
-    if any(not s.ok for s in report.snapshots) or any(not v.ok for v in report.rrc):
-        return EXIT_VIOLATION
-    return EXIT_OK
+        print("\n".join(violations or ["invariants: ok"]))
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def cmd_attack(args) -> int:
@@ -154,12 +147,12 @@ def cmd_check(args) -> int:
     config = _load_config(args.config)
     if delta is None:
         delta = default_consistency_window(config)
-    snapshots = integrity_series(log, config)
-    verdicts = check_rrc(log, delta, config)
-    if _print_violations(snapshots, verdicts, f" (allowed lag {delta}d)"):
-        print(f"checked {len(log)} events: invariants hold (allowed lag {delta}d)")
-        return EXIT_OK
-    return EXIT_VIOLATION
+    note = f" (allowed lag {delta}d)"
+    violations = _violations(integrity_series(log, config),
+                             check_rrc(log, delta, config), note)
+    print("\n".join(violations
+                    or [f"checked {len(log)} events: invariants hold{note}"]))
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _abuse_rate(text: str) -> Fraction:

@@ -242,13 +242,13 @@ def check_keys(raw: dict, known, required, error, noun: str) -> None:
             raise error(f"missing {noun} {key!r}")
 
 
-def check_fields(table: dict, values: dict, error, where: str = "",
-                 show_text: bool = True, utf8: bool = True) -> None:
+def check_fields(table: dict, values: dict, error, show_text: bool = True,
+                 utf8: bool = True) -> None:
     """Refuse, field by field in the order of ``table`` (name to type),
     the first of ``values`` not exactly of its type (JSON true is a bool,
     not an int) or, with ``utf8``, text that is not valid UTF-8, such as
-    a lone surrogate.  ``error`` is raised with ``{where}{name} must be
-    {noun}, got {value!r}`` or ``{where}{name} is not valid UTF-8 text:
+    a lone surrogate.  ``error`` is raised, unlocated, with ``{name} must
+    be {noun}, got {value!r}`` or ``{name} is not valid UTF-8 text:
     {value!r}``; without ``show_text`` a text's refusal names no value.
     A name ``values`` lacks is skipped: it takes its default."""
     for name, kind in table.items():
@@ -257,13 +257,13 @@ def check_fields(table: dict, values: dict, error, where: str = "",
         value = values[name]
         if type(value) is not kind:
             got = f", got {value!r}" if show_text or kind is not str else ""
-            raise error(f"{where}{name} must be {_NOUNS[kind]}{got}")
+            raise error(f"{name} must be {_NOUNS[kind]}{got}")
         if utf8 and kind is str and not value.isascii():
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 got = f": {value!r}" if show_text else ""
-                raise error(f"{where}{name} is not valid UTF-8 text{got}") from None
+                raise error(f"{name} is not valid UTF-8 text{got}") from None
 
 
 class _RepeatedKey(Exception):

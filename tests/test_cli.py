@@ -702,6 +702,34 @@ class TestRepeatedKeys:
         assert captured.out == ""
 
 
+class TestTruncatedJson:
+    @pytest.mark.parametrize("where,text,message", [
+        ("scenario", '{"schema": 1,',
+         "error: Expecting property name enclosed in double quotes: "
+         "line 1 column 14 (char 13)"),
+        ("config", '{"reward_rate_bps": {',
+         "error: Expecting property name enclosed in double quotes: "
+         "line 1 column 22 (char 21)"),
+    ])
+    def test_exits_1_with_json_own_message(self, tmp_path, capsys, where, text,
+                                           message):
+        # json's error is a ValueError; caught as one, it would read as an
+        # integer of more than 4300 digits
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        if where == "config":
+            cfg_path.write_text(text)
+            argv = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        else:
+            path = tmp_path / "truncated.json"
+            path.write_text(text)
+            argv = ["simulate", "--scenario", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+
 def run_cli(argv, options=(), **env):
     """``rewardsim`` in a child process, under interpreter ``options``
     and with ``env`` added to its environment."""

@@ -68,6 +68,16 @@ class TestSettlement:
         assert txn.status is TransactionStatus.SETTLED
         assert records["t1"].reward_original == 0
 
+    def test_fully_refunded_pending_purchase_has_no_base(self):
+        ledger, records, log, cfg = fresh()
+        txn = make_txn()
+        with pytest.raises(ValueError) as exc:
+            reward_on_settlement(ledger, records, txn, cfg, log, 1,
+                                 presettle_refunded=txn.amount)
+        assert str(exc.value) == "settlement base must be positive"
+        assert records == {} and len(log) == 0
+        assert txn.status is TransactionStatus.PENDING
+
     def test_double_settlement_rejected(self):
         ledger, records, log, cfg = fresh()
         txn = make_txn()

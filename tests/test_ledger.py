@@ -11,6 +11,7 @@ from rewardsim import (
     IllegalTransition,
     ParseError,
     RewardEvent,
+    Scenario,
     SequenceGap,
     Transaction,
     TransactionStatus,
@@ -144,6 +145,14 @@ class TestEventLog:
         ev = log.emit(day=0, kind="purchase", txn_id="t1", user="u1", amount_minor=1)
         assert ev.seq == 1
 
+    def test_append_refuses_an_unknown_kind(self):
+        log = EventLog()
+        bogus = RewardEvent(1, 0, "bogus", "t1", "u1", 0, "", 0)
+        with pytest.raises(ValueError) as exc:
+            log.append(bogus)
+        assert str(exc.value) == "unknown event kind 'bogus'"
+        assert len(log) == 0
+
     def test_jsonl_round_trip(self, tmp_path):
         log = EventLog()
         log.emit(day=0, kind="purchase", txn_id="t1", user="u1",
@@ -244,6 +253,13 @@ class TestEngineConfig:
         assert cfg.rate("FUEL") == Fraction(1, 100)
         assert cfg.cap("GROCERY") == 5000
         assert cfg.cap("FUEL") is None
+
+    def test_never_equal_to_another_type(self):
+        # equal_slots returns NotImplemented, so Python falls back to
+        # identity rather than comparing slots of unlike objects
+        assert EngineConfig().__eq__(5) is NotImplemented
+        assert (EngineConfig() == 5) is False
+        assert (Scenario("x", EngineConfig()) == "x") is False
 
     def test_unknown_category_earns_nothing(self):
         cfg = EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)})
