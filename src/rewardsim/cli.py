@@ -24,7 +24,6 @@ from .adversary import (
 )
 from .harness import (
     Scenario,
-    ScenarioInvalid,
     default_consistency_window,
     format_millions,
     leakage_estimate,
@@ -32,16 +31,7 @@ from .harness import (
 )
 from .invariants import check_rrc, integrity_series
 from .issuers import MATRIX_VARIANTS, comparison_matrix, render_matrix
-from .ledger import (
-    ConfigError,
-    EngineConfig,
-    EventLog,
-    LogInvalid,
-    ParseError,
-    SequenceGap,
-    _long_integer,
-    load_json,
-)
+from .ledger import ConfigError, EngineConfig, EventLog, _long_integer, load_json
 from .money import format_usd
 
 EXIT_OK = 0
@@ -105,8 +95,7 @@ def cmd_attack(args) -> int:
         purchase_minor=args.purchase,
         cycles=args.cycles,
     )
-    print(f"issuer: {outcome.variant}  strategy: {args.strategy}  "
-          f"timing: {outcome.timing}")
+    print(f"issuer: {outcome.variant}  strategy: ddra  timing: {outcome.timing}")
     print(f"cycles: {outcome.cycles}  purchase: {format_usd(outcome.purchase_minor)}")
     print(f"final net spend: {format_usd(outcome.net_spend_final)}")
     print(f"redeemed: {format_usd(outcome.redeemed_minor)}  "
@@ -232,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run the refund double-dip against a variant")
     p.add_argument("--issuer", required=True)
-    p.add_argument("--strategy", choices=["ddra"], default="ddra")
     p.add_argument("--timing", choices=list(TIMINGS), default=SAME_CYCLE)
     p.add_argument("--purchase", type=int, default=DEFAULT_PURCHASE_MINOR,
                    help="purchase size in minor units")
@@ -275,11 +263,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    # every refusal of an input is a ValueError, json's and rewardsim's
+    # alike; any other exception is a fault of the program
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ParseError, SequenceGap, LogInvalid,
-            ScenarioInvalid, ConfigError, KeyError, ValueError,
-            ZeroDivisionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -37,7 +37,7 @@ from .ledger import (
 SCENARIO_KINDS = ("purchase", "refund", "chargeback", "redeem-request")
 
 
-class ScenarioInvalid(Exception):
+class ScenarioInvalid(ValueError):
     pass
 
 
@@ -65,8 +65,7 @@ class Scenario:
 
     def __init__(self, label: str, config: EngineConfig, events: list | None = None,
                  auto_redeem: bool = False, user: str = "u1"):
-        # the arguments by name; every type is checked before any text is
-        check_fields(_SCENARIO_FIELDS, locals(), ScenarioInvalid, utf8=False)
+        # the arguments by name
         check_fields(_SCENARIO_FIELDS, locals(), ScenarioInvalid)
         self.label = label
         self.config = config
@@ -310,13 +309,15 @@ class Simulation:
             grace_days=grace, floor_balance_at_zero=self.variant.floors_at_zero,
             user=self.user,
         )
-        if self.variant.auto_redeem_at_close and self.ledger.balance > 0:
-            y = self.ledger.balance
+        # a payout, like the sweep, asks for the balance above b_min:
+        # the gate refuses any more
+        y = self.ledger.balance - self.config.b_min
+        if self.variant.auto_redeem_at_close and y > 0:
             if engine.can_redeem(self.ledger, y, day, self.config).allowed:
                 engine.redeem(self.ledger, y, day, self.config, self.log, self.user)
 
     def _sweep_policy(self, day: int) -> None:
-        y = self.ledger.balance
+        y = self.ledger.balance - self.config.b_min
         if y > 0 and engine.can_redeem(self.ledger, y, day, self.config).allowed:
             # the sweep's intent is the only one posted after the run set
             # the horizon from the scenario's last day, so it alone moves it
@@ -351,8 +352,8 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     - balance, hold and cap state change only on visited days;
     - ``can_redeem`` depends on the day only through ``today < hold``,
       which changes value on the hold day, a visited one;
-    - the sweep asks for the whole balance, so its ``b_min`` test
-      (``0 >= b_min``) does not depend on the day.
+    - the sweep asks for the balance above ``b_min``, so its ``b_min``
+      test (``balance - y = b_min >= b_min``) does not depend on the day.
 
     A sweep that redeems moves the horizon, so ``sim.final_day`` is read
     again after every visit.

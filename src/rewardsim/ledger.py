@@ -56,11 +56,11 @@ class IllegalTransition(Exception):
         self.dst = dst
 
 
-class SequenceGap(Exception):
+class SequenceGap(ValueError):
     """Event appended out of sequence."""
 
 
-class LogInvalid(Exception):
+class LogInvalid(ValueError):
     """A log event contradicts the events before it, named by its seq."""
 
     def __init__(self, seq: int, message: str):
@@ -92,7 +92,7 @@ def _collector_paused(fn):
     return paused
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -203,7 +203,7 @@ class RewardEvent(NamedTuple):
         return self._asdict()
 
 
-# the eight fields in wire order; a missing one raises KeyError naming it
+# the eight fields in wire order
 _wire_values = itemgetter(*RewardEvent._fields)
 # each field's type, in check order: integers first
 _LINE_FIELDS = {"seq": int, "day": int, "amount_minor": int, "period": int,
@@ -242,28 +242,25 @@ def check_keys(raw: dict, known, required, error, noun: str) -> None:
             raise error(f"missing {noun} {key!r}")
 
 
-def check_fields(table: dict, values: dict, error, show_text: bool = True,
-                 utf8: bool = True) -> None:
+def check_fields(table: dict, values: dict, error) -> None:
     """Refuse, field by field in the order of ``table`` (name to type),
     the first of ``values`` not exactly of its type (JSON true is a bool,
-    not an int) or, with ``utf8``, text that is not valid UTF-8, such as
-    a lone surrogate.  ``error`` is raised, unlocated, with ``{name} must
-    be {noun}, got {value!r}`` or ``{name} is not valid UTF-8 text:
-    {value!r}``; without ``show_text`` a text's refusal names no value.
-    A name ``values`` lacks is skipped: it takes its default."""
+    not an int) or text that is not valid UTF-8, such as a lone
+    surrogate.  ``error`` is raised, unlocated, with ``{name} must be
+    {noun}, got {value!r}`` or ``{name} is not valid UTF-8 text:
+    {value!r}``.  A name ``values`` lacks is skipped: it takes its
+    default."""
     for name, kind in table.items():
         if name not in values:
             continue
         value = values[name]
         if type(value) is not kind:
-            got = f", got {value!r}" if show_text or kind is not str else ""
-            raise error(f"{name} must be {_NOUNS[kind]}{got}")
-        if utf8 and kind is str and not value.isascii():
+            raise error(f"{name} must be {_NOUNS[kind]}, got {value!r}")
+        if kind is str and not value.isascii():
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError:
-                got = f": {value!r}" if show_text else ""
-                raise error(f"{name} is not valid UTF-8 text{got}") from None
+                raise error(f"{name} is not valid UTF-8 text: {value!r}") from None
 
 
 class _RepeatedKey(Exception):
@@ -283,33 +280,44 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _parse_json(text: str, error):
+    """The JSON document ``text``.  An object that repeats a key, JSON
+    nested deeper than the recursion limit and an integer of more digits
+    than int() takes raise ``error`` with a message; malformed JSON
+    raises json's own error."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        raise error(f"JSON repeats key {exc.args[0]!r}") from None
+    except RecursionError:
+        raise error("JSON nested too deep") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # json raises a bare ValueError, not a JSONDecodeError, only where
+        # int() refuses a number longer than the interpreter's digit limit
+        raise error(f"JSON holds an {_long_integer()}") from None
+
+
 def _scan_line(line_no: int, line: str) -> tuple:
     """The eight wire values of a stripped line read as json.loads reads
-    it, or the located error for the first thing wrong with it: a
-    missing field (named by the wire-order read, so before an unknown
-    one), an unknown field, a field of the wrong type or text that is
-    not valid UTF-8 (``check_fields``, integers first), then an unknown
-    kind.  An object that repeats a key is refused, not read with the
-    key's last value."""
-    try:
-        raw = json.loads(line, object_pairs_hook=_unique_keys)
-        values = _wire_values(raw)
-    except KeyError as exc:
-        raise ParseError(line_no, f"missing field {exc}") from exc
-    except _RepeatedKey as exc:
-        raise ParseError(line_no, f"repeated key {exc.args[0]!r}") from None
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise ParseError(line_no, str(exc)) from exc
-    except RecursionError:
-        raise ParseError(line_no, "JSON nested too deep") from None
-    except ValueError:
-        raise ParseError(line_no, _long_integer()) from None
+    it, or the located error for the first thing wrong with it, in the
+    order every input record is refused: not a JSON object, an unknown
+    field, a missing one (in wire order), then field by field
+    (``check_fields``, integers first) a wrong type or text that is not
+    valid UTF-8; then an unknown kind."""
     error = functools.partial(ParseError, line_no)
-    check_keys(raw, _LINE_FIELDS.keys(), (), error, "field")
-    check_fields(_LINE_FIELDS, raw, error, show_text=False)
+    try:
+        raw = _parse_json(line, error)
+    except json.JSONDecodeError as exc:
+        raise error(str(exc)) from None
+    if type(raw) is not dict:
+        raise error(f"a log line must be a JSON object, got {raw!r}")
+    check_keys(raw, _LINE_FIELDS.keys(), RewardEvent._fields, error, "field")
+    check_fields(_LINE_FIELDS, raw, error)
     if raw["kind"] not in EVENT_KINDS:
-        raise ParseError(line_no, f"unknown event kind {raw['kind']!r}")
-    return values
+        raise error(f"unknown event kind {raw['kind']!r}")
+    return _wire_values(raw)
 
 
 def _read_text(path) -> str:
@@ -431,38 +439,26 @@ def _scan_lines(text: str) -> list:
     return events
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 def _long_integer() -> str:
-    # json raises a bare ValueError, not a JSONDecodeError, only where
-    # int() refuses a number longer than the interpreter's digit limit
     return f"integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def load_json(path, error: type[Exception], what: str):
     """The JSON document in the file at ``path``.
 
-    A file that is not UTF-8, or JSON that Python cannot build, nested
-    deeper than the recursion limit or holding an integer of too many
-    digits, or an object that repeats a key, raises ``error`` with a
-    message naming ``what``; malformed JSON raises json's own error.
+    A file that is not UTF-8, or JSON that ``_parse_json`` refuses,
+    raises ``error`` with a message naming ``what``; malformed JSON
+    raises json's own error.
     """
     try:
         text = _read_text(path)
     except ParseError as exc:
         raise error(f"{what} {exc}") from None
-    try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except _RepeatedKey as exc:
-        raise error(f"{what} JSON repeats key {exc.args[0]!r}") from None
-    except RecursionError:
-        raise error(f"{what} JSON nested too deep") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        raise error(f"{what} JSON holds an {_long_integer()}") from None
+    return _parse_json(text, lambda message: error(f"{what} {message}"))
 
 
 _NO_RATE = Fraction(0)  # of a category with no rate and no "*" fallback

@@ -1,7 +1,9 @@
 """Reference event-log codec: the original ``json.dumps`` encoder and
 per-field reader, kept as a test-only oracle.  The reader has learned
-one rule since: a line with a field the wire format does not name is
-refused, as unknown scenario, event and config keys are.
+one rule since: a line is refused in the order every input record is,
+first a line that is not a JSON object, then a field the wire format
+does not name, then a missing field, then each field's type, naming the
+value.
 
 ``rewardsim.ledger`` encodes with one f-string and chooses its read
 path per file: a file made only of the writer's own lines is read by
@@ -52,23 +54,19 @@ def read_jsonl(path) -> EventLog:
                 continue
             try:
                 raw = json.loads(line)
-                ev = RewardEvent(
-                    seq=raw["seq"],
-                    day=raw["day"],
-                    kind=raw["kind"],
-                    txn_id=raw["txn_id"],
-                    user=raw["user"],
-                    amount_minor=raw["amount_minor"],
-                    category=raw["category"],
-                    period=raw["period"],
-                )
-            except KeyError as exc:
-                raise ParseError(line_no, f"missing field {exc}") from exc
-            except (json.JSONDecodeError, TypeError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ParseError(line_no, str(exc)) from exc
+            if not isinstance(raw, dict):
+                raise ParseError(
+                    line_no, f"a log line must be a JSON object, got {raw!r}"
+                )
             unknown = [key for key in raw if key not in RewardEvent._fields]
             if unknown:
                 raise ParseError(line_no, f"unknown field {unknown[0]!r}")
+            missing = [name for name in RewardEvent._fields if name not in raw]
+            if missing:
+                raise ParseError(line_no, f"missing field {missing[0]!r}")
+            ev = RewardEvent(**raw)
             for name in _INT_FIELDS:
                 value = getattr(ev, name)
                 # bool is an int subclass; JSON true is not a number
@@ -77,8 +75,11 @@ def read_jsonl(path) -> EventLog:
                         line_no, f"{name} must be an integer, got {value!r}"
                     )
             for name in _TEXT_FIELDS:
-                if not isinstance(getattr(ev, name), str):
-                    raise ParseError(line_no, f"{name} must be a string")
+                value = getattr(ev, name)
+                if not isinstance(value, str):
+                    raise ParseError(
+                        line_no, f"{name} must be a string, got {value!r}"
+                    )
             if ev.kind not in EVENT_KINDS:
                 raise ParseError(line_no, f"unknown event kind {ev.kind!r}")
             try:

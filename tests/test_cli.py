@@ -7,7 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from rewardsim import EngineConfig, EventLog, Scenario, ScenarioEvent, run
+from rewardsim import (
+    ConfigError,
+    EngineConfig,
+    EventLog,
+    LogInvalid,
+    ParseError,
+    Scenario,
+    ScenarioEvent,
+    ScenarioInvalid,
+    SequenceGap,
+    cli,
+    run,
+)
 from rewardsim.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 
 
@@ -297,8 +309,12 @@ class TestUsage:
             (["attack", "--issuer", "A", "--cycles", "abc"],
              "argument --cycles: invalid int value: 'abc'"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
+            # ddra was its only choice
+            (["attack", "--issuer", "A", "--strategy", "ddra"],
+             "unrecognized arguments: --strategy ddra"),
         ],
-        ids=["missing-issuer", "non-integer-cycles", "unknown-command"],
+        ids=["missing-issuer", "non-integer-cycles", "unknown-command",
+             "strategy"],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):
         # exit 2 is kept for a failed invariant, so a typo must not use it
@@ -467,12 +483,18 @@ class TestCheck:
             ([log_line(1, "purchase", "t\ud800"),
               log_line(2, "settle", "t\ud800", 500),
               log_line(3, "refund-posted", "t\ud800", -10000)],
-             "error: line 1: txn_id is not valid UTF-8 text"),
+             "error: line 1: txn_id is not valid UTF-8 text: 't\\ud800'"),
+            # each used to print Python's own TypeError text, such as
+            # "'int' object is not subscriptable"
+            *[([text], f"error: line 1: a log line must be a JSON object, got {got}")
+              for text, got in (("[1, 2]", "[1, 2]"), ("5", "5"),
+                                ('"abc"', "'abc'"), ("null", "None"))],
         ],
         ids=["reversal-no-purchase", "grant-no-purchase", "claw-no-purchase",
              "duplicate-purchase", "unknown-kind", "seq-gap", "missing-field",
              "bool-seq", "bool-day", "bool-amount", "bool-period",
-             "unknown-field", "lone-surrogate"],
+             "unknown-field", "lone-surrogate", "array-line", "number-line",
+             "string-line", "null-line"],
     )
     def test_bad_log_exits_1_with_located_message(self, tmp_path, capsys, lines,
                                                    message):
@@ -632,7 +654,7 @@ class TestLongIntegers:
     LONG = "9" * 5000  # past the interpreter's int-from-text digit limit
 
     @pytest.mark.parametrize("where,message", [
-        ("log", "error: line 2: integer of more than 4300 digits"),
+        ("log", "error: line 2: JSON holds an integer of more than 4300 digits"),
         ("config", "error: config JSON holds an integer of more than 4300 digits"),
         ("scenario",
          "error: scenario JSON holds an integer of more than 4300 digits"),
@@ -671,7 +693,7 @@ class TestLongIntegers:
 
 class TestRepeatedKeys:
     @pytest.mark.parametrize("where,message", [
-        ("log", "error: line 2: repeated key 'amount_minor'"),
+        ("log", "error: line 2: JSON repeats key 'amount_minor'"),
         ("config", "error: config JSON repeats key 'grace_days'"),
         ("scenario", "error: scenario JSON repeats key 'amount_minor'"),
     ])
@@ -739,6 +761,81 @@ def run_cli(argv, options=(), **env):
         [sys.executable, *options, "-m", "rewardsim.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+class TestRefusalOrder:
+    """Every input record is refused in one order: not a JSON object, an
+    unknown key, the first missing key, then field by field a wrong type
+    or text that is not valid UTF-8, each naming the value."""
+
+    def refused(self, tmp_path, capsys, record, fault) -> str:
+        """The error line of the command that reads ``record`` (scenario,
+        event, config or line) after ``fault`` changed it in place."""
+        log_path, cfg_path = TestCheck().make_log(tmp_path)
+        argv = ["check", "--log", str(log_path), "--config", str(cfg_path)]
+        if record == "line":
+            lines = [json.loads(text) for text in log_path.read_text().splitlines()]
+            fault(lines[0])
+            log_path.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+        elif record == "config":
+            raw = json.loads(cfg_path.read_text())
+            fault(raw)
+            cfg_path.write_text(json.dumps(raw))
+        else:
+            path, sc = write_scenario(tmp_path)
+            raw = sc.to_json_dict()
+            fault(raw if record == "scenario" else raw["events"][0])
+            path.write_text(json.dumps(raw))
+            argv = ["simulate", "--scenario", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        return line
+
+    @pytest.mark.parametrize("record,field,unknown,wrong_type", [
+        ("scenario", "label", "unknown scenario key 'bogus'",
+         "label must be a string, got None"),
+        ("event", "txn_id", "event 0: unknown key 'bogus'",
+         "event 0: txn_id must be a string, got None"),
+        ("config", "monthly_cap_minor", "unknown config key 'bogus'",
+         "monthly_cap_minor must be a JSON object, got None"),
+        # a log line's text faults used to name no value
+        ("line", "user", "line 1: unknown field 'bogus'",
+         "line 1: user must be a string, got None"),
+    ])
+    def test_an_unknown_key_comes_before_a_wrong_type(self, tmp_path, capsys,
+                                                      record, field, unknown,
+                                                      wrong_type):
+        def both(raw):
+            raw[field] = None
+            raw["bogus"] = 1
+
+        def wrong(raw):
+            raw[field] = None
+
+        assert self.refused(tmp_path, capsys, record, both) == f"error: {unknown}"
+        assert self.refused(tmp_path, capsys, record, wrong) == f"error: {wrong_type}"
+
+    @pytest.mark.parametrize("refusal", [ParseError, SequenceGap, LogInvalid,
+                                         ScenarioInvalid, ConfigError],
+                             ids=lambda refusal: refusal.__name__)
+    def test_every_refusal_is_a_value_error(self, refusal):
+        # main exits 1 on an OSError or a ValueError, and on nothing else
+        assert issubclass(refusal, ValueError)
+
+    @pytest.mark.parametrize("fault", [KeyError, ZeroDivisionError])
+    def test_a_fault_of_the_program_is_not_called_bad_input(self, monkeypatch,
+                                                            fault):
+        # no input reaches either; main used to print one as an error
+        # line and exit 1
+        def broken(name):
+            raise fault(name)
+
+        monkeypatch.setattr(cli, "run_battery", broken)
+        with pytest.raises(fault):
+            main(["matrix"])
 
 
 class TestEncoding:

@@ -135,7 +135,7 @@ def test_reader_rejects_text_that_is_not_utf8(tmp_path, name):
     path.write_text(line() + "\n" + bad + "\n")
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
-    assert str(got.value) == f"line 2: {name} is not valid UTF-8 text"
+    assert str(got.value) == f"line 2: {name} is not valid UTF-8 text: 't\\ud800'"
 
 
 def test_reader_rejects_deep_nesting_at_any_depth(tmp_path):
@@ -353,7 +353,7 @@ def test_reader_agrees_with_reference_on_a_long_integer(tmp_path):
     path.write_text(line(amount_minor="@").replace('"@"', "9" * 4301) + "\n")
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
-    assert str(got.value) == "line 1: integer of more than 4300 digits"
+    assert str(got.value) == "line 1: JSON holds an integer of more than 4300 digits"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -391,7 +391,7 @@ def test_reader_refuses_a_repeated_key(tmp_path, second, key, ref_error):
             ref.read_jsonl(path)
     with pytest.raises(ParseError) as got:
         EventLog.read_jsonl(path)
-    assert str(got.value) == f"line 2: repeated key {key!r}"
+    assert str(got.value) == f"line 2: JSON repeats key {key!r}"
 
 
 def test_reader_runs_with_the_collector_paused(tmp_path, monkeypatch):

@@ -179,6 +179,20 @@ class TestRun:
         assert run(scenario([]), daily_snapshots=snapshots).integrity_ok
 
 
+class TestPayoutAboveTheFloor:
+    @pytest.mark.parametrize("variant,sweep", [("C", True), ("B", False)],
+                             ids=["sweep", "close-payout"])
+    def test_pays_out_the_balance_above_b_min(self, variant, sweep):
+        # both used to ask for the whole balance, which the b_min gate
+        # always refuses: each redeemed $0.00 and kept $50.00
+        sc = scenario([ev(1, "purchase", "t1", 100_000)], variant=variant,
+                      auto_redeem=sweep, b_min=100)
+        report = run(sc)
+        assert (report.ledger.redeemed_total, report.ledger.balance) == (4900, 100)
+        assert [e.amount_minor for e in report.log if e.kind == "redeem"] == [-4900]
+        TestReplay().replay_round_trip(sc)
+
+
 class TestPeriodIndex:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_indexed_close_equals_the_filtered_one(self, variant, monkeypatch):

@@ -71,8 +71,7 @@ def schedules(draw):
     may be capped and which each purchase takes with even odds.  The
     sweep is on in three draws of four and half the draws drop their
     redeem-requests, so most draws test the sweep-only relations; and
-    since the sweep redeems the whole balance, which any ``b_min`` above
-    zero refuses, half the draws take ``b_min`` 0."""
+    half the draws take ``b_min`` 0, so the sweep empties the balance."""
     base = draw(scenarios())
     c = base.config
     rate = Fraction(draw(st.sampled_from([100, 500, 2500])), 10000)
