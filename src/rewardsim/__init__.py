@@ -7,12 +7,7 @@ double-dip attack harness, and log-replay based invariant checking.
 
 from .adversary import AttackOutcome, run_battery, run_ddra
 from .engine import (
-    AlreadySettled,
-    NonPositiveAmount,
-    NonPositiveRefund,
     RedeemDecision,
-    RedeemDenied,
-    RefundExceedsAmount,
     can_redeem,
     redeem,
     reward_on_chargeback,
@@ -62,7 +57,6 @@ from .money import format_usd, mul_fraction, rate_ceil, rate_floor
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlreadySettled",
     "AttackOutcome",
     "ConfigError",
     "EngineConfig",
@@ -71,12 +65,8 @@ __all__ = [
     "IntegritySnapshot",
     "IssuerVariant",
     "LogInvalid",
-    "NonPositiveAmount",
-    "NonPositiveRefund",
     "ParseError",
     "RedeemDecision",
-    "RedeemDenied",
-    "RefundExceedsAmount",
     "RewardEvent",
     "RewardRecord",
     "RrcVerdict",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -266,7 +267,14 @@ def main(argv=None) -> int:
     # every refusal of an input is a ValueError, json's and rewardsim's
     # alike; any other exception is a fault of the program
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # a reader gone is no input fault; stdout moves to devnull, so
+        # the flush at exit cannot fail again (the ``signal`` docs' advice)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,6 +4,11 @@ clawback, the redemption gate, and statement-cycle reconciliation.
 All four operations mutate a (UserLedger, records) pair for a single
 user and emit events on the shared log.  They are pure state-machine
 steps: same inputs, same outputs, no clocks and no randomness.
+
+The engine trusts its caller: each function states its preconditions
+and checks none, as ``harness.Simulation`` refuses a bad intent first.
+``ledger.transition``'s ``IllegalTransition`` asserts the lifecycle: a
+program fault, which the command line does not catch.
 """
 
 from __future__ import annotations
@@ -19,28 +24,6 @@ from .ledger import (
     transition,
 )
 from .money import mul_fraction, rate_floor
-
-
-class AlreadySettled(Exception):
-    pass
-
-
-class RefundExceedsAmount(Exception):
-    pass
-
-
-class NonPositiveRefund(Exception):
-    pass
-
-
-class NonPositiveAmount(Exception):
-    pass
-
-
-class RedeemDenied(Exception):
-    def __init__(self, reason: str):
-        super().__init__(f"redemption denied: {reason}")
-        self.reason = reason
 
 
 class RedeemDecision(NamedTuple):
@@ -69,14 +52,10 @@ def reward_on_settlement(
     The reward is computed on the amount less ``presettle_refunded``, the
     principal refunded while the transaction was pending; the
     transaction's own amount is never mutated.  Returns the reward
-    granted (0 when the rate or cap headroom is zero).
+    granted (0 when the rate or cap headroom is zero).  Preconditions:
+    ``txn`` is PENDING with no record, ``0 <= presettle_refunded < amount``.
     """
-    if txn.id in records:
-        raise AlreadySettled(f"transaction {txn.id} already has a reward record")
     base = txn.amount - presettle_refunded
-    if base <= 0:
-        raise ValueError("settlement base must be positive")
-
     category, period = txn.category, txn.period
     key = (period, category)
     used = ledger.monthly_used.get(key, 0)
@@ -92,8 +71,7 @@ def reward_on_settlement(
         r = 0
     # reward_current, reward_original, total_refunded, claw_base
     records[txn.id] = RewardRecord(r, r, presettle_refunded, base)
-    if txn.status is TransactionStatus.PENDING:
-        transition(txn, TransactionStatus.SETTLED)
+    transition(txn, TransactionStatus.SETTLED)
     return r
 
 
@@ -111,7 +89,8 @@ def settle_pending(
     that came back while it was pending.
 
     A transaction refunded in full is cancelled instead: it becomes
-    REFUNDED with a zero reward record.
+    REFUNDED with a zero reward record.  Preconditions: ``txn`` is
+    PENDING with no record, and ``0 <= refunded <= txn.amount``.
     """
     if refunded < txn.amount:
         reward_on_settlement(
@@ -191,20 +170,15 @@ def reward_on_refund(
 ) -> int:
     """Apply proportional clawback for a refund of ``x`` minor units.
 
-    Non-eligible statuses return 0 without mutation.  Cap headroom is
-    restored only for same-period refunds; cross-cycle clawback operates
-    purely through the balance.
+    Any status but SETTLED or PART_REF returns 0 without mutation: a
+    close passes over a late refund on a transaction charged back since.
+    Cap headroom is restored only for same-period refunds; cross-cycle
+    clawback operates purely through the balance.  Preconditions:
+    ``x > 0``, and at most the principal the record counts unrefunded.
     """
     if txn.status not in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
         return 0
-    if x <= 0:
-        raise NonPositiveRefund(f"refund amount must be positive, got {x}")
     record = records[txn.id]
-    if record.total_refunded + x > txn.amount:
-        raise RefundExceedsAmount(
-            f"refund {x} exceeds remaining refundable amount on {txn.id}"
-        )
-
     r_claw = _clawback(
         ledger, record, txn, x, log, day, current_period, kind,
         floor_balance_at_zero,
@@ -223,27 +197,22 @@ def reward_on_chargeback(
     current_period: int,
     floor_balance_at_zero: bool = False,
 ) -> int:
-    """Reverse all principal not yet refunded, from SETTLED or PART_REF,
-    through the same clawback math."""
-    if txn.status not in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
-        return 0
+    """Reverse all principal not yet refunded through the same clawback
+    math.  Precondition: ``txn`` is SETTLED or PART_REF."""
     record = records[txn.id]
-    remaining = txn.amount - record.total_refunded
-    r_claw = 0
-    if remaining > 0:
-        r_claw = _clawback(
-            ledger, record, txn, remaining, log, day, current_period,
-            "chargeback", floor_balance_at_zero,
-        )
+    # never 0: a SETTLED or PART_REF record has principal left
+    r_claw = _clawback(
+        ledger, record, txn, txn.amount - record.total_refunded, log, day,
+        current_period, "chargeback", floor_balance_at_zero,
+    )
     record.total_refunded = txn.amount
     transition(txn, TransactionStatus.CHARGEBACK)
     return r_claw
 
 
 def can_redeem(ledger, y: int, today: int, config: EngineConfig) -> RedeemDecision:
-    """Redemption gate: grace hold first, then the B_min floor."""
-    if y <= 0:
-        raise NonPositiveAmount(f"redemption amount must be positive, got {y}")
+    """Redemption gate: grace hold first, then the B_min floor.
+    Precondition: ``y > 0``."""
     hold = ledger.redemption_hold_until
     if hold is not None and today < hold:
         return _HELD
@@ -260,10 +229,8 @@ def redeem(
     log: EventLog,
     user: str,
 ) -> None:
-    """Execute an all-or-nothing redemption after the gate allows it."""
-    decision = can_redeem(ledger, y, today, config)
-    if not decision.allowed:
-        raise RedeemDenied(decision.reason)
+    """Execute an all-or-nothing redemption of ``y``.  Precondition:
+    ``can_redeem(ledger, y, today, config)`` has just allowed it."""
     ledger.balance -= y
     ledger.redeemed_total += y
     log.emit(today, "redeem", "", user, -y, "", config.period_of_day(today))

@@ -179,7 +179,9 @@ def default_consistency_window(config: EngineConfig) -> int:
 
 
 class Simulation:
-    """Single-user run of one scenario under one variant."""
+    """Single-user run of one scenario under one variant.  Its intent
+    handlers own every refusal of an intent, raised before any effect;
+    the engine checks none again, and ``run`` names the event."""
 
     def __init__(self, config: EngineConfig, user: str = "u1"):
         self.config = config
@@ -364,8 +366,9 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
     # a text day cannot fail inside it; bool is an int subclass, and a
     # float day or amount would reach the ledger.  Grouping in input order
     # and sorting the days equals a stable sort by day, then grouping.
-    by_day: dict[int, list] = {}
-    for index, ev in enumerate(scenario.events):
+    events = scenario.events
+    by_day: dict[int, list] = {}  # day -> its events' positions
+    for index, ev in enumerate(events):
         day, kind, txn_id, amount, category = ev
         # one test passes every well-typed ASCII event; any other event
         # is checked field by field, which names the first fault
@@ -381,7 +384,7 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             raise ScenarioInvalid(f"event {index}: unknown scenario event kind {kind!r}")
         if day < 0:
             raise ScenarioInvalid(f"event {index}: negative day {day}")
-        by_day.setdefault(day, []).append(ev)
+        by_day.setdefault(day, []).append(index)
     days = sorted(by_day)
     if days:
         # the last scenario intent bounds the run before it posts
@@ -403,15 +406,19 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             if txn.status is TransactionStatus.PENDING:
                 sim._settle_instant(day, txn)
         if day == next_intent:
-            for _, kind, txn_id, amount, category in by_day[day]:
-                if kind == "purchase":
-                    sim.purchase(day, txn_id, amount, category)
-                elif kind == "refund":
-                    sim.refund(day, txn_id, amount)
-                elif kind == "chargeback":
-                    sim.chargeback(day, txn_id)
-                elif kind == "redeem-request":
-                    sim.redeem_request(day, amount)
+            try:
+                for index in by_day[day]:
+                    _, kind, txn_id, amount, category = events[index]
+                    if kind == "purchase":
+                        sim.purchase(day, txn_id, amount, category)
+                    elif kind == "refund":
+                        sim.refund(day, txn_id, amount)
+                    elif kind == "chargeback":
+                        sim.chargeback(day, txn_id)
+                    elif kind == "redeem-request":
+                        sim.redeem_request(day, amount)
+            except ScenarioInvalid as exc:
+                raise ScenarioInvalid(f"event {index}: {exc}") from None
             next_intent = next(intent_days, None)
         if scenario.auto_redeem:
             # a sweep posts an intent, which moves the horizon as the

@@ -1,5 +1,6 @@
-"""Reference clock: the original day-by-day simulation loop, kept
-unchanged as a test-only oracle.
+"""Reference clock: the original day-by-day simulation loop, kept as a
+test-only oracle.  Its only change since is the ``event N: `` prefix a
+handler's refusal takes, as in ``run``.
 
 ``rewardsim.harness.run`` visits only the days on which state can
 change; ``tests/test_clock.py`` asserts that it gives the same log,
@@ -51,14 +52,15 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             )
         if ev.day < 0:
             raise ScenarioInvalid(f"event {index}: negative day {ev.day}")
-    events = sorted(scenario.events, key=lambda e: e.day)
+    # (position, event) pairs: a handler's refusal names the position
+    events = sorted(enumerate(scenario.events), key=lambda pair: pair[1].day)
     if events:
         # the last scenario intent bounds the run before it posts
-        sim._note_intent(events[-1].day)
+        sim._note_intent(events[-1][1].day)
 
     by_day: dict[int, list] = {}
-    for ev in events:
-        by_day.setdefault(ev.day, []).append(ev)
+    for index, ev in events:
+        by_day.setdefault(ev.day, []).append((index, ev))
 
     day = 0
     while day <= sim.final_day:
@@ -69,15 +71,18 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
             txn = sim.txns[txn_id]
             if txn.status is TransactionStatus.PENDING:
                 sim._settle_instant(day, txn)
-        for ev in by_day.get(day, []):
-            if ev.kind == "purchase":
-                sim.purchase(day, ev.txn_id, ev.amount_minor, ev.category)
-            elif ev.kind == "refund":
-                sim.refund(day, ev.txn_id, ev.amount_minor)
-            elif ev.kind == "chargeback":
-                sim.chargeback(day, ev.txn_id)
-            elif ev.kind == "redeem-request":
-                sim.redeem_request(day, ev.amount_minor)
+        for index, ev in by_day.get(day, []):
+            try:
+                if ev.kind == "purchase":
+                    sim.purchase(day, ev.txn_id, ev.amount_minor, ev.category)
+                elif ev.kind == "refund":
+                    sim.refund(day, ev.txn_id, ev.amount_minor)
+                elif ev.kind == "chargeback":
+                    sim.chargeback(day, ev.txn_id)
+                elif ev.kind == "redeem-request":
+                    sim.redeem_request(day, ev.amount_minor)
+            except ScenarioInvalid as exc:
+                raise ScenarioInvalid(f"event {index}: {exc}") from None
         if scenario.auto_redeem:
             # a sweep posts an intent, which moves the horizon as any
             # scenario intent does, so a replay runs the same closes

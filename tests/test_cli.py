@@ -975,3 +975,34 @@ class TestScripts:
         states = [line for line in proc.stdout.splitlines() if "status=" in line]
         assert "current=  $0.00" in states[-1]
         assert states[-1].endswith("status=REFUNDED")
+
+
+class TestClosedStdout:
+    """A reader that has closed the pipe is no input fault: the command
+    exits 1 with nothing on stderr, neither an ``error:`` line nor the
+    interpreter's ``Exception ignored`` note and exit 120."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--log", "LOG", "--config", "CONFIG"],
+        ["matrix"],
+        ["attack", "--issuer", "A"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_1_with_nothing_on_stderr(self, argv, tmp_path):
+        fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
+        config = tmp_path / "config.json"
+        scenario = json.loads((fixtures / "ddra_A.json").read_text())
+        config.write_text(json.dumps(scenario["config"]))
+        files = {"LOG": str(fixtures / "ddra_A.jsonl"), "CONFIG": str(config)}
+        env = dict(os.environ, PYTHONPATH=str(fixtures.parent.parent / "src"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child writes a byte
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rewardsim.cli",
+                 *(files.get(arg, arg) for arg in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_INPUT, "")

@@ -91,9 +91,9 @@ class TestRun:
         assert kinds == ["purchase", "settle", "redeem-request", "redeem"]
         assert report.ledger.redeemed_total == 500
 
-    def test_sweep_redemption_evaluates_the_gate_twice(self, monkeypatch):
-        # once in the sweep and once in engine.redeem's own check; the
-        # sweep posts its request without asking the gate a third time
+    def test_sweep_redemption_evaluates_the_gate_once(self, monkeypatch):
+        # in the sweep only: engine.redeem trusts the gate its caller
+        # asked, and the sweep posts its request without asking again
         calls = []
         gate = engine.can_redeem
 
@@ -105,7 +105,7 @@ class TestRun:
         report = run(scenario([ev(1, "purchase", "t1", 10000)], auto_redeem=True))
         assert [e.kind for e in report.log if e.kind.startswith("redeem")] == [
             "redeem-request", "redeem"]
-        assert calls == [1, 1]
+        assert calls == [1]
 
     def test_denied_request_logs_request_only(self):
         report = run(scenario([ev(1, "purchase", "t1", 10000),
@@ -246,23 +246,49 @@ class TestCloseVisits:
             assert report.ledger.redemption_hold_until is None
 
 
+# a purchase of 100 on day 1
+BOUGHT = [ev(1, "purchase", "t1", 100)]
+PENDING_CHARGEBACK = ("event 1: chargeback requires a settled or partly "
+                      "refunded transaction, 't1' is PENDING")
+# (events, config keywords, refusal): each handler's refusal, named by
+# its event's position in the scenario
+INVALID = [
+    ([ev(1, "refund", "nope", 100)], {}, "event 0: unknown transaction 'nope'"),
+    ([ev(1, "purchase", "t1", 0)], {},
+     "event 0: purchase amount must be positive, got 0"),
+    ([*BOUGHT, ev(2, "refund", "t1", 200)], {},
+     "event 1: refund 200 exceeds remaining principal on 't1'"),
+    # one event object twice: the second is named
+    (BOUGHT * 2, {}, "event 1: duplicate transaction id 't1'"),
+    ([*BOUGHT, ev(2, "chargeback", "nope")], {},
+     "event 1: unknown transaction 'nope'"),
+    ([ev(1, "redeem-request", amount=0)], {},
+     "event 0: redemption amount must be positive, got 0"),
+    ([ev(-1, "purchase", "t1", 100)], {}, "event 0: negative day -1"),
+    ([ev(1, "teleport", "t1", 100)], {},
+     "event 0: unknown scenario event kind 'teleport'"),
+    # the intents only the engine's own guards used to refuse as well
+    ([*BOUGHT, ev(2, "refund", "t1", 0)], {},
+     "event 1: refund amount must be positive, got 0"),
+    ([*BOUGHT, ev(2, "refund", "t1", 40), ev(3, "chargeback", "t1"),
+      ev(4, "refund", "t1", 10)], {},
+     "event 3: refund 10 exceeds remaining principal on 't1'"),
+    ([*BOUGHT, ev(2, "chargeback", "t1")], {"variant": "D"}, PENDING_CHARGEBACK),
+    ([*BOUGHT, ev(2, "chargeback", "t1")], {"delivery_delay_days": 5},
+     PENDING_CHARGEBACK),
+    # the position, not the run order: event 0 runs last
+    ([ev(5, "refund", "t1", 10), *BOUGHT, ev(1, "refund", "t1", 100)], {},
+     "event 0: refund 10 exceeds remaining principal on 't1'"),
+]
+
+
 class TestValidation:
-    @pytest.mark.parametrize(
-        "events",
-        [
-            [ev(1, "refund", "nope", 100)],
-            [ev(1, "purchase", "t1", 0)],
-            [ev(1, "purchase", "t1", 100), ev(2, "refund", "t1", 200)],
-            [ev(1, "purchase", "t1", 100), ev(1, "purchase", "t1", 100)],
-            [ev(1, "purchase", "t1", 100), ev(2, "chargeback", "nope")],
-            [ev(1, "redeem-request", amount=0)],
-            [ev(-1, "purchase", "t1", 100)],
-            [ev(1, "teleport", "t1", 100)],
-        ],
-    )
-    def test_invalid_scenarios_rejected(self, events):
-        with pytest.raises(ScenarioInvalid):
-            run(scenario(events))
+    @pytest.mark.parametrize("events,kw,message", INVALID,
+                             ids=[f"events{i}" for i in range(len(INVALID))])
+    def test_invalid_scenarios_rejected(self, events, kw, message):
+        with pytest.raises(ScenarioInvalid) as exc:
+            run(scenario(events, **kw))
+        assert str(exc.value) == message
 
     def test_over_refund_across_deferred_refunds(self):
         events = [
