@@ -25,7 +25,7 @@ def show(step: str, txn, record, ledger) -> None:
 def main() -> None:
     cfg = EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)})
     ledger, records, log = UserLedger(), {}, EventLog()
-    txn = Transaction(id="t1", user="u1", merchant="m", amount=100_00,
+    txn = Transaction(id="t1", user="u1", amount=100_00,
                       category="GROCERY", period=0)
 
     reward_on_settlement(ledger, records, txn, cfg, log, day=1)

@@ -120,7 +120,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    battery = {name: run_battery(name) for name in MATRIX_VARIANTS + ["V3a"]}
+    battery = {name: run_battery(name) for name in MATRIX_VARIANTS}
     rows = comparison_matrix(battery)
     if args.format == "json":
         print(json.dumps(rows, indent=2))

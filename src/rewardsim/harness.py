@@ -219,7 +219,7 @@ class Simulation:
         if amount <= 0:
             raise ScenarioInvalid(f"purchase amount must be positive, got {amount}")
         period = self.config.period_of_day(day)
-        txn = Transaction(txn_id, self.user, "m", amount, category, period)
+        txn = Transaction(txn_id, self.user, amount, category, period)
         self.txns[txn_id] = txn
         self.period_txns.setdefault(period, []).append(txn)
         self.log.emit(day, "purchase", txn_id, self.user, amount, category, period)

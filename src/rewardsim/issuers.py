@@ -1,11 +1,12 @@
 """Issuer behavior variants and the comparative classification matrix.
 
-Each variant is policy data over three dimensions: when a settlement
-reward is credited (``instant`` or at the statement close), when a
-refund claws a granted reward back (``refund_adjustment``), and whether
-a clawback may drive the balance below zero (``floors_at_zero``).  The
-simulation reads these fields directly; the matrix labels are derived
-from them.  ``classify`` maps a standard attack battery to the
+A variant is a point of five policy fields: when a settlement reward is
+credited (``instant`` or at the statement close), when a refund claws a
+granted reward back (``refund_adjustment``), whether a clawback may
+drive the balance below zero (``floors_at_zero``), and whether the close
+pays the balance out or starts a redemption hold.  A name is only a
+preset, a key of ``VARIANTS``; the simulation and the matrix labels read
+the fields.  ``classify`` maps a standard attack battery to the
 checkmark / cross / tilde labels of the comparison matrix.
 """
 
@@ -22,7 +23,6 @@ ADJ_STATEMENT_CLOSE = "statement-close"
 
 
 class IssuerVariant(NamedTuple):
-    name: str
     instant: bool  # credit at settlement; False: at the statement close
     refund_adjustment: str
     floors_at_zero: bool = False  # clawback debt beyond the balance is dropped
@@ -40,33 +40,25 @@ class IssuerVariant(NamedTuple):
                     and not self.auto_redeem_at_close)
 
 
+# C and defensive-instant are one point, and so are D and E
 VARIANTS = {
-    v.name: v
-    for v in [
-        # name, instant, refund_adjustment, then the flags that are set
-        IssuerVariant("A", True, ADJ_NONE),
-        IssuerVariant("B", False, ADJ_NONE, auto_redeem_at_close=True),
-        IssuerVariant("C", True, ADJ_IMMEDIATE),
-        IssuerVariant("D", False, ADJ_STATEMENT_CLOSE),
-        IssuerVariant("E", False, ADJ_STATEMENT_CLOSE),
-        IssuerVariant("F", True, ADJ_STATEMENT_CLOSE),
-        IssuerVariant("V3a", True, ADJ_IMMEDIATE, floors_at_zero=True),
-        IssuerVariant("defensive-instant", True, ADJ_IMMEDIATE),
-        IssuerVariant("defensive-cycle", False, ADJ_STATEMENT_CLOSE,
-                      uses_grace_hold=True),
-    ]
+    # instant, refund_adjustment, then the flags that are set
+    "A": IssuerVariant(True, ADJ_NONE),
+    "B": IssuerVariant(False, ADJ_NONE, auto_redeem_at_close=True),
+    "C": IssuerVariant(True, ADJ_IMMEDIATE),
+    "D": IssuerVariant(False, ADJ_STATEMENT_CLOSE),
+    "E": IssuerVariant(False, ADJ_STATEMENT_CLOSE),
+    "F": IssuerVariant(True, ADJ_STATEMENT_CLOSE),
+    "V3a": IssuerVariant(True, ADJ_IMMEDIATE, floors_at_zero=True),
+    "defensive-instant": IssuerVariant(True, ADJ_IMMEDIATE),
+    "defensive-cycle": IssuerVariant(False, ADJ_STATEMENT_CLOSE, uses_grace_hold=True),
 }
 
-MATRIX_VARIANTS = ["A", "B", "C", "D", "E", "F"]
+MATRIX_VARIANTS = ["A", "B", "C", "D", "E", "F", "V3a"]
 
 
 def get_variant(name: str) -> IssuerVariant:
-    try:
-        return VARIANTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown issuer variant {name!r}; choose from {sorted(VARIANTS)}"
-        ) from None
+    return VARIANTS[name]
 
 
 _ADJUST_LABEL = {
@@ -129,7 +121,9 @@ def comparison_matrix(battery: dict) -> list[dict]:
         variant = get_variant(name)
         label = classify(variant, outcomes)
         neg = _negative_balance_label(variant)
-        if name == "F":
+        # credit redeemable at once, clawback only at the close: recovery
+        # of the debt waits on future qualifying spend
+        if variant.instant and variant.refund_adjustment == ADJ_STATEMENT_CLOSE:
             neg += "*"
         rows.append(
             {

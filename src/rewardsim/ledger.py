@@ -99,16 +99,14 @@ class ParseError(ValueError):
 
 
 class Transaction:
-    __slots__ = ("id", "user", "merchant", "amount", "category", "period", "status")
+    __slots__ = ("id", "user", "amount", "category", "period", "status")
 
-    def __init__(self, id: str, user: str, merchant: str, amount: int,
-                 category: str, period: int,
+    def __init__(self, id: str, user: str, amount: int, category: str, period: int,
                  status: TransactionStatus = TransactionStatus.PENDING):
         if amount <= 0:
             raise ValueError(f"transaction amount must be positive, got {amount}")
         self.id = id
         self.user = user
-        self.merchant = merchant
         self.amount = amount  # minor units, > 0
         self.category = category
         self.period = period  # billing-period index of the purchase

@@ -16,19 +16,12 @@ from hypothesis import strategies as st
 
 import reference_clock as ref
 from rewardsim import EngineConfig, Scenario, ScenarioEvent, ScenarioInvalid, run
-from rewardsim.adversary import (
-    CONTROL,
-    CROSS_CYCLE,
-    SAME_CYCLE,
-    build_ddra_scenario,
-)
+from rewardsim.adversary import BATTERY, CROSS_CYCLE, build_ddra_scenario
 from rewardsim.harness import Simulation
 from rewardsim.issuers import VARIANTS
 from test_acceptance import _random_scenario
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
-BATTERY = [(SAME_CYCLE, Fraction(1)), (CROSS_CYCLE, Fraction(1)),
-           (CROSS_CYCLE, Fraction(1, 2)), (CONTROL, Fraction(1))]
 
 
 def outcome(run_fn, scenario):
@@ -155,6 +148,14 @@ def scenarios(draw):
                                     amount_minor=draw(st.integers(1, 3000))))
     return Scenario(label="clock", config=config, events=events,
                     auto_redeem=draw(st.booleans()))
+
+
+def under(scenario, variant):
+    """``scenario`` with its config's variant set to ``variant``."""
+    config = scenario.config
+    kw = {name: getattr(config, name) for name in EngineConfig.__slots__}
+    return Scenario(scenario.label, EngineConfig(**{**kw, "variant": variant}),
+                    scenario.events, scenario.auto_redeem, scenario.user)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

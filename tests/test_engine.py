@@ -31,7 +31,7 @@ def fresh(variant="defensive-instant", **cfg_kw):
 
 def make_txn(txn_id="t1", amount=10000, period=0, category="GROCERY"):
     return Transaction(
-        id=txn_id, user="u1", merchant="m", amount=amount,
+        id=txn_id, user="u1", amount=amount,
         category=category, period=period,
     )
 

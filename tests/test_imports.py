@@ -3,7 +3,8 @@ command finds all it needs loaded, and neither ``dataclasses`` nor
 ``inspect``, which together cost more than the rest of the import.
 And what ``from rewardsim import *`` exports: each name once, in order,
 and every one of them defined.  And that no module imports a name it
-never uses."""
+never uses, or compares a value with an issuer preset's name: a variant
+is its policy fields, and a name is only a key of ``issuers.VARIANTS``."""
 
 import ast
 import pathlib
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 import rewardsim
+from rewardsim.issuers import VARIANTS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -71,3 +73,35 @@ def test_unused_imports_finds_each_name_never_read():
                          ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def preset_comparisons(source: str) -> list:
+    """The line of each comparison in ``source`` with an operand that is
+    a preset name, alone or in a literal tuple, list or set."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left, *node.comparators]:
+            items = (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                     else [operand])
+            if any(isinstance(item, ast.Constant) and item.value in VARIANTS
+                   for item in items):
+                lines.append(node.lineno)
+                break
+    return lines
+
+
+def test_preset_comparisons_finds_each_comparison_with_a_name():
+    source = ('if name == "F":\n'
+              '    pass\n'
+              'x = "V3a" != v or v in ("A", "B") or v in ["none"]\n'
+              'y = VARIANTS["F"].instant == (name is not None)\n')
+    assert preset_comparisons(source) == [1, 3, 3]
+
+
+def test_no_module_compares_a_value_with_a_preset_name():
+    found = [f"{path.name}:{line}"
+             for path in sorted((SRC / "rewardsim").glob("*.py"))
+             for line in preset_comparisons(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -38,7 +38,7 @@ from rewardsim import (
     run_battery,
     run_ddra,
 )
-from rewardsim.adversary import CONTROL, CROSS_CYCLE, SAME_CYCLE, AttackOutcome
+from rewardsim.adversary import BATTERY, AttackOutcome
 from rewardsim.cli import main
 from rewardsim.harness import default_consistency_window
 from rewardsim.issuers import VARIANTS, classify
@@ -282,11 +282,6 @@ def assert_lags_read_alike(outcomes):
         if o.refund_fraction == 1:
             assert (longest_float(o.restore_lags())
                     == longest_float(rescan.restore_lags()))
-
-
-# run_battery's four runs, at any purchase
-BATTERY = [(SAME_CYCLE, Fraction(1)), (CROSS_CYCLE, Fraction(1)),
-           (CROSS_CYCLE, Fraction(1, 2)), (CONTROL, Fraction(1))]
 
 
 class TestClawbackLags:

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from rewardsim import classify, comparison_matrix, get_variant, render_matrix
+from rewardsim import IssuerVariant, classify, comparison_matrix, get_variant, render_matrix
 from rewardsim.issuers import FAIL, PARTIAL, PASS, MATRIX_VARIANTS, VARIANTS
 
 
@@ -24,8 +24,13 @@ def outcome(timing="same-cycle", extracted=0, lags=()):
 
 class TestPresets:
     def test_all_expected_variants_exist(self):
-        expected = set(MATRIX_VARIANTS) | {"V3a", "defensive-instant", "defensive-cycle"}
+        expected = set(MATRIX_VARIANTS) | {"defensive-instant", "defensive-cycle"}
         assert expected == set(VARIANTS)
+
+    def test_a_variant_is_its_five_policy_fields(self):
+        assert IssuerVariant._fields == (
+            "instant", "refund_adjustment", "floors_at_zero",
+            "auto_redeem_at_close", "uses_grace_hold")
 
     def test_unknown_variant(self):
         with pytest.raises(KeyError):
@@ -44,8 +49,10 @@ class TestPresets:
         )
 
     def test_defensive_instant_mirrors_c(self):
-        c = get_variant("C")
-        assert c._replace(name="defensive-instant") == get_variant("defensive-instant")
+        # a name is a preset: nine names, seven points
+        assert get_variant("defensive-instant") == get_variant("C")
+        assert get_variant("E") == get_variant("D")
+        assert len(set(VARIANTS.values())) == 7
 
     def test_only_instant_variants_that_never_wait_skip_the_close(self):
         # credit at settlement, adjust refunds never or at once, no hold
@@ -86,9 +93,9 @@ class TestClassify:
 
 class TestMatrix:
     def test_row_shape_and_order(self):
-        battery = {n: [outcome()] for n in MATRIX_VARIANTS + ["V3a"]}
+        battery = {n: [outcome()] for n in MATRIX_VARIANTS}
         rows = comparison_matrix(battery)
-        assert [r["variant"] for r in rows] == MATRIX_VARIANTS + ["V3a"]
+        assert [r["variant"] for r in rows] == MATRIX_VARIANTS
 
     def test_rows_follow_the_battery_order(self):
         # any variant the battery holds gets a row, where the battery has it
@@ -98,12 +105,15 @@ class TestMatrix:
         assert comparison_matrix({}) == []
 
     def test_display_labels(self):
-        battery = {n: [outcome()] for n in MATRIX_VARIANTS + ["V3a"]}
+        battery = {n: [outcome()] for n in VARIANTS}
         by_name = {r["variant"]: r for r in comparison_matrix(battery)}
         assert by_name["B"]["refund_adjustment"] == "None"
         assert by_name["F"]["negative_balance"] == "Indefinite*"
         assert by_name["V3a"]["negative_balance"] == "Floored at zero"
         assert by_name["A"]["negative_balance"] == "N/A"
+        # the star is read from the fields (instant credit, clawback at the
+        # close), and of the nine presets only F has that pair
+        assert [n for n, r in by_name.items() if r["negative_balance"].endswith("*")] == ["F"]
 
     def test_render_is_stable(self):
         battery = {n: [outcome()] for n in MATRIX_VARIANTS}

@@ -20,9 +20,7 @@ from rewardsim.ledger import LEGAL_TRANSITIONS, transition
 
 
 def make_txn(**kw):
-    defaults = dict(
-        id="t1", user="u1", merchant="m", amount=10000, category="GROCERY", period=0
-    )
+    defaults = dict(id="t1", user="u1", amount=10000, category="GROCERY", period=0)
     defaults.update(kw)
     return Transaction(**defaults)
 

@@ -18,11 +18,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from rewardsim import EngineConfig, Scenario, ScenarioInvalid, engine, run
+from rewardsim import Scenario, ScenarioInvalid, engine, run
 from rewardsim.adversary import BATTERY, build_ddra_scenario
 from rewardsim.issuers import VARIANTS
 from rewardsim.ledger import TransactionStatus
-from test_clock import scenarios
+from test_clock import scenarios, under
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
 ADJUSTABLE = (TransactionStatus.SETTLED, TransactionStatus.PART_REF)
@@ -99,13 +99,6 @@ def run_or_refuse(scenario):
         pass
 
 
-def under(variant, scenario):
-    config = scenario.config
-    kw = {name: getattr(config, name) for name in EngineConfig.__slots__}
-    return Scenario(scenario.label, EngineConfig(**{**kw, "variant": variant}),
-                    scenario.events, scenario.auto_redeem, scenario.user)
-
-
 def test_fixtures_and_attack_batteries_keep_every_precondition():
     with asserted_preconditions() as calls:
         for path in FIXTURES:
@@ -123,7 +116,7 @@ def test_fixtures_and_attack_batteries_keep_every_precondition():
 def test_random_scenarios_keep_every_precondition_under_every_variant(scenario):
     with asserted_preconditions():
         for variant in sorted(VARIANTS):
-            run_or_refuse(under(variant, scenario))
+            run_or_refuse(under(scenario, variant))
 
 
 def test_a_broken_precondition_fails():

@@ -38,7 +38,7 @@ from rewardsim import EngineConfig, Scenario, ScenarioInvalid, run
 from rewardsim.invariants import net_reward_from_log, oracle_bound
 from rewardsim.issuers import VARIANTS
 from rewardsim.ledger import REWARD_KINDS
-from test_clock import scenarios
+from test_clock import scenarios, under
 
 # (low, high, metric): low's metric is never above high's, on every draw
 NEVER_ABOVE = [
@@ -89,15 +89,6 @@ def schedules(draw):
         events = [e for e in events if e.kind != "redeem-request"]
     return Scenario(label="order", config=config, events=events,
                     auto_redeem=draw(st.sampled_from([True, True, True, False])))
-
-
-def under(scenario, variant):
-    """``scenario`` with its config's variant set to ``variant``."""
-    c = scenario.config
-    config = EngineConfig(**{name: getattr(c, name) for name in EngineConfig.__slots__
-                             if name != "variant"}, variant=variant)
-    return Scenario(label=scenario.label, config=config, events=scenario.events,
-                    auto_redeem=scenario.auto_redeem)
 
 
 def measure(scenario):
