@@ -484,9 +484,10 @@ def scenario_from_log(log: EventLog, config: EngineConfig, label: str,
 @_collector_paused
 def replay(log_path, config: EngineConfig, label: str = "replay") -> SimulationReport:
     """Re-run the intents of a stored log; the result must match it."""
-    log = EventLog.read_jsonl(log_path)
-    scenario = scenario_from_log(log, config, label)
-    return run(scenario, daily_snapshots=False)
+    # one expression, so the read log's last reference goes when
+    # scenario_from_log returns and it is freed before run starts
+    return run(scenario_from_log(EventLog.read_jsonl(log_path), config, label),
+               daily_snapshots=False)
 
 
 # -- fleet-level loss estimation ---------------------------------------

@@ -206,6 +206,11 @@ _wire_values = itemgetter(*RewardEvent._fields)
 # each field's type, in check order: integers first
 _LINE_FIELDS = {"seq": int, "day": int, "amount_minor": int, "period": int,
                 "kind": str, "txn_id": str, "user": str, "category": str}
+# each kind to itself: a read event holds the vocabulary's own string,
+# not a copy of it per line
+_KINDS = {kind: kind for kind in EVENT_KINDS}
+# the events the writer encodes into one string
+_WRITE_BLOCK = 4096
 
 # Every line of a text as to_json_line writes it, when each integer has
 # at most 18 digits (int() takes any such group), each text field is
@@ -315,6 +320,7 @@ def _scan_line(line_no: int, line: str) -> tuple:
     check_fields(_LINE_FIELDS, raw, error)
     if raw["kind"] not in EVENT_KINDS:
         raise error(f"unknown event kind {raw['kind']!r}")
+    raw["kind"] = _KINDS[raw["kind"]]
     return _wire_values(raw)
 
 
@@ -383,10 +389,18 @@ class EventLog:
         return ev
 
     def write_jsonl(self, path) -> None:
-        # the empty last item ends the last line, and writes nothing alone
-        lines = [*map(RewardEvent.to_json_line, self.events), ""]
+        # every line is encoded before the file is opened, so a log that
+        # cannot be encoded leaves the file as it was; a block's line
+        # strings are freed once it is joined, and the empty last item
+        # ends its last line
+        events = self.events
+        blocks = [
+            "\n".join([*map(RewardEvent.to_json_line,
+                            events[start:start + _WRITE_BLOCK]), ""])
+            for start in range(0, len(events), _WRITE_BLOCK)
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
+            fh.writelines(blocks)
 
     @classmethod
     @_collector_paused
@@ -406,8 +420,8 @@ def _wire_events(text: str) -> list | None:
     # finditer, not findall: findall's list of every line's groups would
     # be held beside the events, 2.5 MB at the peak of an 8k-event read
     events = [
-        tuple.__new__(RewardEvent, (int(seq), int(day), kind, txn_id, user,
-                                    int(amount), category, int(period)))
+        tuple.__new__(RewardEvent, (int(seq), int(day), _KINDS[kind], txn_id,
+                                    user, int(amount), category, int(period)))
         for seq, day, kind, txn_id, user, amount, category, period
         in map(re.Match.groups, _WIRE_LINES.finditer(text))
     ]

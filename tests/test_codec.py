@@ -247,6 +247,59 @@ def test_ascii_logs_read_on_the_fast_path(tmp_path_factory, rows):
         assert EventLog.read_jsonl(path).events == log.events
 
 
+# -- the writer's blocks ------------------------------------------------
+
+BLOCK = ledger._WRITE_BLOCK
+
+
+def long_log(count):
+    """A log of ``count`` events with every kind, on the fast path's text."""
+    kinds = sorted(EVENT_KINDS)
+    log = EventLog()
+    for seq in range(1, count + 1):
+        log.emit(seq // 3, kinds[seq % len(kinds)], f"t{seq // 2}", "u1",
+                 seq * 7 - 5_000, "GROCERY" if seq % 2 else "", seq // 90)
+    return log
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_writer_blocks_match_reference(tmp_path, monkeypatch, count):
+    log = long_log(count)
+    path, ref_path = tmp_path / "log.jsonl", tmp_path / "ref.jsonl"
+    log.write_jsonl(path)
+    ref.write_jsonl(log, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    refuse_line_path(monkeypatch)
+    assert EventLog.read_jsonl(path).events == log.events
+
+
+def test_writer_leaves_the_file_as_it_was_when_a_line_cannot_be_encoded(tmp_path):
+    # the event that cannot be encoded is in the second block, after a
+    # whole block the writer could have written
+    log = long_log(BLOCK)
+    log.append(RewardEvent(BLOCK + 1, 9, "purchase", "t", None, 100, "G", 0))
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(TypeError):
+        log.write_jsonl(path)
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_both_read_paths_share_the_kind_vocabulary(fixtures_dir, tmp_path, monkeypatch):
+    golden = fixtures_dir / "ddra_defensive_cycle.jsonl"
+    sorted_keys = tmp_path / "sorted.jsonl"
+    sorted_keys.write_text("".join(json.dumps(json.loads(text), sort_keys=True) + "\n"
+                                   for text in golden.read_text().splitlines()))
+    line_path = EventLog.read_jsonl(sorted_keys).events
+    refuse_line_path(monkeypatch)
+    fast_path = EventLog.read_jsonl(golden).events
+    assert fast_path == line_path
+    assert len({ev.kind for ev in fast_path}) > 5
+    members = {kind: kind for kind in EVENT_KINDS}
+    for ev in fast_path + line_path:
+        assert ev.kind is members[ev.kind]
+
+
 def outcome(read, path):
     """The events ``read`` gives for the file, or its exception."""
     try:

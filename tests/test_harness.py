@@ -1,5 +1,6 @@
 import gc
 import json
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from rewardsim import (
     run,
     scenario_from_log,
 )
-from rewardsim import engine
+from rewardsim import engine, harness
 from rewardsim.issuers import VARIANTS
 
 
@@ -578,6 +579,28 @@ class TestCollectorPause:
         assert seen == [False]
         assert enables == [False]
         assert gc.isenabled()
+
+    def test_replay_frees_the_read_log_before_it_runs(self, tmp_path, monkeypatch):
+        # with the collector paused, only reference counting can free the
+        # read log: this also pins that it holds no reference cycle
+        sc = scenario([ev(1, "purchase", "t1", 10000), ev(5, "refund", "t1", 10000)])
+        path = tmp_path / "a.jsonl"
+        run(sc).log.write_jsonl(path)
+        read_logs = []
+        rebuild, rerun = harness.scenario_from_log, harness.run
+
+        def keeping(log, *args):
+            read_logs.append(weakref.ref(log))
+            return rebuild(log, *args)
+
+        def checking(scenario, **kwargs):
+            assert [ref() for ref in read_logs] == [None]
+            return rerun(scenario, **kwargs)
+
+        monkeypatch.setattr(harness, "scenario_from_log", keeping)
+        monkeypatch.setattr(harness, "run", checking)
+        assert replay(path, sc.config).log.events == EventLog.read_jsonl(path).events
+        assert len(read_logs) == 1
 
 
 class TestLeakage:
