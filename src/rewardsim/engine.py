@@ -16,11 +16,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ledger import (
+    CHARGEBACK,
+    PART_REF,
+    PENDING,
+    REFUNDED,
+    SETTLED,
     EngineConfig,
     EventLog,
     RewardRecord,
     Transaction,
-    TransactionStatus,
     transition,
 )
 from .money import mul_fraction, rate_floor
@@ -71,7 +75,7 @@ def reward_on_settlement(
         r = 0
     # reward_current, reward_original, total_refunded, claw_base
     records[txn.id] = RewardRecord(r, r, presettle_refunded, base)
-    transition(txn, TransactionStatus.SETTLED)
+    transition(txn, SETTLED)
     return r
 
 
@@ -98,7 +102,7 @@ def settle_pending(
             presettle_refunded=refunded,
         )
     else:
-        transition(txn, TransactionStatus.REFUNDED)
+        transition(txn, REFUNDED)
         records[txn.id] = RewardRecord(
             reward_current=0,
             reward_original=0,
@@ -150,10 +154,10 @@ def refund_principal(record: RewardRecord, txn: Transaction, x: int) -> None:
     PART_REF, then REFUNDED once the whole amount is back.  The reward
     is left as it is."""
     record.total_refunded += x
-    if txn.status is TransactionStatus.SETTLED:
-        transition(txn, TransactionStatus.PART_REF)
+    if txn.status is SETTLED:
+        transition(txn, PART_REF)
     if record.total_refunded == txn.amount:
-        transition(txn, TransactionStatus.REFUNDED)
+        transition(txn, REFUNDED)
 
 
 def reward_on_refund(
@@ -176,7 +180,7 @@ def reward_on_refund(
     clawback operates purely through the balance.  Preconditions:
     ``x > 0``, and at most the principal the record counts unrefunded.
     """
-    if txn.status not in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
+    if txn.status not in (SETTLED, PART_REF):
         return 0
     record = records[txn.id]
     r_claw = _clawback(
@@ -206,7 +210,7 @@ def reward_on_chargeback(
         current_period, "chargeback", floor_balance_at_zero,
     )
     record.total_refunded = txn.amount
-    transition(txn, TransactionStatus.CHARGEBACK)
+    transition(txn, CHARGEBACK)
     return r_claw
 
 
@@ -275,7 +279,7 @@ def statement_cycle_reconcile(
         )
 
     for txn in period_txns:
-        if txn.status is TransactionStatus.PENDING:
+        if txn.status is PENDING:
             settle_pending(
                 ledger, records, txn, refunded.get(txn.id, 0), config, log, day,
                 kind="reconcile-settle",

@@ -20,11 +20,14 @@ from . import engine
 from .invariants import check_rrc, integrity_series, net_reward, net_spend
 from .issuers import ADJ_IMMEDIATE, ADJ_NONE, IssuerVariant, get_variant
 from .ledger import (
+    CHARGEBACK,
+    PART_REF,
+    PENDING,
+    SETTLED,
     EngineConfig,
     EventLog,
     RewardRecord,
     Transaction,
-    TransactionStatus,
     UserLedger,
     _collector_paused,
     check_fields,
@@ -249,7 +252,7 @@ class Simulation:
         self.reversed[txn_id] = reversed_so_far + x
         self.log.emit(day, "refund-posted", txn_id, self.user, -x,
                       txn.category, txn.period)
-        if txn.status is TransactionStatus.PENDING:
+        if txn.status is PENDING:
             return  # netted out of the settlement through ``reversed``
         adjustment = self.variant.refund_adjustment
         if adjustment == ADJ_NONE:
@@ -266,7 +269,7 @@ class Simulation:
 
     def chargeback(self, day: int, txn_id: str) -> None:
         txn = self._require_txn(txn_id)
-        if txn.status not in (TransactionStatus.SETTLED, TransactionStatus.PART_REF):
+        if txn.status not in (SETTLED, PART_REF):
             raise ScenarioInvalid(
                 f"chargeback requires a settled or partly refunded transaction, "
                 f"{txn_id!r} is {txn.status.value}"
@@ -278,7 +281,7 @@ class Simulation:
         if self.variant.refund_adjustment == ADJ_NONE:
             record = self.records[txn_id]
             record.total_refunded += remaining
-            transition(txn, TransactionStatus.CHARGEBACK)
+            transition(txn, CHARGEBACK)
         else:
             # forced reversals never wait for the cycle close; the claw
             # covers refunds still deferred to it, which then lapse
@@ -403,7 +406,7 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         while due and due[0][0] <= day:
             _, txn_id = due.pop(0)
             txn = sim.txns[txn_id]
-            if txn.status is TransactionStatus.PENDING:
+            if txn.status is PENDING:
                 sim._settle_instant(day, txn)
         if day == next_intent:
             try:

@@ -727,16 +727,17 @@ class TestRepeatedKeys:
 class TestTruncatedJson:
     @pytest.mark.parametrize("where,text,message", [
         ("scenario", '{"schema": 1,',
-         "error: Expecting property name enclosed in double quotes: "
-         "line 1 column 14 (char 13)"),
+         "error: scenario JSON is malformed: Expecting property name enclosed "
+         "in double quotes: line 1 column 14 (char 13)"),
         ("config", '{"reward_rate_bps": {',
-         "error: Expecting property name enclosed in double quotes: "
-         "line 1 column 22 (char 21)"),
+         "error: config JSON is malformed: Expecting property name enclosed "
+         "in double quotes: line 1 column 22 (char 21)"),
     ])
     def test_exits_1_with_json_own_message(self, tmp_path, capsys, where, text,
                                            message):
-        # json's error is a ValueError; caught as one, it would read as an
-        # integer of more than 4300 digits
+        # json's own message, after the name of the file at fault: caught
+        # as a bare ValueError, it would read as an integer of more than
+        # 4300 digits
         log_path, cfg_path = TestCheck().make_log(tmp_path)
         if where == "config":
             cfg_path.write_text(text)

@@ -4,7 +4,11 @@ command finds all it needs loaded, and neither ``dataclasses`` nor
 And what ``from rewardsim import *`` exports: each name once, in order,
 and every one of them defined.  And that no module imports a name it
 never uses, or compares a value with an issuer preset's name: a variant
-is its policy fields, and a name is only a key of ``issuers.VARIANTS``."""
+is its policy fields, and a name is only a key of ``issuers.VARIANTS``.
+And that no module but ``ledger``, where each is bound once, loads a
+transaction status as ``TransactionStatus.MEMBER``: on Python 3.10 and
+3.11 the Enum metaclass's ``__getattr__`` makes that load several times
+slower than a read of ``ledger``'s module constant."""
 
 import ast
 import pathlib
@@ -15,6 +19,7 @@ import pytest
 
 import rewardsim
 from rewardsim.issuers import VARIANTS
+from rewardsim.ledger import TransactionStatus
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -105,3 +110,34 @@ def test_no_module_compares_a_value_with_a_preset_name():
              for path in sorted((SRC / "rewardsim").glob("*.py"))
              for line in preset_comparisons(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def status_member_loads(source: str) -> list:
+    """The lines of ``source``, in order and each once, that hold a
+    ``TransactionStatus.MEMBER`` attribute for a member of
+    ``TransactionStatus``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "TransactionStatus"
+                   and node.attr in TransactionStatus.__members__})
+
+
+def test_status_member_loads_finds_each_line_with_a_member():
+    source = ("SETTLED = TransactionStatus.SETTLED\n"
+              "x = status is TransactionStatus.PENDING or TransactionStatus.value\n"
+              "y = ledger.TransactionStatus.REFUNDED, TransactionStatus\n"
+              "z = (TransactionStatus.PART_REF,\n"
+              "     SETTLED, TransactionStatus.CHARGEBACK, TransactionStatus.PENDING)\n")
+    assert status_member_loads(source) == [1, 2, 4, 5]
+
+
+def test_only_ledger_binds_status_members():
+    found = []
+    for path in sorted((SRC / "rewardsim").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        found += [(path.name, lines[line - 1].strip())
+                  for line in status_member_loads(source)]
+    assert found == [("ledger.py", f"{name} = TransactionStatus.{name}")
+                     for name in TransactionStatus.__members__]
