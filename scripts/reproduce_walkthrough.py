@@ -18,7 +18,7 @@ def show(step: str, txn, record, ledger) -> None:
     print(
         f"{step:<24} original={format_usd(record.reward_original):>7} "
         f"current={format_usd(record.reward_current):>7} "
-        f"balance={format_usd(ledger.balance):>7} status={txn.status.value}"
+        f"balance={format_usd(ledger.balance):>7} status={txn.status}"
     )
 
 

@@ -49,7 +49,6 @@ from .ledger import (
     RewardRecord,
     SequenceGap,
     Transaction,
-    TransactionStatus,
     UserLedger,
 )
 from .money import format_usd, mul_fraction, rate_ceil, rate_floor
@@ -77,7 +76,6 @@ __all__ = [
     "Simulation",
     "SimulationReport",
     "Transaction",
-    "TransactionStatus",
     "UserLedger",
     "can_redeem",
     "check_rrc",

@@ -21,9 +21,7 @@ from .invariants import check_rrc, integrity_series, net_reward, net_spend
 from .issuers import ADJ_IMMEDIATE, ADJ_NONE, IssuerVariant, get_variant
 from .ledger import (
     CHARGEBACK,
-    PART_REF,
     PENDING,
-    SETTLED,
     EngineConfig,
     EventLog,
     RewardRecord,
@@ -269,12 +267,14 @@ class Simulation:
 
     def chargeback(self, day: int, txn_id: str) -> None:
         txn = self._require_txn(txn_id)
-        if txn.status not in (SETTLED, PART_REF):
-            raise ScenarioInvalid(
-                f"chargeback requires a settled or partly refunded transaction, "
-                f"{txn_id!r} is {txn.status.value}"
-            )
+        # the harness's own tally, not the status: a refund deferred to
+        # the close leaves a fully refunded transaction SETTLED until then
         remaining = txn.amount - self.reversed.get(txn_id, 0)
+        if not remaining:
+            raise ScenarioInvalid(f"chargeback finds no principal left on {txn_id!r}")
+        if txn.status is PENDING:
+            raise ScenarioInvalid("chargeback requires a settled or partly refunded "
+                                  f"transaction, {txn_id!r} is PENDING")
         self.reversed[txn_id] = txn.amount
         self.log.emit(day, "chargeback-posted", txn_id, self.user, -remaining,
                       txn.category, txn.period)

@@ -19,7 +19,7 @@ from rewardsim.harness import (
     default_consistency_window,
 )
 from rewardsim.invariants import check_rrc, integrity_series
-from rewardsim.ledger import TransactionStatus
+from rewardsim.ledger import PENDING
 
 
 def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
@@ -69,7 +69,7 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         while sim._due_settlements and sim._due_settlements[0][0] <= day:
             _, txn_id = sim._due_settlements.pop(0)
             txn = sim.txns[txn_id]
-            if txn.status is TransactionStatus.PENDING:
+            if txn.status is PENDING:
                 sim._settle_instant(day, txn)
         for index, ev in by_day.get(day, []):
             try:

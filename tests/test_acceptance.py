@@ -16,7 +16,6 @@ from rewardsim import (
     Scenario,
     ScenarioEvent,
     Transaction,
-    TransactionStatus,
     UserLedger,
     check_rrc,
     comparison_matrix,
@@ -33,6 +32,7 @@ from rewardsim import (
 )
 from rewardsim.invariants import net_reward_from_log, oracle_bound
 from rewardsim.issuers import MATRIX_VARIANTS
+from rewardsim.ledger import PART_REF, REFUNDED, SETTLED
 
 
 def _verdict(number, name, body):
@@ -63,17 +63,17 @@ def test_01_settle_refund_refund_walkthrough():
         reward_on_settlement(ledger, records, txn, cfg, log, day=1)
         rec = records["t1"]
         assert (rec.reward_original, rec.reward_current, ledger.balance) == (500, 500, 500)
-        assert txn.status is TransactionStatus.SETTLED
+        assert txn.status is SETTLED
         assert format_usd(ledger.balance) == "$5.00"
 
         reward_on_refund(ledger, records, txn, 5000, cfg, log, 3, current_period=0)
         assert (rec.reward_original, rec.reward_current, ledger.balance) == (500, 250, 250)
-        assert txn.status is TransactionStatus.PART_REF
+        assert txn.status is PART_REF
         assert format_usd(ledger.balance) == "$2.50"
 
         reward_on_refund(ledger, records, txn, 5000, cfg, log, 5, current_period=0)
         assert (rec.reward_original, rec.reward_current, ledger.balance) == (500, 0, 0)
-        assert txn.status is TransactionStatus.REFUNDED
+        assert txn.status is REFUNDED
         assert format_usd(ledger.balance) == "$0.00"
 
     _verdict(1, "settle-refund-refund walkthrough is cent-exact", body)

@@ -8,7 +8,6 @@ from rewardsim import (
     EngineConfig,
     EventLog,
     Transaction,
-    TransactionStatus,
     UserLedger,
     can_redeem,
     redeem,
@@ -17,6 +16,7 @@ from rewardsim import (
     reward_on_settlement,
     statement_cycle_reconcile,
 )
+from rewardsim.ledger import CHARGEBACK, PART_REF, PENDING, REFUNDED, SETTLED
 
 
 def fresh(variant="defensive-instant", **cfg_kw):
@@ -43,7 +43,7 @@ class TestSettlement:
         r = reward_on_settlement(ledger, records, txn, cfg, log, day=1)
         assert r == 499  # 5% of 99.99 floors down
         assert ledger.balance == 499
-        assert txn.status is TransactionStatus.SETTLED
+        assert txn.status is SETTLED
         assert records["t1"].reward_original == 499
 
     def test_cap_clips_reward(self):
@@ -60,7 +60,7 @@ class TestSettlement:
         r = reward_on_settlement(ledger, records, txn, cfg, log, 1)
         assert r == 0
         assert len(log) == 0  # no event for a zero grant
-        assert txn.status is TransactionStatus.SETTLED
+        assert txn.status is SETTLED
         assert records["t1"].reward_original == 0
 
 
@@ -73,7 +73,7 @@ class TestRefundClawback:
         c2 = reward_on_refund(ledger, records, txn, 4000, cfg, log, 5, current_period=0)
         assert (c1, c2) == (200, 200)
         assert ledger.balance == 100
-        assert txn.status is TransactionStatus.PART_REF
+        assert txn.status is PART_REF
 
     def test_full_refund_claws_exactly_original(self):
         ledger, records, log, cfg = fresh()
@@ -86,7 +86,7 @@ class TestRefundClawback:
             )
         assert total == r
         assert ledger.balance == 0
-        assert txn.status is TransactionStatus.REFUNDED
+        assert txn.status is REFUNDED
 
     def test_same_period_refund_restores_cap_headroom(self):
         ledger, records, log, cfg = fresh()
@@ -111,7 +111,7 @@ class TestRefundClawback:
         ledger, records, log, cfg = fresh()
         txn = make_txn()
         assert reward_on_refund(ledger, records, txn, 100, cfg, log, 1, 0) == 0
-        assert txn.status is TransactionStatus.PENDING
+        assert txn.status is PENDING
 
     def test_balance_goes_negative_after_redeem_then_refund(self):
         ledger, records, log, cfg = fresh()
@@ -163,7 +163,7 @@ class TestChargeback:
         c = reward_on_chargeback(ledger, records, txn, cfg, log, 5, current_period=0)
         assert c == 500
         assert ledger.balance == 0
-        assert txn.status is TransactionStatus.CHARGEBACK
+        assert txn.status is CHARGEBACK
 
     def test_partly_refunded_reverses_the_rest(self):
         ledger, records, log, cfg = fresh()
@@ -175,7 +175,7 @@ class TestChargeback:
         assert c == 300
         assert ledger.balance == 0
         assert records["t1"].total_refunded == 10000
-        assert txn.status is TransactionStatus.CHARGEBACK
+        assert txn.status is CHARGEBACK
 
 
 class TestRedemptionGate:
@@ -238,7 +238,7 @@ class TestReconcile:
         statement_cycle_reconcile(
             ledger, records, [txn], {"t1": 10000}, [], 0, cfg, log, 30
         )
-        assert txn.status is TransactionStatus.REFUNDED
+        assert txn.status is REFUNDED
         assert ledger.balance == 0
         assert records["t1"].reward_original == 0
         assert len(log) == 0
@@ -254,7 +254,7 @@ class TestReconcile:
         assert [(e.kind, e.txn_id, e.amount_minor) for e in log] == [
             ("reconcile-settle", "a", 300),
         ]
-        assert txns[1].status is TransactionStatus.REFUNDED
+        assert txns[1].status is REFUNDED
 
     def test_late_refunds_claw_at_close(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
@@ -268,7 +268,7 @@ class TestReconcile:
         ]
         assert ledger.balance == 250
         assert records["t1"].reward_current == 250
-        assert txn.status is TransactionStatus.PART_REF
+        assert txn.status is PART_REF
 
     def test_hold_event_emitted_once_per_change(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
@@ -291,4 +291,4 @@ class TestReconcile:
         reward_on_refund(ledger, records, txn, 7000, cfg, log, 40, current_period=1)
         assert ledger.balance == 0
         assert records["t1"].reward_current == 0
-        assert txn.status is TransactionStatus.REFUNDED
+        assert txn.status is REFUNDED

@@ -280,6 +280,12 @@ INVALID = [
     # the position, not the run order: event 0 runs last
     ([ev(5, "refund", "t1", 10), *BOUGHT, ev(1, "refund", "t1", 100)], {},
      "event 0: refund 10 exceeds remaining principal on 't1'"),
+    # principal refunded in full, under every variant: a refund deferred
+    # to the close leaves the status SETTLED until then
+    *[([ev(1, "purchase", "t1", 10000), ev(35, "refund", "t1", 10000),
+        ev(40, "chargeback", "t1")], {"variant": variant},
+       "event 2: chargeback finds no principal left on 't1'")
+      for variant in sorted(VARIANTS)],
 ]
 
 

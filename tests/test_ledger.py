@@ -14,9 +14,16 @@ from rewardsim import (
     Scenario,
     SequenceGap,
     Transaction,
-    TransactionStatus,
 )
-from rewardsim.ledger import LEGAL_TRANSITIONS, transition
+from rewardsim.ledger import (
+    CHARGEBACK,
+    LEGAL_TRANSITIONS,
+    PART_REF,
+    PENDING,
+    REFUNDED,
+    SETTLED,
+    transition,
+)
 
 
 def make_txn(**kw):
@@ -58,42 +65,42 @@ class TestTransaction:
 
     def test_legal_lifecycle_paths(self):
         t = make_txn()
-        transition(t, TransactionStatus.SETTLED)
-        transition(t, TransactionStatus.PART_REF)
-        transition(t, TransactionStatus.PART_REF)
-        transition(t, TransactionStatus.REFUNDED)
-        assert t.status is TransactionStatus.REFUNDED
+        transition(t, SETTLED)
+        transition(t, PART_REF)
+        transition(t, PART_REF)
+        transition(t, REFUNDED)
+        assert t.status is REFUNDED
 
     def test_pending_cancel(self):
         t = make_txn()
-        transition(t, TransactionStatus.REFUNDED)
-        assert t.status is TransactionStatus.REFUNDED
+        transition(t, REFUNDED)
+        assert t.status is REFUNDED
 
     def test_chargeback_only_from_settled(self):
         t = make_txn()
         with pytest.raises(IllegalTransition):
-            transition(t, TransactionStatus.CHARGEBACK)
-        transition(t, TransactionStatus.SETTLED)
-        transition(t, TransactionStatus.CHARGEBACK)
+            transition(t, CHARGEBACK)
+        transition(t, SETTLED)
+        transition(t, CHARGEBACK)
 
     def test_chargeback_from_partly_refunded(self):
         t = make_txn()
-        transition(t, TransactionStatus.SETTLED)
-        transition(t, TransactionStatus.PART_REF)
-        transition(t, TransactionStatus.CHARGEBACK)
-        assert t.status is TransactionStatus.CHARGEBACK
+        transition(t, SETTLED)
+        transition(t, PART_REF)
+        transition(t, CHARGEBACK)
+        assert t.status is CHARGEBACK
 
     def test_every_pair_of_statuses(self):
         # all 25 (src, dst) pairs: exactly the seven lifecycle edges pass
-        S = TransactionStatus
         edges = {
-            (S.PENDING, S.SETTLED), (S.PENDING, S.REFUNDED),
-            (S.SETTLED, S.PART_REF), (S.SETTLED, S.CHARGEBACK),
-            (S.PART_REF, S.PART_REF), (S.PART_REF, S.REFUNDED),
-            (S.PART_REF, S.CHARGEBACK),
+            (PENDING, SETTLED), (PENDING, REFUNDED),
+            (SETTLED, PART_REF), (SETTLED, CHARGEBACK),
+            (PART_REF, PART_REF), (PART_REF, REFUNDED),
+            (PART_REF, CHARGEBACK),
         }
         accepted = set()
-        for src, dst in product(S, repeat=2):
+        for src, dst in product((PENDING, SETTLED, PART_REF, REFUNDED, CHARGEBACK),
+                                repeat=2):
             t = make_txn()
             t.status = src
             try:
@@ -109,12 +116,12 @@ class TestTransaction:
     @pytest.mark.parametrize(
         "src,dst",
         [
-            (TransactionStatus.SETTLED, TransactionStatus.SETTLED),
-            (TransactionStatus.SETTLED, TransactionStatus.PENDING),
-            (TransactionStatus.REFUNDED, TransactionStatus.SETTLED),
-            (TransactionStatus.CHARGEBACK, TransactionStatus.REFUNDED),
-            (TransactionStatus.PART_REF, TransactionStatus.SETTLED),
-            (TransactionStatus.SETTLED, TransactionStatus.REFUNDED),
+            (SETTLED, SETTLED),
+            (SETTLED, PENDING),
+            (REFUNDED, SETTLED),
+            (CHARGEBACK, REFUNDED),
+            (PART_REF, SETTLED),
+            (SETTLED, REFUNDED),
         ],
     )
     def test_illegal_edges_rejected(self, src, dst):
@@ -122,6 +129,13 @@ class TestTransaction:
         t.status = src
         with pytest.raises(IllegalTransition):
             transition(t, dst)
+
+    def test_illegal_transition_names_both_statuses(self):
+        t = make_txn(status=SETTLED)
+        with pytest.raises(IllegalTransition) as exc:
+            transition(t, SETTLED)
+        assert str(exc.value) == "illegal status transition SETTLED -> SETTLED"
+        assert (exc.value.src, exc.value.dst) == ("SETTLED", "SETTLED")
 
 
 class TestEventLog:

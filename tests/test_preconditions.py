@@ -21,16 +21,16 @@ from hypothesis import given, settings
 from rewardsim import Scenario, ScenarioInvalid, engine, run
 from rewardsim.adversary import BATTERY, build_ddra_scenario
 from rewardsim.issuers import VARIANTS
-from rewardsim.ledger import TransactionStatus
+from rewardsim.ledger import PART_REF, PENDING, SETTLED
 from test_clock import scenarios, under
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
-ADJUSTABLE = (TransactionStatus.SETTLED, TransactionStatus.PART_REF)
+ADJUSTABLE = (SETTLED, PART_REF)
 
 
 def _settlement(a):
     txn = a["txn"]
-    return (txn.status is TransactionStatus.PENDING and txn.id not in a["records"]
+    return (txn.status is PENDING and txn.id not in a["records"]
             and 0 <= a["presettle_refunded"] < txn.amount)
 
 

@@ -12,6 +12,10 @@ variant's run is measured from its log:
 - ``final`` and ``lowest``: the final and the lowest running balance;
 - ``log``: the log's lines.
 
+Whether a draw is refused, and with which message, depends only on
+``instant``: a purchase that credits at the close can still be PENDING
+when a chargeback comes, but no other policy field moves a refusal.
+
 A fixed-amount redeem-request is all-or-nothing, so a variant that
 denies one can end ahead of a variant that pays it.  The relations on
 redemptions and balances are therefore pinned only on draws without
@@ -31,10 +35,10 @@ Left unpinned because they fail on draws without a redeem-request:
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rewardsim import EngineConfig, Scenario, ScenarioInvalid, run
+from rewardsim import EngineConfig, Scenario, ScenarioEvent, ScenarioInvalid, run
 from rewardsim.invariants import net_reward_from_log, oracle_bound
 from rewardsim.issuers import VARIANTS
 from rewardsim.ledger import REWARD_KINDS
@@ -92,14 +96,15 @@ def schedules(draw):
 
 
 def measure(scenario):
-    """Each variant's log lines and metrics, or None when the scenario is
-    refused."""
+    """Each variant's log lines and metrics, or the message it refuses
+    the scenario with."""
     runs = {}
     for variant in VARIANTS:
         try:
             report = run(under(scenario, variant), daily_snapshots=False)
-        except ScenarioInvalid:
-            return None
+        except ScenarioInvalid as exc:
+            runs[variant] = str(exc)
+            continue
         balance = lowest = 0
         for ev in report.log:
             if ev.kind in BALANCE_KINDS:
@@ -117,11 +122,26 @@ def measure(scenario):
     return runs
 
 
+# a chargeback of principal refunded in full, which a refund deferred to
+# the close leaves SETTLED until then
+FULLY_REFUNDED = Scenario(label="order", config=EngineConfig(), events=[
+    ScenarioEvent(1, "purchase", "t1", 10000, "G"),
+    ScenarioEvent(35, "refund", "t1", 10000),
+    ScenarioEvent(40, "chargeback", "t1"),
+])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scenario=schedules())
+@example(scenario=FULLY_REFUNDED)
 def test_variant_relations(scenario):
     runs = measure(scenario)
-    if runs is None:
+    refusals = {variant: got for variant, got in runs.items() if isinstance(got, str)}
+    for instant in (False, True):
+        group = {variant: refusals.get(variant) for variant, point in VARIANTS.items()
+                 if point.instant == instant}
+        assert len(set(group.values())) == 1, group
+    if refusals:
         return
     relations = NEVER_ABOVE
     if all(e.kind != "redeem-request" for e in scenario.events):
