@@ -12,12 +12,15 @@ from rewardsim import (
     reward_on_refund,
     reward_on_settlement,
 )
+from rewardsim.invariants import net_reward_from_log
 
 
-def show(step: str, txn, record, ledger) -> None:
+def show(step: str, txn, log, ledger) -> None:
+    # the net reward read from the log, grants less clawbacks: the
+    # transaction's own, as the log holds no other
     print(
-        f"{step:<24} original={format_usd(record.reward_original):>7} "
-        f"current={format_usd(record.reward_current):>7} "
+        f"{step:<24} original={format_usd(txn.reward_original):>7} "
+        f"current={format_usd(net_reward_from_log(log)):>7} "
         f"balance={format_usd(ledger.balance):>7} status={txn.status}"
     )
 
@@ -29,13 +32,13 @@ def main() -> None:
                       category="GROCERY", period=0)
 
     reward_on_settlement(ledger, records, txn, cfg, log, day=1)
-    show("settle $100.00 at 5%", txn, records["t1"], ledger)
+    show("settle $100.00 at 5%", txn, log, ledger)
 
     reward_on_refund(ledger, records, txn, 50_00, cfg, log, 3, current_period=0)
-    show("refund $50.00", txn, records["t1"], ledger)
+    show("refund $50.00", txn, log, ledger)
 
     reward_on_refund(ledger, records, txn, 50_00, cfg, log, 5, current_period=0)
-    show("refund $50.00", txn, records["t1"], ledger)
+    show("refund $50.00", txn, log, ledger)
 
     print()
     print("event log:")

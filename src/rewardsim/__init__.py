@@ -46,7 +46,6 @@ from .ledger import (
     LogInvalid,
     ParseError,
     RewardEvent,
-    RewardRecord,
     SequenceGap,
     Transaction,
     UserLedger,
@@ -67,7 +66,6 @@ __all__ = [
     "ParseError",
     "RedeemDecision",
     "RewardEvent",
-    "RewardRecord",
     "RrcVerdict",
     "Scenario",
     "ScenarioEvent",

@@ -1,9 +1,12 @@
 """The defensive reward engine: settlement crediting, proportional
 clawback, the redemption gate, and statement-cycle reconciliation.
 
-All four operations mutate a (UserLedger, records) pair for a single
-user and emit events on the shared log.  They are pure state-machine
-steps: same inputs, same outputs, no clocks and no randomness.
+All four operations mutate one user's UserLedger and Transactions, which
+carry their own reward state, and emit events on the shared log.  They
+are pure state-machine steps: same inputs, same outputs, no clocks and
+no randomness.  ``records``, the harness's transaction dict, is kept
+unread so that the spanned signatures stay as they are, as ``config``
+is on ``reward_on_refund`` and ``reward_on_chargeback``.
 
 The engine trusts its caller: each function states its preconditions
 and checks none, as ``harness.Simulation`` refuses a bad intent first.
@@ -23,7 +26,6 @@ from .ledger import (
     SETTLED,
     EngineConfig,
     EventLog,
-    RewardRecord,
     Transaction,
     transition,
 )
@@ -57,7 +59,8 @@ def reward_on_settlement(
     principal refunded while the transaction was pending; the
     transaction's own amount is never mutated.  Returns the reward
     granted (0 when the rate or cap headroom is zero).  Preconditions:
-    ``txn`` is PENDING with no record, ``0 <= presettle_refunded < amount``.
+    ``txn`` is PENDING with ``reward_original == 0`` and ``total_refunded
+    == 0``, and ``0 <= presettle_refunded < amount``.
     """
     base = txn.amount - presettle_refunded
     category, period = txn.category, txn.period
@@ -73,8 +76,9 @@ def reward_on_settlement(
         log.emit(day, kind, txn.id, txn.user, r, category, period)
     else:
         r = 0
-    # reward_current, reward_original, total_refunded, claw_base
-    records[txn.id] = RewardRecord(r, r, presettle_refunded, base)
+    txn.reward_original = r
+    txn.total_refunded = presettle_refunded
+    txn.claw_base = base
     transition(txn, SETTLED)
     return r
 
@@ -93,8 +97,9 @@ def settle_pending(
     that came back while it was pending.
 
     A transaction refunded in full is cancelled instead: it becomes
-    REFUNDED with a zero reward record.  Preconditions: ``txn`` is
-    PENDING with no record, and ``0 <= refunded <= txn.amount``.
+    REFUNDED with a zero reward.  Preconditions: ``txn`` is PENDING with
+    ``reward_original == 0`` and ``total_refunded == 0``, and ``0 <=
+    refunded <= txn.amount``.
     """
     if refunded < txn.amount:
         reward_on_settlement(
@@ -103,17 +108,11 @@ def settle_pending(
         )
     else:
         transition(txn, REFUNDED)
-        records[txn.id] = RewardRecord(
-            reward_current=0,
-            reward_original=0,
-            total_refunded=txn.amount,
-            claw_base=txn.amount,
-        )
+        txn.total_refunded = txn.amount
 
 
 def _clawback(
     ledger,
-    record: RewardRecord,
     txn: Transaction,
     x: int,
     log: EventLog,
@@ -128,35 +127,33 @@ def _clawback(
     so sequential partial refunds always sum to the exact proportional
     total; a full refund claws back the original reward to the cent.
     """
-    presettle = txn.amount - record.claw_base
-    prev = record.total_refunded - presettle  # refunds since settlement
-    old_claw = mul_fraction(prev, record.claw_base, record.reward_original)
-    new_claw = mul_fraction(prev + x, record.claw_base, record.reward_original)
+    base, original = txn.claw_base, txn.reward_original
+    prev = txn.total_refunded - (txn.amount - base)  # refunds since settlement
+    old_claw = mul_fraction(prev, base, original)
+    new_claw = mul_fraction(prev + x, base, original)
     r_claw = new_claw - old_claw  # never negative: new_claw is monotone in x
 
     applied = r_claw
     if floor_balance_at_zero:
         # the zero-floor flaw: debt beyond the current balance is discarded
         applied = min(r_claw, max(ledger.balance, 0))
-    if r_claw > 0:
-        record.reward_current = max(0, record.reward_current - r_claw)
-        if txn.period == current_period:
-            used = ledger.used(txn.period, txn.category)
-            ledger.monthly_used[(txn.period, txn.category)] = max(0, used - r_claw)
+    if r_claw > 0 and txn.period == current_period:
+        used = ledger.used(txn.period, txn.category)
+        ledger.monthly_used[(txn.period, txn.category)] = max(0, used - r_claw)
     if applied > 0:
         ledger.balance -= applied  # may go negative: the debt is the defense
         log.emit(day, kind, txn.id, txn.user, -applied, txn.category, txn.period)
     return applied
 
 
-def refund_principal(record: RewardRecord, txn: Transaction, x: int) -> None:
+def refund_principal(txn: Transaction, x: int) -> None:
     """Count ``x`` more refunded principal and advance the lifecycle:
     PART_REF, then REFUNDED once the whole amount is back.  The reward
     is left as it is."""
-    record.total_refunded += x
+    txn.total_refunded += x
     if txn.status is SETTLED:
         transition(txn, PART_REF)
-    if record.total_refunded == txn.amount:
+    if txn.total_refunded == txn.amount:
         transition(txn, REFUNDED)
 
 
@@ -178,16 +175,14 @@ def reward_on_refund(
     close passes over a late refund on a transaction charged back since.
     Cap headroom is restored only for same-period refunds; cross-cycle
     clawback operates purely through the balance.  Preconditions:
-    ``x > 0``, and at most the principal the record counts unrefunded.
+    ``x > 0``, and at most the principal ``txn`` counts unrefunded.
     """
     if txn.status not in (SETTLED, PART_REF):
         return 0
-    record = records[txn.id]
     r_claw = _clawback(
-        ledger, record, txn, x, log, day, current_period, kind,
-        floor_balance_at_zero,
+        ledger, txn, x, log, day, current_period, kind, floor_balance_at_zero,
     )
-    refund_principal(record, txn, x)
+    refund_principal(txn, x)
     return r_claw
 
 
@@ -203,13 +198,12 @@ def reward_on_chargeback(
 ) -> int:
     """Reverse all principal not yet refunded through the same clawback
     math.  Precondition: ``txn`` is SETTLED or PART_REF."""
-    record = records[txn.id]
-    # never 0: a SETTLED or PART_REF record has principal left
+    # never 0: a SETTLED or PART_REF transaction has principal left
     r_claw = _clawback(
-        ledger, record, txn, txn.amount - record.total_refunded, log, day,
+        ledger, txn, txn.amount - txn.total_refunded, log, day,
         current_period, "chargeback", floor_balance_at_zero,
     )
-    record.total_refunded = txn.amount
+    txn.total_refunded = txn.amount
     transition(txn, CHARGEBACK)
     return r_claw
 

@@ -24,7 +24,6 @@ from .ledger import (
     PENDING,
     EngineConfig,
     EventLog,
-    RewardRecord,
     Transaction,
     UserLedger,
     _collector_paused,
@@ -189,7 +188,6 @@ class Simulation:
         self.variant: IssuerVariant = get_variant(config.variant)
         self.user = user
         self.ledger = UserLedger()
-        self.records: dict[str, RewardRecord] = {}
         self.txns: dict[str, Transaction] = {}
         self.period_txns: dict[int, list] = {}  # period -> its purchases
         self.reversed: dict[str, int] = {}  # principal refunded or charged back
@@ -199,7 +197,7 @@ class Simulation:
         # ``run`` sets it from the scenario's last day before any intent
         # posts; a sweep redemption, posted later, extends it
         self.final_day = -1
-        self._due_settlements: list = []  # (due_day, txn_id)
+        self._due_settlements: list = []  # (due_day, txn)
 
     def _note_intent(self, day: int) -> None:
         horizon = self.config.close_day(self.config.period_of_day(day) + 1)
@@ -229,12 +227,12 @@ class Simulation:
             if due == day:
                 self._settle_instant(day, txn)
             else:
-                self._due_settlements.append((due, txn_id))
+                self._due_settlements.append((due, txn))
 
     def _settle_instant(self, day: int, txn: Transaction) -> None:
         # refunds can land before a delayed settlement; net them out first
         engine.settle_pending(
-            self.ledger, self.records, txn, self.reversed.get(txn.id, 0),
+            self.ledger, self.txns, txn, self.reversed.get(txn.id, 0),
             self.config, self.log, day,
         )
 
@@ -255,10 +253,10 @@ class Simulation:
         adjustment = self.variant.refund_adjustment
         if adjustment == ADJ_NONE:
             # a settled reward is never adjusted
-            engine.refund_principal(self.records[txn_id], txn, x)
+            engine.refund_principal(txn, x)
         elif adjustment == ADJ_IMMEDIATE:
             engine.reward_on_refund(
-                self.ledger, self.records, txn, x, self.config, self.log, day,
+                self.ledger, self.txns, txn, x, self.config, self.log, day,
                 current_period=self.config.period_of_day(day),
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
@@ -279,14 +277,13 @@ class Simulation:
         self.log.emit(day, "chargeback-posted", txn_id, self.user, -remaining,
                       txn.category, txn.period)
         if self.variant.refund_adjustment == ADJ_NONE:
-            record = self.records[txn_id]
-            record.total_refunded += remaining
+            txn.total_refunded = txn.amount
             transition(txn, CHARGEBACK)
         else:
             # forced reversals never wait for the cycle close; the claw
             # covers refunds still deferred to it, which then lapse
             engine.reward_on_chargeback(
-                self.ledger, self.records, txn, self.config, self.log, day,
+                self.ledger, self.txns, txn, self.config, self.log, day,
                 current_period=self.config.period_of_day(day),
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
@@ -309,7 +306,7 @@ class Simulation:
         grace = self.config.grace_days if self.variant.uses_grace_hold else 0
         late, self.late_refunds = self.late_refunds, []
         engine.statement_cycle_reconcile(
-            self.ledger, self.records, self.period_txns.get(period, []),
+            self.ledger, self.txns, self.period_txns.get(period, []),
             self.reversed, late, period, self.config, self.log, day,
             grace_days=grace, floor_balance_at_zero=self.variant.floors_at_zero,
             user=self.user,
@@ -404,8 +401,7 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         if closes and day > 0 and day % length == 0:
             sim.close_period(day // length - 1)
         while due and due[0][0] <= day:
-            _, txn_id = due.pop(0)
-            txn = sim.txns[txn_id]
+            _, txn = due.pop(0)
             if txn.status is PENDING:
                 sim._settle_instant(day, txn)
         if day == next_intent:

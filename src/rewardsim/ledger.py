@@ -1,4 +1,4 @@
-"""Core ledger state: transactions, reward records, the user ledger,
+"""Core ledger state: transactions and their rewards, the user ledger,
 the append-only event log, and engine configuration.
 
 Every value that represents money is an int in minor units.  The event
@@ -94,7 +94,19 @@ class ParseError(ValueError):
 
 
 class Transaction:
-    __slots__ = ("id", "user", "amount", "category", "period", "status")
+    """One purchase and its reward state.  Persists for the account lifetime.
+
+    ``reward_original`` is written once, at settlement.  ``claw_base`` is
+    the amount the settlement reward was computed against (the amount less
+    any principal refunded while pending), and is the divisor for
+    proportional clawback.  ``total_refunded`` counts all principal
+    refunded or charged back, including any netted out before settlement.
+    The engine keeps all three: until settlement they read 0, 0 and the
+    amount, and a refund deferred to the close counts from the close.
+    """
+
+    __slots__ = ("id", "user", "amount", "category", "period", "status",
+                 "reward_original", "total_refunded", "claw_base")
 
     def __init__(self, id: str, user: str, amount: int, category: str, period: int,
                  status: str = PENDING):
@@ -106,6 +118,9 @@ class Transaction:
         self.category = category
         self.period = period  # billing-period index of the purchase
         self.status = status
+        self.reward_original = 0
+        self.total_refunded = 0
+        self.claw_base = amount
 
 
 def transition(txn: Transaction, target: str) -> Transaction:
@@ -114,26 +129,6 @@ def transition(txn: Transaction, target: str) -> Transaction:
         raise IllegalTransition(txn.status, target)
     txn.status = target
     return txn
-
-
-class RewardRecord:
-    """Per-transaction reward state.  Persists for the account lifetime.
-
-    ``reward_original`` is write-once at settlement.  ``claw_base`` is the
-    amount the settlement reward was computed against (the refund-adjusted
-    eligible amount when settled by reconciliation), and is the divisor for
-    proportional clawback.  ``total_refunded`` counts all principal refunds
-    including any netted out before settlement.
-    """
-
-    __slots__ = ("reward_current", "reward_original", "total_refunded", "claw_base")
-
-    def __init__(self, reward_current: int, reward_original: int,
-                 total_refunded: int, claw_base: int):
-        self.reward_current = reward_current
-        self.reward_original = reward_original
-        self.total_refunded = total_refunded
-        self.claw_base = claw_base
 
 
 class UserLedger:

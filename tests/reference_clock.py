@@ -67,8 +67,7 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         if day > 0 and day % config.period_length_days == 0:
             sim.close_period(day // config.period_length_days - 1)
         while sim._due_settlements and sim._due_settlements[0][0] <= day:
-            _, txn_id = sim._due_settlements.pop(0)
-            txn = sim.txns[txn_id]
+            _, txn = sim._due_settlements.pop(0)
             if txn.status is PENDING:
                 sim._settle_instant(day, txn)
         for index, ev in by_day.get(day, []):

@@ -61,18 +61,21 @@ def test_01_settle_refund_refund_walkthrough():
         txn = Transaction(id="t1", user="u1", amount=10000,
                           category="GROCERY", period=0)
         reward_on_settlement(ledger, records, txn, cfg, log, day=1)
-        rec = records["t1"]
-        assert (rec.reward_original, rec.reward_current, ledger.balance) == (500, 500, 500)
+        # t1's net reward is read from the log, the source of truth
+        assert (txn.reward_original, net_reward_from_log(log), ledger.balance) == (
+            500, 500, 500)
         assert txn.status is SETTLED
         assert format_usd(ledger.balance) == "$5.00"
 
         reward_on_refund(ledger, records, txn, 5000, cfg, log, 3, current_period=0)
-        assert (rec.reward_original, rec.reward_current, ledger.balance) == (500, 250, 250)
+        assert (txn.reward_original, net_reward_from_log(log), ledger.balance) == (
+            500, 250, 250)
         assert txn.status is PART_REF
         assert format_usd(ledger.balance) == "$2.50"
 
         reward_on_refund(ledger, records, txn, 5000, cfg, log, 5, current_period=0)
-        assert (rec.reward_original, rec.reward_current, ledger.balance) == (500, 0, 0)
+        assert (txn.reward_original, net_reward_from_log(log), ledger.balance) == (
+            500, 0, 0)
         assert txn.status is REFUNDED
         assert format_usd(ledger.balance) == "$0.00"
 

@@ -16,6 +16,7 @@ from rewardsim import (
     reward_on_settlement,
     statement_cycle_reconcile,
 )
+from rewardsim.invariants import net_reward_from_log
 from rewardsim.ledger import CHARGEBACK, PART_REF, PENDING, REFUNDED, SETTLED
 
 
@@ -44,7 +45,7 @@ class TestSettlement:
         assert r == 499  # 5% of 99.99 floors down
         assert ledger.balance == 499
         assert txn.status is SETTLED
-        assert records["t1"].reward_original == 499
+        assert txn.reward_original == 499
 
     def test_cap_clips_reward(self):
         ledger, records, log, cfg = fresh()
@@ -61,7 +62,7 @@ class TestSettlement:
         assert r == 0
         assert len(log) == 0  # no event for a zero grant
         assert txn.status is SETTLED
-        assert records["t1"].reward_original == 0
+        assert txn.reward_original == 0
 
 
 class TestRefundClawback:
@@ -152,7 +153,7 @@ class TestRefundClawback:
             for x in parts
         )
         assert clawed == r
-        assert records["t1"].reward_current == 0
+        assert net_reward_from_log(log) == 0
 
 
 class TestChargeback:
@@ -174,7 +175,7 @@ class TestChargeback:
         c = reward_on_chargeback(ledger, records, txn, cfg, log, 5, current_period=0)
         assert c == 300
         assert ledger.balance == 0
-        assert records["t1"].total_refunded == 10000
+        assert txn.total_refunded == 10000
         assert txn.status is CHARGEBACK
 
 
@@ -229,8 +230,8 @@ class TestReconcile:
             (30, "hold-set", "", 0),
         ]
         assert ledger.balance == 300
-        assert records["t1"].claw_base == 6000
-        assert records["t1"].total_refunded == 4000
+        assert txn.claw_base == 6000
+        assert txn.total_refunded == 4000
 
     def test_fully_refunded_pending_cancels(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
@@ -240,7 +241,7 @@ class TestReconcile:
         )
         assert txn.status is REFUNDED
         assert ledger.balance == 0
-        assert records["t1"].reward_original == 0
+        assert txn.reward_original == 0
         assert len(log) == 0
 
     def test_close_leaves_refunded_unchanged(self):
@@ -267,7 +268,7 @@ class TestReconcile:
             (60, "reconcile-clawback", "t1", -250),
         ]
         assert ledger.balance == 250
-        assert records["t1"].reward_current == 250
+        assert net_reward_from_log(log) == 250
         assert txn.status is PART_REF
 
     def test_hold_event_emitted_once_per_change(self):
@@ -290,5 +291,5 @@ class TestReconcile:
         assert ledger.balance == 350
         reward_on_refund(ledger, records, txn, 7000, cfg, log, 40, current_period=1)
         assert ledger.balance == 0
-        assert records["t1"].reward_current == 0
+        assert net_reward_from_log(log) == 0
         assert txn.status is REFUNDED
