@@ -8,6 +8,12 @@ no randomness.  ``records``, the harness's transaction dict, is kept
 unread so that the spanned signatures stay as they are, as ``config``
 is on ``reward_on_refund`` and ``reward_on_chargeback``.
 
+Outside ``ledger``, this module alone writes a Transaction.  The harness
+counts a reversal that moves no reward through ``refund_principal`` (a
+refund while the transaction is pending, or under a variant that never
+claws back) or ``chargeback_principal`` (a chargeback under such a
+variant).
+
 The engine trusts its caller: each function states its preconditions
 and checks none, as ``harness.Simulation`` refuses a bad intent first.
 ``ledger.transition``'s ``IllegalTransition`` asserts the lifecycle: a
@@ -59,8 +65,8 @@ def reward_on_settlement(
     principal refunded while the transaction was pending; the
     transaction's own amount is never mutated.  Returns the reward
     granted (0 when the rate or cap headroom is zero).  Preconditions:
-    ``txn`` is PENDING with ``reward_original == 0`` and ``total_refunded
-    == 0``, and ``0 <= presettle_refunded < amount``.
+    ``txn`` is PENDING with ``reward_original == 0``, and
+    ``total_refunded == presettle_refunded < amount``.
     """
     base = txn.amount - presettle_refunded
     category, period = txn.category, txn.period
@@ -77,38 +83,9 @@ def reward_on_settlement(
     else:
         r = 0
     txn.reward_original = r
-    txn.total_refunded = presettle_refunded
     txn.claw_base = base
     transition(txn, SETTLED)
     return r
-
-
-def settle_pending(
-    ledger,
-    records: dict,
-    txn: Transaction,
-    refunded: int,
-    config: EngineConfig,
-    log: EventLog,
-    day: int,
-    kind: str = "settle",
-) -> None:
-    """Settle a PENDING transaction net of the ``refunded`` principal
-    that came back while it was pending.
-
-    A transaction refunded in full is cancelled instead: it becomes
-    REFUNDED with a zero reward.  Preconditions: ``txn`` is PENDING with
-    ``reward_original == 0`` and ``total_refunded == 0``, and ``0 <=
-    refunded <= txn.amount``.
-    """
-    if refunded < txn.amount:
-        reward_on_settlement(
-            ledger, records, txn, config, log, day, kind,
-            presettle_refunded=refunded,
-        )
-    else:
-        transition(txn, REFUNDED)
-        txn.total_refunded = txn.amount
 
 
 def _clawback(
@@ -147,14 +124,22 @@ def _clawback(
 
 
 def refund_principal(txn: Transaction, x: int) -> None:
-    """Count ``x`` more refunded principal and advance the lifecycle:
-    PART_REF, then REFUNDED once the whole amount is back.  The reward
-    is left as it is."""
+    """Count ``x`` more refunded principal and advance the lifecycle: a
+    SETTLED transaction becomes PART_REF, and one whose whole amount is
+    back becomes REFUNDED, which cancels a PENDING one.  The reward is
+    left as it is."""
     txn.total_refunded += x
     if txn.status is SETTLED:
         transition(txn, PART_REF)
     if txn.total_refunded == txn.amount:
         transition(txn, REFUNDED)
+
+
+def chargeback_principal(txn: Transaction) -> None:
+    """Count the whole amount reversed and mark the transaction
+    CHARGEBACK.  The reward is left as it is."""
+    txn.total_refunded = txn.amount
+    transition(txn, CHARGEBACK)
 
 
 def reward_on_refund(
@@ -171,14 +156,11 @@ def reward_on_refund(
 ) -> int:
     """Apply proportional clawback for a refund of ``x`` minor units.
 
-    Any status but SETTLED or PART_REF returns 0 without mutation: a
-    close passes over a late refund on a transaction charged back since.
     Cap headroom is restored only for same-period refunds; cross-cycle
     clawback operates purely through the balance.  Preconditions:
-    ``x > 0``, and at most the principal ``txn`` counts unrefunded.
+    ``txn`` is SETTLED or PART_REF, ``x > 0``, and ``x`` is at most the
+    principal ``txn`` counts unrefunded.
     """
-    if txn.status not in (SETTLED, PART_REF):
-        return 0
     r_claw = _clawback(
         ledger, txn, x, log, day, current_period, kind, floor_balance_at_zero,
     )
@@ -203,8 +185,7 @@ def reward_on_chargeback(
         ledger, txn, txn.amount - txn.total_refunded, log, day,
         current_period, "chargeback", floor_balance_at_zero,
     )
-    txn.total_refunded = txn.amount
-    transition(txn, CHARGEBACK)
+    chargeback_principal(txn)
     return r_claw
 
 
@@ -251,13 +232,13 @@ def statement_cycle_reconcile(
     """Close period ``period`` in two phases.
 
     Phase 1 claws back ``late_refunds``, (transaction, amount) pairs
-    refunded after their transaction settled; ``reward_on_refund``
-    skips a transaction charged back since.  Phase 2 settles each
+    refunded after their transaction settled.  Phase 2 settles each
     transaction of ``period_txns`` (the period's purchases, in purchase
     order) that is still PENDING, net of the principal ``refunded``
-    names for it, or cancels it when that covers it in full;
-    ``refunded`` is read, never changed.  Finally a positive
-    ``grace_days`` pushes the redemption hold out to ``day +
+    names for it, which its record already counts; ``refunded`` is
+    read, never changed.  A transaction refunded in full was cancelled
+    when the refund posted, so it is no longer PENDING.  Finally a
+    positive ``grace_days`` pushes the redemption hold out to ``day +
     grace_days``; ``user`` is named on its event.  With none, the hold
     is left as it is.
 
@@ -274,9 +255,9 @@ def statement_cycle_reconcile(
 
     for txn in period_txns:
         if txn.status is PENDING:
-            settle_pending(
-                ledger, records, txn, refunded.get(txn.id, 0), config, log, day,
-                kind="reconcile-settle",
+            reward_on_settlement(
+                ledger, records, txn, config, log, day, kind="reconcile-settle",
+                presettle_refunded=refunded.get(txn.id, 0),
             )
 
     new_hold = day + grace_days

@@ -20,7 +20,6 @@ from . import engine
 from .invariants import check_rrc, integrity_series, net_reward, net_spend
 from .issuers import ADJ_IMMEDIATE, ADJ_NONE, IssuerVariant, get_variant
 from .ledger import (
-    CHARGEBACK,
     PENDING,
     EngineConfig,
     EventLog,
@@ -31,7 +30,6 @@ from .ledger import (
     check_keys,
     equal_slots,
     load_json,
-    transition,
 )
 
 SCENARIO_KINDS = ("purchase", "refund", "chargeback", "redeem-request")
@@ -231,9 +229,9 @@ class Simulation:
 
     def _settle_instant(self, day: int, txn: Transaction) -> None:
         # refunds can land before a delayed settlement; net them out first
-        engine.settle_pending(
-            self.ledger, self.txns, txn, self.reversed.get(txn.id, 0),
-            self.config, self.log, day,
+        engine.reward_on_settlement(
+            self.ledger, self.txns, txn, self.config, self.log, day,
+            presettle_refunded=txn.total_refunded,
         )
 
     def refund(self, day: int, txn_id: str, x: int) -> None:
@@ -248,11 +246,9 @@ class Simulation:
         self.reversed[txn_id] = reversed_so_far + x
         self.log.emit(day, "refund-posted", txn_id, self.user, -x,
                       txn.category, txn.period)
-        if txn.status is PENDING:
-            return  # netted out of the settlement through ``reversed``
         adjustment = self.variant.refund_adjustment
-        if adjustment == ADJ_NONE:
-            # a settled reward is never adjusted
+        if txn.status is PENDING or adjustment == ADJ_NONE:
+            # no reward to adjust yet, or a settled one never adjusted
             engine.refund_principal(txn, x)
         elif adjustment == ADJ_IMMEDIATE:
             engine.reward_on_refund(
@@ -277,8 +273,7 @@ class Simulation:
         self.log.emit(day, "chargeback-posted", txn_id, self.user, -remaining,
                       txn.category, txn.period)
         if self.variant.refund_adjustment == ADJ_NONE:
-            txn.total_refunded = txn.amount
-            transition(txn, CHARGEBACK)
+            engine.chargeback_principal(txn)
         else:
             # forced reversals never wait for the cycle close; the claw
             # covers refunds still deferred to it, which then lapse
@@ -287,6 +282,8 @@ class Simulation:
                 current_period=self.config.period_of_day(day),
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
+            self.late_refunds = [late for late in self.late_refunds
+                                 if late[0] is not txn]
 
     def redeem_request(self, day: int, y: int) -> None:
         if y <= 0:

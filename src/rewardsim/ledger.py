@@ -100,9 +100,10 @@ class Transaction:
     the amount the settlement reward was computed against (the amount less
     any principal refunded while pending), and is the divisor for
     proportional clawback.  ``total_refunded`` counts all principal
-    refunded or charged back, including any netted out before settlement.
-    The engine keeps all three: until settlement they read 0, 0 and the
-    amount, and a refund deferred to the close counts from the close.
+    refunded or charged back: it counts each reversal when it posts,
+    except a refund deferred to the close, which counts from the close.
+    The engine keeps all three; until settlement ``reward_original`` and
+    ``claw_base`` read 0 and the amount.
     """
 
     __slots__ = ("id", "user", "amount", "category", "period", "status",

@@ -16,6 +16,7 @@ from rewardsim import (
     reward_on_settlement,
     statement_cycle_reconcile,
 )
+from rewardsim.engine import refund_principal
 from rewardsim.invariants import net_reward_from_log
 from rewardsim.ledger import CHARGEBACK, PART_REF, PENDING, REFUNDED, SETTLED
 
@@ -108,11 +109,18 @@ class TestRefundClawback:
         assert ledger.used(0, "GROCERY") == 500  # period 0 usage untouched
         assert ledger.balance == 0
 
-    def test_refund_on_pending_is_noop(self):
-        ledger, records, log, cfg = fresh()
+    def test_partial_refund_on_pending_counts_and_stays_pending(self):
         txn = make_txn()
-        assert reward_on_refund(ledger, records, txn, 100, cfg, log, 1, 0) == 0
+        refund_principal(txn, 100)
         assert txn.status is PENDING
+        assert (txn.total_refunded, txn.reward_original) == (100, 0)
+
+    def test_full_refund_on_pending_cancels(self):
+        txn = make_txn()
+        refund_principal(txn, 4000)
+        refund_principal(txn, 6000)
+        assert txn.status is REFUNDED
+        assert (txn.total_refunded, txn.reward_original) == (10000, 0)
 
     def test_balance_goes_negative_after_redeem_then_refund(self):
         ledger, records, log, cfg = fresh()
@@ -221,6 +229,7 @@ class TestReconcile:
     def test_pending_refund_nets_before_settlement(self):
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn()
+        refund_principal(txn, 4000)
         statement_cycle_reconcile(
             ledger, records, [txn], {"t1": 4000}, [], 0, cfg, log, day=30,
             grace_days=7,
@@ -233,23 +242,14 @@ class TestReconcile:
         assert txn.claw_base == 6000
         assert txn.total_refunded == 4000
 
-    def test_fully_refunded_pending_cancels(self):
-        ledger, records, log, cfg = fresh(variant="defensive-cycle")
-        txn = make_txn()
-        statement_cycle_reconcile(
-            ledger, records, [txn], {"t1": 10000}, [], 0, cfg, log, 30
-        )
-        assert txn.status is REFUNDED
-        assert ledger.balance == 0
-        assert txn.reward_original == 0
-        assert len(log) == 0
-
     def test_close_leaves_refunded_unchanged(self):
         # the tally is the simulation's live one: the close reads it and
         # must not consume it
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         refunded = {"a": 4000, "b": 10000, "elsewhere": 500}
         txns = [make_txn("a"), make_txn("b")]
+        refund_principal(txns[0], 4000)
+        refund_principal(txns[1], 10000)
         statement_cycle_reconcile(ledger, records, txns, refunded, [], 0, cfg, log, 30)
         assert refunded == {"a": 4000, "b": 10000, "elsewhere": 500}
         assert [(e.kind, e.txn_id, e.amount_minor) for e in log] == [
@@ -285,6 +285,7 @@ class TestReconcile:
         # must reach exactly zero, not hang on a rounding residue
         ledger, records, log, cfg = fresh(variant="defensive-cycle")
         txn = make_txn(amount=10000)
+        refund_principal(txn, 3000)
         statement_cycle_reconcile(
             ledger, records, [txn], {"t1": 3000}, [], 0, cfg, log, 30
         )

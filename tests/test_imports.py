@@ -8,7 +8,8 @@ is its policy fields, and a name is only a key of ``issuers.VARIANTS``.
 And that no module imports ``enum``: a closed vocabulary, such as the
 transaction statuses, is plain string constants, because on Python 3.10
 and 3.11 the Enum metaclass's ``__getattr__`` makes each load of a member
-several times slower than a read of a module global."""
+several times slower than a read of a module global.  And that only
+``engine`` and ``ledger`` write a transaction's status or reward state."""
 
 import ast
 import pathlib
@@ -125,4 +126,43 @@ def test_no_module_imports_enum():
              for path in sorted((SRC / "rewardsim").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if any(name.split(".")[0] == "enum" for name in imported_modules(node))]
+    assert found == []
+
+
+# a transaction's status and reward state, which engine and ledger own
+RECORD_FIELDS = frozenset({"status", "reward_original", "total_refunded", "claw_base"})
+RECORD_WRITERS = ("engine.py", "ledger.py")
+
+
+def record_writes(source: str) -> list:
+    """The line of each store to an attribute named in ``RECORD_FIELDS``,
+    and of each call of ``transition``, in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Store) and node.attr in RECORD_FIELDS:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "transition":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_record_writes_finds_each_write_and_transition():
+    source = ("txn.total_refunded = txn.amount\n"
+              "transition(txn, CHARGEBACK)\n"
+              "txn.claw_base += 1\n"
+              "a.status, b = 1, 2\n"
+              "ledger.transition(txn, SETTLED)\n"
+              "amount = txn.status\n"
+              "status = txn.reward_original\n")
+    assert record_writes(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_engine_and_ledger_write_a_transaction():
+    found = [f"{path.name}:{line}"
+             for path in sorted((SRC / "rewardsim").glob("*.py"))
+             if path.name not in RECORD_WRITERS
+             for line in record_writes(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -4,10 +4,9 @@ The engine checks none of its preconditions: ``harness.Simulation``
 refuses a bad intent before any engine call.  Here the five engine
 functions whose docstrings state preconditions are replaced, on the
 ``engine`` module, by wrappers that assert them.  The harness looks each
-up there, and so do ``settle_pending`` and ``statement_cycle_reconcile``,
-so every call of a run goes through a wrapper.  A scenario the harness
-refuses is fine; an engine call that breaks a precondition fails the
-test.
+up there, and so does ``statement_cycle_reconcile``, so every call of a
+run goes through a wrapper.  A scenario the harness refuses is fine; an
+engine call that breaks a precondition fails the test.
 """
 
 import contextlib
@@ -36,15 +35,14 @@ def _one_record(a):
 def _settlement(a):
     txn = a["txn"]
     return (_one_record(a) and txn.status is PENDING
-            and txn.reward_original == 0 and txn.total_refunded == 0
-            and 0 <= a["presettle_refunded"] < txn.amount)
+            and txn.reward_original == 0
+            and txn.total_refunded == a["presettle_refunded"] < txn.amount)
 
 
 def _refund(a):
     txn, x = a["txn"], a["x"]
-    # any other status is skipped, which is allowed
-    return _one_record(a) and x > 0 and (txn.status not in ADJUSTABLE
-                                         or txn.total_refunded + x <= txn.amount)
+    return (_one_record(a) and txn.status in ADJUSTABLE and x > 0
+            and txn.total_refunded + x <= txn.amount)
 
 
 def _chargeback(a):

@@ -15,6 +15,12 @@ truth, so once ``run`` has reached quiescence every transaction must be:
   ``floors_at_zero`` a claw may be cut short by the balance, so the
   net reward is not checked there.
 
+And at every step, not just at quiescence: after each refund,
+chargeback and statement close, every transaction's ``total_refunded``
+plus its principal still deferred to the close in ``late_refunds`` is
+the harness's tally ``Simulation.reversed``.  The record counts each
+reversal when it posts; only a deferred refund waits for the close.
+
 The runs are the fixtures, the attack battery under every variant, and
 a fixed Hypothesis sample of schedules under every variant.  A scenario
 the harness refuses stops mid-run, is not quiescent, and is passed over.
@@ -37,15 +43,39 @@ from test_clock import scenarios, under
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
 
 
+def check_tally(sim, step: str) -> None:
+    """Assert the step clause of the module docstring on every
+    transaction of ``sim``, just after ``step``."""
+    deferred = Counter()
+    for txn, x in sim.late_refunds:
+        deferred[txn.id] += x
+    for txn_id, txn in sim.txns.items():
+        assert (sim.reversed.get(txn_id, 0)
+                == txn.total_refunded + deferred[txn_id]), f"after {step}: {txn_id}"
+
+
 @contextlib.contextmanager
 def captured_simulations():
-    """Yield a list that collects each ``Simulation`` that ``run`` builds."""
+    """Yield a list that collects each ``Simulation`` that ``run`` builds.
+    Each checks its tally after every refund, chargeback and close."""
     sims = []
 
     class Captured(harness.Simulation):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             sims.append(self)
+
+        def refund(self, day, txn_id, x):
+            super().refund(day, txn_id, x)
+            check_tally(self, f"refund of {txn_id} on day {day}")
+
+        def chargeback(self, day, txn_id):
+            super().chargeback(day, txn_id)
+            check_tally(self, f"chargeback of {txn_id} on day {day}")
+
+        def close_period(self, period):
+            super().close_period(period)
+            check_tally(self, f"close of period {period}")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "Simulation", Captured)
@@ -117,3 +147,17 @@ def test_a_record_the_log_does_not_show_fails(monkeypatch):
     monkeypatch.setattr(engine, "reward_on_settlement", overstated)
     with pytest.raises(AssertionError):
         check_records(build_ddra_scenario("C"))
+
+
+def test_a_pending_refund_the_record_does_not_count_fails(monkeypatch):
+    # the step check reads the record as each refund posts: a refund of a
+    # pending purchase left to be netted in at settlement is caught
+    count = engine.refund_principal
+
+    def deferred_while_pending(txn, x):
+        if txn.status is not PENDING:
+            count(txn, x)
+
+    monkeypatch.setattr(engine, "refund_principal", deferred_while_pending)
+    with pytest.raises(AssertionError, match="after refund of"):
+        check_records(Scenario.load(FIXTURES[0].parent / "close_refunds_cycle.json"))
