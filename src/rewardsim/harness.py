@@ -30,9 +30,12 @@ from .ledger import (
     check_keys,
     equal_slots,
     load_json,
+    shared_text,
 )
 
 SCENARIO_KINDS = ("purchase", "refund", "chargeback", "redeem-request")
+# each kind to itself: a loaded event holds the vocabulary's own string
+_KINDS = {kind: kind for kind in SCENARIO_KINDS}
 
 
 class ScenarioInvalid(ValueError):
@@ -104,13 +107,15 @@ class Scenario:
             # ScenarioEvent's defaults; tuple.__new__ skips the named
             # tuple's Python-level __new__, which costs more than the tuple
             get = e.get
+            kind = e["kind"]
             events.append(tuple.__new__(ScenarioEvent, (
-                e["day"], e["kind"], get("txn_id", ""), get("amount_minor", 0),
-                get("category", ""))))
+                e["day"], _KINDS.get(kind, kind) if type(kind) is str else kind,
+                shared_text(get("txn_id", "")), get("amount_minor", 0),
+                shared_text(get("category", "")))))
         config = EngineConfig.from_json_dict(raw["config"])
         # absent optional keys take the defaults
         return cls(config=config, events=events,
-                   **{k: raw[k] for k in _SCENARIO_FIELDS if k in raw})
+                   **{k: shared_text(raw[k]) for k in _SCENARIO_FIELDS if k in raw})
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

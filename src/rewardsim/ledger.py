@@ -257,6 +257,15 @@ def check_fields(table: dict, values: dict, error) -> None:
                 raise error(f"{name} is not valid UTF-8 text: {value!r}") from None
 
 
+def shared_text(value):
+    """``value`` as the one object held for its text (``sys.intern``)
+    when it is exactly a str, so records loaded from many JSON texts do
+    not each hold a copy; the interpreter frees it with its last holder.
+    Any other value is returned as it is, for the checks to refuse: a
+    list or dict is unhashable."""
+    return sys.intern(value) if type(value) is str else value
+
+
 class _RepeatedKey(Exception):
     """A JSON object gives one key, ``args[0]``, twice."""
 
@@ -588,8 +597,9 @@ class EngineConfig:
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
         check_keys(raw, _CONFIG_KEYS.keys(), (), ConfigError, "config key")
         check_fields(_CONFIG_MAPS, raw, ConfigError)
-        # only the keys given: an absent one takes __init__'s default
-        kwargs = {_CONFIG_KEYS[key]: value for key, value in raw.items()}
+        # only the keys given: an absent one takes __init__'s default; the
+        # variant name is shared as a scenario's text is
+        kwargs = {_CONFIG_KEYS[key]: shared_text(value) for key, value in raw.items()}
         if "reward_rate" in kwargs:
             rates = kwargs["reward_rate"] = {}
             for c, bps in raw["reward_rate_bps"].items():

@@ -21,6 +21,7 @@ from rewardsim import (
     run,
 )
 from rewardsim.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from rewardsim.issuers import VARIANTS
 
 
 def write_scenario(tmp_path, variant="defensive-instant", events=None,
@@ -234,6 +235,49 @@ class TestSimulate:
             f"error: events must be a JSON array, got {events!r}"
         ]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [[], {}], ids=["array", "object"])
+    @pytest.mark.parametrize("field", ["kind", "txn_id", "category", "label",
+                                       "user", "variant"])
+    def test_array_or_object_text_exits_1(self, tmp_path, capsys, field, value):
+        # the loader interns each text; an array or object cannot be
+        # hashed, so it must pass through untouched to the located refusal
+        path, sc = write_scenario(tmp_path)
+        raw = sc.to_json_dict()
+        if field == "variant":
+            raw["config"][field] = value
+            message = f"variant must be one of {sorted(VARIANTS)}, got {value!r}"
+        elif field in ("label", "user"):
+            raw[field] = value
+            message = f"{field} must be a string, got {value!r}"
+        else:
+            raw["events"][0][field] = value
+            message = f"event 0: {field} must be a string, got {value!r}"
+        path.write_text(json.dumps(raw))
+        code = main(["simulate", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "clawbacks round half-even, so the two refunds keep 2 cents of "
+        "reward against an integrity bound of 1 cent (ROADMAP item 19)"))
+    def test_rounded_clawbacks_keep_no_more_than_the_rate(self, tmp_path, capsys):
+        # each 5-cent grant loses mul_fraction(90, 100, 5) = 4.5 cents,
+        # rounded to 4; the rate on the 20 cents left bounds the reward
+        # at 1 cent
+        path, _ = write_scenario(tmp_path, events=[
+            ScenarioEvent(day=1, kind="purchase", txn_id="t1", amount_minor=100,
+                          category="GROCERY"),
+            ScenarioEvent(day=1, kind="purchase", txn_id="t2", amount_minor=100,
+                          category="GROCERY"),
+            ScenarioEvent(day=2, kind="refund", txn_id="t1", amount_minor=90),
+            ScenarioEvent(day=2, kind="refund", txn_id="t2", amount_minor=90),
+        ])
+        code = main(["simulate", "--scenario", str(path)])
+        assert "VIOLATION" not in capsys.readouterr().out
+        assert code == EXIT_OK
 
     def test_lone_surrogate_label_in_a_process(self, tmp_path):
         path, sc = write_scenario(tmp_path)

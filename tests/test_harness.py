@@ -411,6 +411,32 @@ class TestScenarioJson:
         del raw["events"]
         assert Scenario.from_json_dict(raw).events == []
 
+    def test_loads_share_one_object_per_text(self):
+        # json.loads gives every string value its own object; loaded
+        # scenarios hold one per distinct text, and each kind is the
+        # vocabulary's own string
+        sc = Scenario(
+            label="two loads, one text", user="card holder 1",
+            config=config("defensive-cycle",
+                          reward_rate={"dining out": Fraction(3, 100)},
+                          monthly_cap={}),
+            events=[ev(1, "purchase", "txn-1", 1000, "dining out"),
+                    ev(2, "refund", "txn-1", 400, ""),
+                    ev(3, "chargeback", "txn-1", 0, ""),
+                    ev(4, "redeem-request", "", 0, "")],
+        )
+        text = json.dumps(sc.to_json_dict())
+        first, second = (Scenario.from_json_dict(json.loads(text))
+                         for _ in range(2))
+        assert first == second == sc
+        for name in ("label", "user"):
+            assert getattr(first, name) is getattr(second, name)
+        assert first.config.variant is second.config.variant
+        for a, b in zip(first.events, second.events, strict=True):
+            assert a.txn_id is b.txn_id
+            assert a.category is b.category
+            assert any(a.kind is kind for kind in harness.SCENARIO_KINDS)
+
     def test_non_ascii_text_accepted(self, tmp_path):
         # the lone-surrogate check must not reject ordinary non-ASCII text,
         # and the log keeps it through a write, a read and a replay
