@@ -30,6 +30,7 @@ from .ledger import (
     check_keys,
     equal_slots,
     load_json,
+    shared_config,
     shared_text,
 )
 
@@ -60,7 +61,7 @@ class ScenarioEvent(NamedTuple):
 
 
 class Scenario:
-    __slots__ = ("label", "config", "events", "auto_redeem", "user")
+    __slots__ = _fields = ("label", "config", "events", "auto_redeem", "user")
     __eq__ = equal_slots
     __hash__ = None
 
@@ -99,11 +100,12 @@ class Scenario:
         for index, e in enumerate(raw.get("events", [])):
             if type(e) is not dict:
                 raise ScenarioInvalid(f"event {index} must be a JSON object, got {e!r}")
-            # the event's prefix is built only for a refusal
-            try:
-                check_keys(e, _EVENT_KEYS, ("day", "kind"), ScenarioInvalid, "key")
-            except ScenarioInvalid as exc:
-                raise ScenarioInvalid(f"event {index}: {exc}") from None
+            # check_keys' test inline; it only words the refusal
+            if not (e.keys() <= _EVENT_KEYS and "day" in e and "kind" in e):
+                try:
+                    check_keys(e, _EVENT_KEYS, ("day", "kind"), ScenarioInvalid, "key")
+                except ScenarioInvalid as exc:
+                    raise ScenarioInvalid(f"event {index}: {exc}") from None
             # ScenarioEvent's defaults; tuple.__new__ skips the named
             # tuple's Python-level __new__, which costs more than the tuple
             get = e.get
@@ -112,7 +114,7 @@ class Scenario:
                 e["day"], _KINDS.get(kind, kind) if type(kind) is str else kind,
                 shared_text(get("txn_id", "")), get("amount_minor", 0),
                 shared_text(get("category", "")))))
-        config = EngineConfig.from_json_dict(raw["config"])
+        config = shared_config(EngineConfig.from_json_dict(raw["config"]))
         # absent optional keys take the defaults
         return cls(config=config, events=events,
                    **{k: shared_text(raw[k]) for k in _SCENARIO_FIELDS if k in raw})

@@ -13,9 +13,10 @@ import gc
 import json
 import re
 import sys
+import weakref
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .issuers import VARIANTS
@@ -266,6 +267,21 @@ def shared_text(value):
     return sys.intern(value) if type(value) is str else value
 
 
+# the one live config of each distinct field values, held weakly
+_LIVE_CONFIGS = weakref.WeakValueDictionary()
+
+
+def shared_config(config: EngineConfig) -> EngineConfig:
+    """The one live EngineConfig whose fields equal ``config``'s, rates and
+    caps in their own key order, or ``config`` itself if none lives, so
+    scenarios loaded with equal configs hold one.  A shared config is
+    read-only: a change to it would change every holder's."""
+    # the fields in _fields order, which begins with the two dicts
+    rates, caps, *rest = attrgetter(*config._fields)(config)
+    key = (tuple(rates.items()), tuple(caps.items()), *rest)
+    return _LIVE_CONFIGS.setdefault(key, config)
+
+
 class _RepeatedKey(Exception):
     """A JSON object gives one key, ``args[0]``, twice."""
 
@@ -489,10 +505,10 @@ _CONFIG_INTS = {"b_min": int, "grace_days": int, "period_length_days": int,
 
 
 def equal_slots(self, other):
-    """``self == other`` for slotted classes: same class, every slot equal."""
+    """``self == other`` for slotted classes: same class, every field equal."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    return all(getattr(self, name) == getattr(other, name) for name in self._fields)
 
 
 # the default of a mapping argument: a new empty dict for each instance,
@@ -508,8 +524,12 @@ class EngineConfig:
     units ("*" fallback again); an absent category is uncapped.
     """
 
-    __slots__ = ("reward_rate", "monthly_cap", "b_min", "grace_days",
-                 "period_length_days", "variant", "delivery_delay_days")
+    # the constructor's arguments; __weakref__ lets shared_config hold a
+    # config weakly, and equal_slots must not compare it: two weak
+    # references compare their referents
+    _fields = ("reward_rate", "monthly_cap", "b_min", "grace_days",
+               "period_length_days", "variant", "delivery_delay_days")
+    __slots__ = (*_fields, "__weakref__")
     __eq__ = equal_slots
     __hash__ = None
 

@@ -153,7 +153,7 @@ def scenarios(draw):
 def under(scenario, variant):
     """``scenario`` with its config's variant set to ``variant``."""
     config = scenario.config
-    kw = {name: getattr(config, name) for name in EngineConfig.__slots__}
+    kw = {name: getattr(config, name) for name in EngineConfig._fields}
     return Scenario(scenario.label, EngineConfig(**{**kw, "variant": variant}),
                     scenario.events, scenario.auto_redeem, scenario.user)
 

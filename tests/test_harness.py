@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rewardsim import (
+    ConfigError,
     EngineConfig,
     EventLog,
     Scenario,
@@ -436,6 +437,75 @@ class TestScenarioJson:
             assert a.txn_id is b.txn_id
             assert a.category is b.category
             assert any(a.kind is kind for kind in harness.SCENARIO_KINDS)
+
+    def test_loads_share_one_config(self):
+        text = json.dumps(scenario([ev(1, "purchase", "t1", 1000)]).to_json_dict())
+        first, second = (Scenario.from_json_dict(json.loads(text))
+                         for _ in range(2))
+        assert first.config is second.config
+        assert first.config == config()
+
+    @pytest.mark.parametrize("key,value", [
+        ("variant", "defensive-cycle"),
+        ("reward_rate_bps", {"*": 100, "GROCERY": 501}),
+        ("monthly_cap_minor", {"GROCERY": 5001}),
+        ("b_min_minor", 1),
+        ("grace_days", 6),
+        ("period_length_days", 31),
+        ("delivery_delay_days", 1),
+        # equal rates, given in the other key order
+        ("reward_rate_bps", {"GROCERY": 500, "*": 100}),
+    ])
+    def test_configs_that_differ_are_not_shared(self, key, value):
+        raw = {"variant": "defensive-instant",
+               "reward_rate_bps": {"*": 100, "GROCERY": 500},
+               "monthly_cap_minor": {"GROCERY": 5000}, "b_min_minor": 0,
+               "grace_days": 7, "period_length_days": 30, "delivery_delay_days": 0}
+
+        def load(config_raw):
+            return Scenario.from_json_dict(
+                {"schema": 1, "label": "t", "config": json.loads(json.dumps(config_raw))})
+
+        base, other = load(raw), load({**raw, key: value})
+        assert other.config is not base.config
+        # equal only where the rates differ in key order alone
+        assert (other.config == base.config) == (raw[key] == value)
+        assert load(raw).config is base.config
+        assert load({**raw, key: value}).config is other.config
+
+    @pytest.mark.parametrize("key,good,bad,message", [
+        ("b_min_minor", 0, False, "b_min must be an integer, got False"),
+        ("b_min_minor", 0, True, "b_min must be an integer, got True"),
+        ("b_min_minor", 1, True, "b_min must be an integer, got True"),
+        ("grace_days", 7, 7.0, "grace_days must be an integer, got 7.0"),
+        ("reward_rate_bps", {"G": 500}, {"G": 500.0},
+         "reward_rate_bps for 'G' must be an integer, got 500.0"),
+        ("monthly_cap_minor", {"G": 1}, {"G": True},
+         "cap for 'G' must be an integer, got True"),
+    ])
+    def test_a_refused_config_is_refused_after_an_equal_good_one(
+            self, key, good, bad, message):
+        # JSON true equals 1 and 7.0 equals 7, but a shared config is
+        # looked up only after its own checks
+        def load(value):
+            return Scenario.from_json_dict(
+                {"schema": 1, "label": "t", "config": {key: value}})
+
+        held = load(good)
+        with pytest.raises(ConfigError) as refused:
+            load(bad)
+        assert str(refused.value) == message
+        assert load(good).config is held.config
+
+    def test_a_shared_config_goes_with_its_last_holder(self):
+        text = json.dumps(scenario([]).to_json_dict())
+        first, second = (Scenario.from_json_dict(json.loads(text))
+                         for _ in range(2))
+        shared = weakref.ref(first.config)
+        del first
+        assert shared() is second.config
+        del second
+        assert shared() is None
 
     def test_non_ascii_text_accepted(self, tmp_path):
         # the lone-surrogate check must not reject ordinary non-ASCII text,

@@ -9,7 +9,9 @@ And that no module imports ``enum``: a closed vocabulary, such as the
 transaction statuses, is plain string constants, because on Python 3.10
 and 3.11 the Enum metaclass's ``__getattr__`` makes each load of a member
 several times slower than a read of a module global.  And that only
-``engine`` and ``ledger`` write a transaction's status or reward state."""
+``engine`` and ``ledger`` write a transaction's status or reward state,
+and that no module changes an ``EngineConfig`` after its constructor: a
+loaded scenario's config is shared with every other of equal config."""
 
 import ast
 import pathlib
@@ -19,6 +21,7 @@ import sys
 import pytest
 
 import rewardsim
+from rewardsim import EngineConfig
 from rewardsim.issuers import VARIANTS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -165,4 +168,70 @@ def test_only_engine_and_ledger_write_a_transaction():
              for path in sorted((SRC / "rewardsim").glob("*.py"))
              if path.name not in RECORD_WRITERS
              for line in record_writes(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+# a config's fields, and those that hold a dict, whose items are part of it
+CONFIG_FIELDS = frozenset(EngineConfig._fields)
+CONFIG_MAPS = frozenset({"reward_rate", "monthly_cap"})
+DICT_CHANGES = frozenset({"clear", "pop", "popitem", "setdefault", "update"})
+
+
+def config_writes(source: str) -> list:
+    """The line of each store to or deletion of an attribute named in
+    ``CONFIG_FIELDS``, and of each assignment into or change of a
+    ``reward_rate`` or ``monthly_cap`` dict, in ``source``: all but those
+    in ``EngineConfig.__init__`` and ``Simulation``'s own ``self.variant``,
+    an IssuerVariant."""
+    lines = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if scope[:2] == ("EngineConfig", "__init__"):
+            return
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            if node.attr in CONFIG_FIELDS and not (
+                    scope[:1] == ("Simulation",) and node.attr == "variant"
+                    and getattr(node.value, "id", None) == "self"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            if getattr(node.value, "attr", None) in CONFIG_MAPS:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if (node.func.attr in DICT_CHANGES
+                    and getattr(node.func.value, "attr", None) in CONFIG_MAPS):
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(lines)
+
+
+def test_config_writes_finds_each_change_of_a_config():
+    source = ("config.b_min = 1\n"
+              "sc.config.variant = 'A'\n"
+              "cfg.grace_days += 1\n"
+              "config.reward_rate['G'] = rate\n"
+              "del config.monthly_cap['G']\n"
+              "config.monthly_cap.update(caps)\n"
+              "class EngineConfig:\n"
+              "    def __init__(self):\n"
+              "        self.b_min = 0\n"
+              "    def other(self):\n"
+              "        self.b_min = 0\n"
+              "class Simulation:\n"
+              "    def __init__(self, config):\n"
+              "        self.variant = get_variant(config.variant)\n"
+              "        config.variant = 'A'\n"
+              "rate = config.reward_rate['G']\n"
+              "rates['G'] = config.b_min\n")
+    assert config_writes(source) == [1, 2, 3, 4, 5, 6, 11, 15]
+
+
+def test_no_module_changes_a_config():
+    found = [f"{path.name}:{line}"
+             for path in sorted((SRC / "rewardsim").glob("*.py"))
+             for line in config_writes(path.read_text(encoding="utf-8"))]
     assert found == []

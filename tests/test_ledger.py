@@ -319,7 +319,7 @@ class TestEngineConfig:
     def test_every_field_off_its_default_round_trips(self, cfg):
         default = EngineConfig()
         assert all(getattr(cfg, name) != getattr(default, name)
-                   for name in EngineConfig.__slots__)
+                   for name in EngineConfig._fields)
         assert EngineConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
     @pytest.mark.parametrize("key", list(FIELD_OF_KEY))
@@ -329,7 +329,7 @@ class TestEngineConfig:
         del raw[key]
         loaded = EngineConfig.from_json_dict(raw)
         default = EngineConfig()
-        for name in EngineConfig.__slots__:
+        for name in EngineConfig._fields:
             source = default if name == FIELD_OF_KEY[key] else cfg
             assert getattr(loaded, name) == getattr(source, name), name
 
