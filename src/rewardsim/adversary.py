@@ -10,6 +10,7 @@ is built from.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -57,15 +58,25 @@ class AttackOutcome(NamedTuple):
 CYCLE_DAYS = 30
 
 
+_ATTACK_CONFIGS = {}  # preset name -> its config, held for the process
+
+
 def attack_config(variant: str) -> EngineConfig:
-    return EngineConfig(
-        reward_rate={ATTACK_CATEGORY: ATTACK_RATE},
-        monthly_cap={ATTACK_CATEGORY: ATTACK_CAP_MINOR},
-        b_min=0,
-        grace_days=7,
-        period_length_days=CYCLE_DAYS,
-        variant=variant,
-    )
+    """The battery's config under ``variant``: one per preset, shared by
+    every attack scenario of it, so read-only."""
+    # an exact str only: a subclass or an unhashable value goes on to the
+    # constructor's refusal, and a refused name is never held
+    config = _ATTACK_CONFIGS.get(variant) if type(variant) is str else None
+    if config is None:
+        config = _ATTACK_CONFIGS[variant] = EngineConfig(
+            reward_rate={ATTACK_CATEGORY: ATTACK_RATE},
+            monthly_cap={ATTACK_CATEGORY: ATTACK_CAP_MINOR},
+            b_min=0,
+            grace_days=7,
+            period_length_days=CYCLE_DAYS,
+            variant=variant,
+        )
+    return config
 
 
 # each timing's purchase and refund day within a cycle (a refund past the
@@ -74,6 +85,25 @@ TIMINGS = {SAME_CYCLE: (2, 12), CROSS_CYCLE: (20, CYCLE_DAYS + 5), CONTROL: (2, 
 # the (timing, refund fraction) of each scenario the matrix is scored on
 BATTERY = ((SAME_CYCLE, Fraction(1)), (CROSS_CYCLE, Fraction(1)),
            (CROSS_CYCLE, Fraction(1, 2)), (CONTROL, Fraction(1)))
+
+
+# the last len(BATTERY) schedules built, which the battery runs for every
+# preset; typed, since 10000, 10000.0 and True are one untyped key, and a
+# float or bool amount must reach run's refusal as it was given
+@functools.lru_cache(maxsize=len(BATTERY), typed=True)
+def _schedule(buy: int, refund: int | None, purchase_minor: int, cycles: int,
+              refund_minor: int) -> tuple:
+    events = []
+    for k in range(cycles):
+        txn_id, start = f"t{k:03d}", k * CYCLE_DAYS
+        # day, kind, txn_id, amount_minor, category; tuple.__new__ skips
+        # the named tuple's Python-level __new__
+        events.append(tuple.__new__(ScenarioEvent, (
+            start + buy, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)))
+        if refund is not None:
+            events.append(tuple.__new__(ScenarioEvent, (
+                start + refund, "refund", txn_id, refund_minor, "")))
+    return tuple(events)
 
 
 def build_ddra_scenario(
@@ -106,16 +136,8 @@ def build_ddra_scenario(
             f"refund_fraction must lie in (0, 1] and refund at least one minor "
             f"unit of purchase_minor, got {refund_fraction} of {purchase_minor}"
         )
-    events = []
-    for k in range(cycles):
-        txn_id, start = f"t{k:03d}", k * CYCLE_DAYS
-        # day, kind, txn_id, amount_minor, category; tuple.__new__ skips
-        # the named tuple's Python-level __new__
-        events.append(tuple.__new__(ScenarioEvent, (
-            start + buy, "purchase", txn_id, purchase_minor, ATTACK_CATEGORY)))
-        if refund is not None:
-            events.append(tuple.__new__(ScenarioEvent, (
-                start + refund, "refund", txn_id, refund_minor, "")))
+    # each scenario its own list, built before the config is checked
+    events = list(_schedule(buy, refund, purchase_minor, cycles, refund_minor))
     return Scenario(
         label=f"ddra-{variant}-{timing}",
         config=attack_config(variant),

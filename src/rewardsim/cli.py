@@ -30,7 +30,7 @@ from .harness import (
     leakage_estimate,
     run,
 )
-from .invariants import check_rrc, integrity_series
+from .invariants import audit_log
 from .issuers import MATRIX_VARIANTS, comparison_matrix, render_matrix
 from .ledger import ConfigError, EngineConfig, EventLog, _long_integer, load_json
 from .money import format_usd
@@ -138,8 +138,7 @@ def cmd_check(args) -> int:
     if delta is None:
         delta = default_consistency_window(config)
     note = f" (allowed lag {delta}d)"
-    violations = _violations(integrity_series(log, config),
-                             check_rrc(log, delta, config), note)
+    violations = _violations(*audit_log(log, config, delta), note)
     print("\n".join(violations
                     or [f"checked {len(log)} events: invariants hold{note}"]))
     return EXIT_VIOLATION if violations else EXIT_OK

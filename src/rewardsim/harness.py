@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import engine
-from .invariants import check_rrc, integrity_series, net_reward, net_spend
+from .invariants import audit_log, integrity_series, net_reward, net_spend
 from .issuers import ADJ_IMMEDIATE, ADJ_NONE, IssuerVariant, get_variant
 from .ledger import (
     PENDING,
@@ -448,8 +448,8 @@ def run(scenario: Scenario, daily_snapshots: bool = True) -> SimulationReport:
         final_day=max(sim.final_day, 0),
     )
     if daily_snapshots:
-        report.snapshots = integrity_series(sim.log, config)
-        report.rrc = check_rrc(sim.log, default_consistency_window(config), config)
+        report.snapshots, report.rrc = audit_log(
+            sim.log, config, default_consistency_window(config))
     return report
 
 

@@ -278,3 +278,9 @@ def check_rrc(
             restored is not None and restored - day <= delta_days))
         for _, txn_id, day, restored in reversals
     ]
+
+
+def audit_log(log: EventLog, config: EngineConfig, delta: int) -> tuple:
+    """Both checks of ``log``: ``(integrity_series(log, config),
+    check_rrc(log, delta, config))``, each in its own pass."""
+    return integrity_series(log, config), check_rrc(log, delta, config)

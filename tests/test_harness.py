@@ -498,6 +498,10 @@ class TestScenarioJson:
         assert load(good).config is held.config
 
     def test_a_shared_config_goes_with_its_last_holder(self):
+        # an earlier test's ExceptionInfo can keep a loaded config of these
+        # fields alive in a reference cycle with its traceback; collect it,
+        # or the first load shares that config, which outlives both holders
+        gc.collect()
         text = json.dumps(scenario([]).to_json_dict())
         first, second = (Scenario.from_json_dict(json.loads(text))
                          for _ in range(2))

@@ -11,7 +11,9 @@ and 3.11 the Enum metaclass's ``__getattr__`` makes each load of a member
 several times slower than a read of a module global.  And that only
 ``engine`` and ``ledger`` write a transaction's status or reward state,
 and that no module changes an ``EngineConfig`` after its constructor: a
-loaded scenario's config is shared with every other of equal config."""
+loaded scenario's config is shared with every other of equal config.
+And that every ``functools`` cache on a function with parameters is
+typed: ``1``, ``1.0`` and ``True`` are one untyped key."""
 
 import ast
 import pathlib
@@ -234,4 +236,63 @@ def test_no_module_changes_a_config():
     found = [f"{path.name}:{line}"
              for path in sorted((SRC / "rewardsim").glob("*.py"))
              for line in config_writes(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+CACHES = frozenset({"cache", "lru_cache"})
+
+
+def untyped_caches(source: str) -> list:
+    """The line of each ``cache`` or ``lru_cache`` decorator in ``source``
+    on a function that takes parameters, unless it passes ``typed=True``
+    (or ``True`` as ``lru_cache``'s second argument)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if not (args.posonlyargs or args.args or args.vararg or args.kwonlyargs
+                or args.kwarg):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            if getattr(target, "attr", getattr(target, "id", None)) not in CACHES:
+                continue
+            typed = call and (
+                any(kw.arg == "typed" and getattr(kw.value, "value", None) is True
+                    for kw in call.keywords)
+                or len(call.args) > 1 and getattr(call.args[1], "value", None) is True)
+            if not typed:
+                lines.append(decorator.lineno)
+    return sorted(lines)
+
+
+def test_untyped_caches_finds_each_cache_that_is_not_typed():
+    source = ("@functools.cache\n"
+              "def a(x): pass\n"
+              "@cache\n"
+              "def b(): pass\n"
+              "@lru_cache(maxsize=4)\n"
+              "def c(x): pass\n"
+              "@functools.lru_cache(maxsize=4, typed=True)\n"
+              "def d(x): pass\n"
+              "@lru_cache(4, True)\n"
+              "def e(*args): pass\n"
+              "@functools.lru_cache\n"
+              "def f(*, key): pass\n"
+              "@lru_cache(typed=False)\n"
+              "def g(**kw): pass\n"
+              "class K:\n"
+              "    @functools.cache\n"
+              "    def h(self): pass\n"
+              "@functools.wraps(a)\n"
+              "def i(x): pass\n")
+    assert untyped_caches(source) == [1, 5, 11, 13, 16]
+
+
+def test_every_cache_of_a_function_with_parameters_is_typed():
+    found = [f"{path.name}:{line}"
+             for path in sorted((SRC / "rewardsim").glob("*.py"))
+             for line in untyped_caches(path.read_text(encoding="utf-8"))]
     assert found == []

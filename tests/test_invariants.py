@@ -18,7 +18,9 @@ from rewardsim import (
     oracle_bound,
     run,
 )
+from conftest import FIXTURES
 from rewardsim.cli import main
+from rewardsim.harness import default_consistency_window
 from test_invariants_fold import logs_and_configs
 
 
@@ -251,6 +253,15 @@ class TestOnePass:
               "--config", str(cfg_path)])
         assert "invariants hold" in capsys.readouterr().out
         assert len(passes) == 2
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.jsonl")))
+def test_audit_log_gives_both_checks_as_they_are(name):
+    log = EventLog.read_jsonl(FIXTURES / f"{name}.jsonl")
+    config = Scenario.load(FIXTURES / f"{name}.json").config
+    for delta in (0, 3, default_consistency_window(config)):
+        assert invariants.audit_log(log, config, delta) == (
+            integrity_series(log, config), check_rrc(log, delta, config))
 
 
 def heavy_log():
