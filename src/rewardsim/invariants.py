@@ -13,20 +13,21 @@ Two checks run over the audit trail alone, never over engine internals:
 
 Both recompute entitlements from the principal-flow events, so they act
 as independent oracles for the engine's own arithmetic.  Both questions
-are asked "as of" every day of the log, and each checker answers them in
-one streaming pass over it that keeps only the state it reads:
-``integrity_series`` the spend and capped ceiling of each (period,
-category) bucket, ``check_rrc`` the principal, reward and ceiling of
-each transaction and the open reversals.  Each bucket and each
-purchase keeps its rate as the integer terms ``(-numerator,
-denominator)`` of ``money.ceil_terms``, so every ceiling after an event
-is the one integer expression ``-(n * amount // d)``.  A pass takes the
-terms of each category once, with ``rate_ceil``'s check, from its own
-``_CeilTerms`` table: a Fraction's ``numerator`` and ``denominator``
-are Python-level properties, which cost more than the division.  The
-aggregates the simulation reads on every run (``net_spend``,
-``oracle_bound``, ``net_reward_from_log``) stay single lean passes: on
-a short log they are cheaper than either checker's pass.
+are asked "as of" every day of the log, and one streaming fold over it,
+``check_rrc``'s body (``perfbench/tracing.py`` spans that name, not
+``audit_log``), answers both.  It keeps the principal, reward and ceiling
+of each transaction and the open reversals, and records each day's
+principal moves, from which the result's ``.integrity`` builds the spend
+and capped ceiling of each (period, category) bucket on its first
+read.  Each bucket and each purchase keeps its rate as the integer terms
+``(-numerator, denominator)`` of ``money.ceil_terms``, so every ceiling
+after an event is the one integer expression ``-(n * amount // d)``.  A
+pass takes the terms of each category once, with ``rate_ceil``'s check,
+from its own ``_CeilTerms`` table: a Fraction's ``numerator`` and
+``denominator`` are Python-level properties, which cost more than the
+division.  The aggregates the simulation reads on every run
+(``net_spend``, ``oracle_bound``, ``net_reward_from_log``) stay single
+lean passes: on a short log they are cheaper than the fold.
 
 Every function answers for the whole log it is given.  Reward integrity
 as of the log's end is ``integrity_series(log, config)[-1]``, and its
@@ -40,7 +41,6 @@ the event's seq.
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -51,6 +51,7 @@ from .ledger import (
     EngineConfig,
     EventLog,
     LogInvalid,
+    RewardEvent,
 )
 from .money import ceil_terms
 
@@ -70,6 +71,8 @@ class RrcVerdict(NamedTuple):
 
 
 _DAY = attrgetter("day")
+# past the last event: its day closes the last day of the log
+_END = (None,) * len(RewardEvent._fields)
 
 
 class _CeilTerms(dict):
@@ -145,24 +148,6 @@ def oracle_bound(log: EventLog, config: EngineConfig) -> int:
     return total
 
 
-def _by_day(log):
-    """The events of ``log`` grouped by day, in day order.
-
-    The sort is stable, so events keep log order within a day, and it
-    costs O(n) on a log that is already in day order.
-    """
-    return groupby(sorted(log, key=_DAY), _DAY)
-
-
-def _purchase_of(purchases: dict, ev):
-    """``purchases``' entry for the transaction of ``ev``; ``LogInvalid``
-    when it has none."""
-    try:
-        return purchases[ev.txn_id]
-    except KeyError:
-        raise _no_purchase(ev) from None
-
-
 def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
     """Integrity snapshots at every day on which anything happened.
 
@@ -173,44 +158,44 @@ def integrity_series(log: EventLog, config: EngineConfig) -> list[IntegritySnaps
     trips on the engine's own downward rounding.  The last snapshot
     answers for the whole log; an empty log has none.
     """
-    terms = _CeilTerms(config)
-    # (period, category) -> [spend, ceiling, *ceil_terms(rate), cap]
-    buckets: dict[tuple, list] = {}
-    purchases: dict[str, list] = {}  # txn_id -> the bucket of its purchase
-    entitled = reward = 0
-    snapshots = []
-    for day, events in _by_day(log):
-        for ev in events:
-            _, _, kind, txn_id, _, amount, category, period = ev
-            if kind == "purchase":
-                if txn_id in purchases:
-                    raise _duplicate_purchase(ev)
-                bucket = buckets.get((period, category))
+    return check_rrc(log, 0, config).integrity
+
+
+class RrcVerdicts(list):
+    """``check_rrc``'s verdicts.  ``integrity`` is ``integrity_series`` of
+    the same log, built on first read from the fold's day closes, so a
+    caller that reads only the verdicts skips the bucket arithmetic."""
+
+    __slots__ = ("_integrity", "_closes")
+
+    @property
+    def integrity(self) -> list[IntegritySnapshot]:
+        if self._integrity is not None:
+            return self._integrity
+        terms, config, closes = self._closes
+        # (period, category) -> [spend, ceiling, *ceil_terms(rate), cap]
+        buckets: dict[tuple, list] = {}
+        entitled = 0
+        snapshots = self._integrity = []
+        for day, reward, moves in closes:
+            for key, amount in moves:
+                bucket = buckets.get(key)
                 if bucket is None:
-                    bucket = buckets[period, category] = [
-                        0, 0, *terms[category],
-                        config.cap(category)]
-                purchases[txn_id] = bucket
-            elif kind in REVERSAL_KINDS:
-                bucket = _purchase_of(purchases, ev)
-            elif kind in REWARD_KINDS:
-                _purchase_of(purchases, ev)
-                reward += amount
-                continue
-            else:
-                continue
-            spend, old, n, d, cap = bucket
-            spend += amount
-            new = -(n * spend // d) if spend > 0 else 0
-            if cap is not None and new > cap:
-                new = cap
-            bucket[0] = spend
-            bucket[1] = new
-            entitled += new - old
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        snapshots.append(tuple.__new__(IntegritySnapshot, (
-            day, reward, entitled, reward <= entitled)))
-    return snapshots
+                    bucket = buckets[key] = [
+                        0, 0, *terms[key[1]], config.cap(key[1])]
+                spend, old, n, d, cap = bucket
+                spend += amount
+                new = -(n * spend // d) if spend > 0 else 0
+                if cap is not None and new > cap:
+                    new = cap
+                bucket[0] = spend
+                bucket[1] = new
+                entitled += new - old
+            # tuple.__new__ skips the named tuple's Python-level __new__
+            snapshots.append(tuple.__new__(IntegritySnapshot, (
+                day, reward, entitled, reward <= entitled)))
+        self._closes = None
+        return snapshots
 
 
 def check_rrc(
@@ -228,59 +213,85 @@ def check_rrc(
     reward is never re-aligned (no clawback path exists) gets
     restored_day None and fails for any delta.
 
+    The result's ``integrity`` is ``integrity_series(log, config)``.
     The clause is tested as each event of a transaction with open
     reversals posts: only its own events move its flow, so its last test
     of a day is its answer at the end of that day.
     """
     terms = _CeilTerms(config)
     # txn_id -> [*ceil_terms(rate), remaining principal, surviving reward,
-    # ceiling], the ceiling being ceil(rate * remaining principal)
+    # ceil(rate * remaining principal), (period, category)]
     flows: dict[str, list] = {}
+    reward = 0
+    closes = []  # (day, net reward, the day's principal moves) per day
+    moves = []  # (bucket key, principal change) of the current day
     reversals = []  # [seq, txn_id, day, restored day or None]
     pending: dict[str, list] = {}  # txn_id -> its unresolved reversals
     ready = set()  # txns with open reversals whose reward fits
-    for day, events in _by_day(log):
-        for ev in events:
-            seq, _, kind, txn_id, _, amount, category, _ = ev
-            if kind == "purchase":
-                if txn_id in flows:
-                    raise _duplicate_purchase(ev)
-                n, d = terms[category]
-                flows[txn_id] = [n, d, amount, 0, -(n * amount // d) if amount > 0 else 0]
-                continue
-            if kind in REVERSAL_KINDS:
-                flow = _purchase_of(flows, ev)
-                principal = flow[2] = flow[2] + amount
-                flow[4] = -(flow[0] * principal // flow[1]) if principal > 0 else 0
-                rev = [seq, txn_id, day, None]
-                reversals.append(rev)
-                pending.setdefault(txn_id, []).append(rev)
-            elif kind in REWARD_KINDS:
-                flow = _purchase_of(flows, ev)
-                flow[3] += amount
-                if txn_id not in pending:
-                    continue
-            else:
-                continue
+    # the sort is stable, so events keep log order within a day, and it
+    # costs O(n) on a log that is already in day order
+    events = sorted(log, key=_DAY)
+    events.append(_END)
+    day = None
+    for ev in events:
+        seq, ev_day, kind, txn_id, _, amount, category, period = ev
+        if ev_day != day:
+            if day is not None:
+                closes.append((day, reward, moves))
+                moves = []
+                for txn in ready:
+                    for rev in pending.pop(txn):
+                        rev[3] = day
+                ready.clear()
+            day = ev_day
+        if kind == "purchase":
+            if txn_id in flows:
+                raise _duplicate_purchase(ev)
+            n, d = terms[category]
+            key = (period, category)
+            flows[txn_id] = [
+                n, d, amount, 0, -(n * amount // d) if amount > 0 else 0, key]
+            moves.append((key, amount))
+        elif kind in REVERSAL_KINDS:
+            flow = flows.get(txn_id)
+            if flow is None:
+                raise _no_purchase(ev)
+            principal = flow[2] = flow[2] + amount
+            flow[4] = -(flow[0] * principal // flow[1]) if principal > 0 else 0
+            rev = [seq, txn_id, day, None]
+            reversals.append(rev)
+            pending.setdefault(txn_id, []).append(rev)
             if flow[3] <= flow[4]:
                 ready.add(txn_id)
             else:
                 ready.discard(txn_id)
-        for txn_id in ready:
-            for rev in pending.pop(txn_id):
-                rev[3] = day
-        ready.clear()
+            moves.append((flow[5], amount))
+        elif kind in REWARD_KINDS:
+            flow = flows.get(txn_id)
+            if flow is None:
+                raise _no_purchase(ev)
+            flow[3] += amount
+            reward += amount
+            if txn_id in pending:
+                if flow[3] <= flow[4]:
+                    ready.add(txn_id)
+                else:
+                    ready.discard(txn_id)
     reversals.sort(key=itemgetter(0))
-    return [
+    verdicts = RrcVerdicts([
         # txn_id, refund_day, restored_day, ok
         tuple.__new__(RrcVerdict, (
             txn_id, day, restored,
             restored is not None and restored - day <= delta_days))
         for _, txn_id, day, restored in reversals
-    ]
+    ])
+    verdicts._integrity = None
+    verdicts._closes = (terms, config, closes)
+    return verdicts
 
 
 def audit_log(log: EventLog, config: EngineConfig, delta: int) -> tuple:
     """Both checks of ``log``: ``(integrity_series(log, config),
-    check_rrc(log, delta, config))``, each in its own pass."""
-    return integrity_series(log, config), check_rrc(log, delta, config)
+    check_rrc(log, delta, config))``, from ``check_rrc``'s one fold."""
+    verdicts = check_rrc(log, delta, config)
+    return verdicts.integrity, verdicts

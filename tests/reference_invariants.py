@@ -1,13 +1,20 @@
-"""Test-only reference: the rescanning invariant checkers.
+"""Test-only reference: the rescanning and the two-pass invariant checkers.
 
-These are the original, obviously-correct implementations of the
-integrity series, refund-reward consistency and the refund-to-clawback
-lags.  Each "as of day d" question rebuilds the log state anew,
-which costs O(days x events) and worse, so the package answers them
-with one streaming fold instead.  The differential tests assert that
-the fold returns exactly what these return.  The package has no
-refund-to-clawback lag of its own: it reads RRC restore lags, and the
-tests assert that ``classify`` and ``attack`` read the same from both.
+The rescanning checkers are the original, obviously-correct
+implementations of the integrity series, refund-reward consistency and
+the refund-to-clawback lags.  Each "as of day d" question rebuilds the
+log state anew, which costs O(days x events) and worse, so the package
+answers them with one streaming fold instead.  The differential tests
+assert that the fold returns exactly what these return.  The package
+has no refund-to-clawback lag of its own: it reads RRC restore lags, and
+the tests assert that ``classify`` and ``attack`` read the same from
+both.
+
+``integrity_pass`` and ``rrc_pass`` are the package's previous checkers:
+one streaming pass each, over the same day-sorted log, keeping only the
+state its own checker reads.  The package now answers both in one fold
+(``invariants.audit_log``), which must return what the two passes
+return and refuse an invalid log with the same ``LogInvalid``.
 
 The verdict records are the package's own named tuples, so results
 compare with plain tuple equality.
@@ -16,16 +23,19 @@ compare with plain tuple equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from rewardsim.invariants import IntegritySnapshot, RrcVerdict
-from rewardsim.ledger import EngineConfig, EventLog
-from rewardsim.money import rate_ceil
+from rewardsim.ledger import EngineConfig, EventLog, LogInvalid
+from rewardsim.money import ceil_terms, rate_ceil
 
 # principal-flow kinds: purchases positive, reversals negative
 PRINCIPAL_KINDS = frozenset({"purchase", "refund-posted", "chargeback-posted"})
 REVERSAL_KINDS = frozenset({"refund-posted", "chargeback-posted"})
 GRANT_KINDS = frozenset({"settle", "reconcile-settle"})
 CLAW_KINDS = frozenset({"refund", "chargeback", "reconcile-clawback"})
+REWARD_KINDS = GRANT_KINDS | CLAW_KINDS
 REWARD_DELTA_KINDS = frozenset(
     {"settle", "refund", "chargeback", "redeem", "reconcile-settle", "reconcile-clawback"}
 )
@@ -224,3 +234,167 @@ def refund_clawback_lags(report) -> list:
             )
             lags.append(None if claw_day is None else claw_day - ev.day)
     return lags
+
+
+# The two-pass checkers, each one streaming pass over the day-sorted log.
+
+_DAY = attrgetter("day")
+
+
+class _CeilTerms(dict):
+    """category -> ``ceil_terms(config.rate(category))``, taken on first use;
+    one table per pass, so a pass reads each category's rate once."""
+
+    __slots__ = ("config",)
+
+    def __init__(self, config: EngineConfig):
+        self.config = config
+
+    def __missing__(self, category: str) -> tuple[int, int]:
+        terms = self[category] = ceil_terms(self.config.rate(category))
+        return terms
+
+
+def _duplicate_purchase(ev) -> LogInvalid:
+    return LogInvalid(ev.seq, f"duplicate purchase of transaction {ev.txn_id!r}")
+
+
+def _no_purchase(ev) -> LogInvalid:
+    return LogInvalid(
+        ev.seq, f"{ev.kind} for transaction {ev.txn_id!r} with no purchase"
+    )
+
+
+def _by_day(log):
+    """The events of ``log`` grouped by day, in day order.
+
+    The sort is stable, so events keep log order within a day, and it
+    costs O(n) on a log that is already in day order.
+    """
+    return groupby(sorted(log, key=_DAY), _DAY)
+
+
+def _purchase_of(purchases: dict, ev):
+    """``purchases``' entry for the transaction of ``ev``; ``LogInvalid``
+    when it has none."""
+    try:
+        return purchases[ev.txn_id]
+    except KeyError:
+        raise _no_purchase(ev) from None
+
+
+def integrity_pass(log: EventLog, config: EngineConfig) -> list[IntegritySnapshot]:
+    """Integrity snapshots at every day on which anything happened.
+
+    Each snapshot counts every event dated up to and including its day.
+    Its ``bound`` is the capped entitlement of the net spend per (period,
+    category): reversals count against the bucket of the original
+    purchase, and each bucket's entitlement rounds up, so the bound never
+    trips on the engine's own downward rounding.  The last snapshot
+    answers for the whole log; an empty log has none.
+    """
+    terms = _CeilTerms(config)
+    # (period, category) -> [spend, ceiling, *ceil_terms(rate), cap]
+    buckets: dict[tuple, list] = {}
+    purchases: dict[str, list] = {}  # txn_id -> the bucket of its purchase
+    entitled = reward = 0
+    snapshots = []
+    for day, events in _by_day(log):
+        for ev in events:
+            _, _, kind, txn_id, _, amount, category, period = ev
+            if kind == "purchase":
+                if txn_id in purchases:
+                    raise _duplicate_purchase(ev)
+                bucket = buckets.get((period, category))
+                if bucket is None:
+                    bucket = buckets[period, category] = [
+                        0, 0, *terms[category],
+                        config.cap(category)]
+                purchases[txn_id] = bucket
+            elif kind in REVERSAL_KINDS:
+                bucket = _purchase_of(purchases, ev)
+            elif kind in REWARD_KINDS:
+                _purchase_of(purchases, ev)
+                reward += amount
+                continue
+            else:
+                continue
+            spend, old, n, d, cap = bucket
+            spend += amount
+            new = -(n * spend // d) if spend > 0 else 0
+            if cap is not None and new > cap:
+                new = cap
+            bucket[0] = spend
+            bucket[1] = new
+            entitled += new - old
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        snapshots.append(tuple.__new__(IntegritySnapshot, (
+            day, reward, entitled, reward <= entitled)))
+    return snapshots
+
+
+def rrc_pass(
+    log: EventLog, delta_days: int, config: EngineConfig
+) -> list[RrcVerdict]:
+    """Refund-reward consistency: one verdict per reversal event, in log order.
+
+    A reversal on day d is restored at the first end of a day d' >= d on
+    which its own transaction's surviving reward (granted minus clawed)
+    fits in ceil(rate * remaining principal).  Only that transaction's
+    events decide the verdict; the aggregate bound on the whole log's
+    net reward is reward integrity's, which ``integrity_series`` checks.
+
+    The verdict passes when d' - d <= delta_days.  A reversal whose
+    reward is never re-aligned (no clawback path exists) gets
+    restored_day None and fails for any delta.
+
+    The clause is tested as each event of a transaction with open
+    reversals posts: only its own events move its flow, so its last test
+    of a day is its answer at the end of that day.
+    """
+    terms = _CeilTerms(config)
+    # txn_id -> [*ceil_terms(rate), remaining principal, surviving reward,
+    # ceiling], the ceiling being ceil(rate * remaining principal)
+    flows: dict[str, list] = {}
+    reversals = []  # [seq, txn_id, day, restored day or None]
+    pending: dict[str, list] = {}  # txn_id -> its unresolved reversals
+    ready = set()  # txns with open reversals whose reward fits
+    for day, events in _by_day(log):
+        for ev in events:
+            seq, _, kind, txn_id, _, amount, category, _ = ev
+            if kind == "purchase":
+                if txn_id in flows:
+                    raise _duplicate_purchase(ev)
+                n, d = terms[category]
+                flows[txn_id] = [n, d, amount, 0, -(n * amount // d) if amount > 0 else 0]
+                continue
+            if kind in REVERSAL_KINDS:
+                flow = _purchase_of(flows, ev)
+                principal = flow[2] = flow[2] + amount
+                flow[4] = -(flow[0] * principal // flow[1]) if principal > 0 else 0
+                rev = [seq, txn_id, day, None]
+                reversals.append(rev)
+                pending.setdefault(txn_id, []).append(rev)
+            elif kind in REWARD_KINDS:
+                flow = _purchase_of(flows, ev)
+                flow[3] += amount
+                if txn_id not in pending:
+                    continue
+            else:
+                continue
+            if flow[3] <= flow[4]:
+                ready.add(txn_id)
+            else:
+                ready.discard(txn_id)
+        for txn_id in ready:
+            for rev in pending.pop(txn_id):
+                rev[3] = day
+        ready.clear()
+    reversals.sort(key=itemgetter(0))
+    return [
+        # txn_id, refund_day, restored_day, ok
+        tuple.__new__(RrcVerdict, (
+            txn_id, day, restored,
+            restored is not None and restored - day <= delta_days))
+        for _, txn_id, day, restored in reversals
+    ]

@@ -16,6 +16,7 @@ from rewardsim import (
     ScenarioEvent,
     ScenarioInvalid,
     format_millions,
+    integrity_series,
     leakage_estimate,
     replay,
     run,
@@ -45,6 +46,11 @@ def scenario(events, variant="defensive-instant", auto_redeem=False, **kw):
 def ev(day, kind, txn_id="", amount=0, category="GROCERY"):
     return ScenarioEvent(day=day, kind=kind, txn_id=txn_id,
                          amount_minor=amount, category=category)
+
+
+def integrity_holds(report) -> bool:
+    """Reward integrity holds on every day of the report's log."""
+    return all(s.ok for s in integrity_series(report.log, report.config))
 
 
 class TestRun:
@@ -169,16 +175,16 @@ class TestRun:
         assert [(e.day, e.kind, e.amount_minor) for e in report.log] == [
             (2, "purchase", 10000), (30, "reconcile-settle", 500),
         ]
-        assert report.integrity_ok
+        assert integrity_holds(report)
 
     @pytest.mark.parametrize("snapshots", [True, False])
-    def test_integrity_ok_reads_the_log_without_snapshots(self, fixtures_dir,
-                                                          snapshots):
-        # ddra_A's net reward exceeds its bound; a run that takes no daily
-        # snapshots must still say so
+    def test_integrity_series_reads_the_log_without_snapshots(self, fixtures_dir,
+                                                              snapshots):
+        # ddra_A's net reward exceeds its bound; the log of a run that
+        # takes no daily snapshots must still say so
         sc = Scenario.load(fixtures_dir / "ddra_A.json")
-        assert not run(sc, daily_snapshots=snapshots).integrity_ok
-        assert run(scenario([]), daily_snapshots=snapshots).integrity_ok
+        assert not integrity_holds(run(sc, daily_snapshots=snapshots))
+        assert integrity_holds(run(scenario([]), daily_snapshots=snapshots))
 
 
 class TestPayoutAboveTheFloor:
@@ -363,7 +369,7 @@ class TestScenarioJson:
         assert str(exc.value) == message
 
     def test_python_built_scenario_checked_too(self):
-        # a float day used to log nothing and report integrity_ok
+        # a float day used to log nothing and report integrity as holding
         with pytest.raises(ScenarioInvalid, match="event 0: day must be an integer"):
             run(scenario([ev(1.5, "purchase", "t1", 10000)]))
 
@@ -751,4 +757,4 @@ class TestMonotonicity:
         report = run(scenario(events))
         rewards = [s.net_reward for s in report.snapshots]
         assert rewards == sorted(rewards)
-        assert report.integrity_ok
+        assert integrity_holds(report)

@@ -211,8 +211,9 @@ class TestOneDayChecksAgainstReference:
 
 
 class TestOnePass:
-    # each checker reads the log once, counted at EventLog.__iter__ as the
-    # benchmark's tracer counts invariants.log_passes
+    # each checker reads the log once, and one fold answers both,
+    # counted at EventLog.__iter__ as the benchmark's tracer counts
+    # invariants.log_passes
     @pytest.fixture
     def passes(self, monkeypatch):
         counted = []
@@ -233,35 +234,69 @@ class TestOnePass:
     @pytest.mark.parametrize("check", [
         lambda log, config: integrity_series(log, config),
         lambda log, config: check_rrc(log, 3, config),
+        lambda log, config: invariants.audit_log(log, config, 3),
         lambda log, config: oracle_bound(log, config),
         lambda log, config: net_spend(log),
         lambda log, config: net_reward_from_log(log),
-    ], ids=["integrity_series", "check_rrc", "oracle_bound", "net_spend",
-            "net_reward_from_log"])
+    ], ids=["integrity_series", "check_rrc", "audit_log", "oracle_bound",
+            "net_spend", "net_reward_from_log"])
     def test_each_checker_reads_the_log_once(self, walkthrough, passes, check):
         log, config = walkthrough
         check(log, config)
         assert passes == [log]
 
-    def test_check_command_reads_the_log_once_per_checker(
-            self, fixtures_dir, tmp_path, passes, capsys):
-        # integrity_series and check_rrc each make their own pass
+    @pytest.fixture
+    def check_argv(self, fixtures_dir, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
             Scenario.load(fixtures_dir / "walkthrough.json").config.to_json_dict()))
-        main(["check", "--log", str(fixtures_dir / "walkthrough.jsonl"),
-              "--config", str(cfg_path)])
+        return ["check", "--log", str(fixtures_dir / "walkthrough.jsonl"),
+                "--config", str(cfg_path)]
+
+    def test_check_command_reads_the_log_once(self, check_argv, passes, capsys):
+        # one fold answers both checks
+        main(check_argv)
         assert "invariants hold" in capsys.readouterr().out
+        assert len(passes) == 1
+
+    def test_simulate_command_reads_the_log_twice(self, fixtures_dir, passes,
+                                                  capsys):
+        # the run's fold, then the report's net spend
+        main(["simulate", "--scenario", str(fixtures_dir / "walkthrough.json")])
+        assert "invariants: ok" in capsys.readouterr().out
         assert len(passes) == 2
+
+    def test_commands_fold_under_check_rrc(self, fixtures_dir, check_argv,
+                                           monkeypatch, capsys):
+        # perfbench/tracing.py times the checkers by name and spans
+        # check_rrc, not audit_log, so the fold must run as check_rrc
+        calls = []
+        fold = invariants.check_rrc
+        monkeypatch.setattr(invariants, "check_rrc",
+                            lambda *args: calls.append(args) or fold(*args))
+        main(check_argv)
+        main(["simulate", "--scenario", str(fixtures_dir / "walkthrough.json")])
+        capsys.readouterr()
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.jsonl")))
 def test_audit_log_gives_both_checks_as_they_are(name):
+    # the fold returns what the two single-checker passes it replaced return
     log = EventLog.read_jsonl(FIXTURES / f"{name}.jsonl")
     config = Scenario.load(FIXTURES / f"{name}.json").config
     for delta in (0, 3, default_consistency_window(config)):
         assert invariants.audit_log(log, config, delta) == (
-            integrity_series(log, config), check_rrc(log, delta, config))
+            ref.integrity_pass(log, config), ref.rrc_pass(log, delta, config))
+
+
+def test_check_rrc_builds_its_integrity_once_on_first_read():
+    log = EventLog.read_jsonl(FIXTURES / "walkthrough.jsonl")
+    config = Scenario.load(FIXTURES / "walkthrough.json").config
+    verdicts = check_rrc(log, 3, config)
+    integrity = verdicts.integrity
+    assert integrity == ref.integrity_pass(log, config)
+    assert verdicts.integrity is integrity
 
 
 def heavy_log():

@@ -1,9 +1,13 @@
-"""Differential tests: the streaming passes against the rescanning reference.
+"""Differential tests: the streaming fold against the reference checkers.
 
-``integrity_series`` and ``check_rrc`` each answer every "as of day d"
-question from one pass over the log; ``reference_invariants`` rebuilds
-the log state for each day instead.  Both must return equal records
-on engine logs of every variant and on arbitrary hand-built logs.
+``check_rrc`` answers every "as of day d" question of both checkers
+from one fold over the log, and ``integrity_series`` and ``audit_log``
+read the integrity half from its result; ``reference_invariants``
+rebuilds the log state for each day instead, and keeps the two
+single-checker passes the fold replaced.  All must return equal records
+on engine logs of every variant and on arbitrary hand-built logs, and
+refuse a log with a duplicate purchase or an event for a transaction
+with no purchase with the same ``LogInvalid``.
 
 ``check_rrc`` gives each reversal the verdict its own transaction's
 events give alone, and wherever reward integrity holds the net reward
@@ -41,6 +45,7 @@ from rewardsim import (
 from rewardsim.adversary import BATTERY, AttackOutcome
 from rewardsim.cli import main
 from rewardsim.harness import default_consistency_window
+from rewardsim.invariants import audit_log
 from rewardsim.issuers import VARIANTS, classify
 from conftest import FIXTURES
 from test_acceptance import _random_scenario
@@ -52,6 +57,8 @@ def assert_same(log, config, deltas=DELTAS):
     assert integrity_series(log, config) == ref.integrity_series(log, config)
     for delta in deltas:
         assert check_rrc(log, delta, config) == ref.check_rrc(log, delta, config)
+        assert audit_log(log, config, delta) == (
+            ref.integrity_pass(log, config), ref.rrc_pass(log, delta, config))
 
 
 def heavy_scenario(variant, seed, purchases=40, days=150):
@@ -194,12 +201,56 @@ def _emit(log, entry):
              category=category, period=period)
 
 
+ORPHAN_KINDS = ["refund-posted", "chargeback-posted", "settle", "refund",
+                "reconcile-clawback"]
+
+
+@st.composite
+def invalid_logs_and_configs(draw):
+    """A hand-built log with one fault put in anywhere, on any day: a
+    second purchase of a purchased id, or a reversal, grant or claw for
+    a transaction with no purchase."""
+    log, config = draw(logs_and_configs())
+    rows = [ev[1:] for ev in log]
+    purchased = sorted({txn_id for _, kind, txn_id, *_ in rows if kind == "purchase"})
+    kind = draw(st.sampled_from(ORPHAN_KINDS + ["purchase"] * bool(purchased)))
+    txn_id = draw(st.sampled_from(purchased)) if kind == "purchase" else "zz"
+    day = draw(st.integers(0, 160))
+    rows.insert(draw(st.integers(0, len(rows))),
+                (day, kind, txn_id, "u1", draw(st.integers(-500, 500)),
+                 draw(st.sampled_from("ABC")), day // 30))
+    faulty = EventLog()
+    for day, kind, txn_id, user, amount, category, period in rows:
+        faulty.emit(day=day, kind=kind, txn_id=txn_id, user=user,
+                    amount_minor=amount, category=category, period=period)
+    return faulty, config
+
+
+def refusal(check):
+    """The seq and text of the ``LogInvalid`` that ``check()`` raises."""
+    with pytest.raises(LogInvalid) as exc:
+        check()
+    return exc.value.seq, str(exc.value)
+
+
 class TestHypothesis:
     @settings(max_examples=300, deadline=None)
     @given(logs_and_configs())
     def test_arbitrary_logs(self, log_and_config):
         log, config = log_and_config
         assert_same(log, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(invalid_logs_and_configs(), st.sampled_from(DELTAS))
+    def test_invalid_logs_are_refused_as_the_two_passes_refuse_them(
+            self, log_and_config, delta):
+        log, config = log_and_config
+        expected = refusal(lambda: ref.integrity_pass(log, config))
+        assert refusal(lambda: ref.rrc_pass(log, delta, config)) == expected
+        for check in (lambda: audit_log(log, config, delta),
+                      lambda: integrity_series(log, config),
+                      lambda: check_rrc(log, delta, config)):
+            assert refusal(check) == expected
 
 
 def assert_rrc_is_local(log, config):
@@ -342,6 +393,7 @@ class TestLocatedErrors:
             rate_ceil(Fraction(-1, 20), 10000)
         for check in (lambda: integrity_series(self.purchase_log(), config),
                       lambda: check_rrc(self.purchase_log(), 0, config),
+                      lambda: audit_log(self.purchase_log(), config, 0),
                       lambda: oracle_bound(self.purchase_log(), config)):
             with pytest.raises(ValueError) as got:
                 check()
@@ -349,10 +401,11 @@ class TestLocatedErrors:
 
     @staticmethod
     def assert_every_check_raises(log, message):
-        # the checkers' passes and the lean oracle pass alike
+        # the checkers' fold and the lean oracle pass alike
         config = EngineConfig(reward_rate={"G": Fraction(5, 100)})
         for check in (lambda: integrity_series(log, config),
                       lambda: check_rrc(log, 0, config),
+                      lambda: audit_log(log, config, 0),
                       lambda: oracle_bound(log, config)):
             with pytest.raises(LogInvalid, match=message):
                 check()
