@@ -27,17 +27,17 @@ def show(step: str, txn, log, ledger) -> None:
 
 def main() -> None:
     cfg = EngineConfig(reward_rate={"GROCERY": Fraction(5, 100)})
-    ledger, records, log = UserLedger(), {}, EventLog()
+    ledger, log = UserLedger(), EventLog()
     txn = Transaction(id="t1", user="u1", amount=100_00,
                       category="GROCERY", period=0)
 
-    reward_on_settlement(ledger, records, txn, cfg, log, day=1)
+    reward_on_settlement(ledger, txn, cfg, log, day=1)
     show("settle $100.00 at 5%", txn, log, ledger)
 
-    reward_on_refund(ledger, records, txn, 50_00, cfg, log, 3, current_period=0)
+    reward_on_refund(ledger, txn, 50_00, log, 3, current_period=0)
     show("refund $50.00", txn, log, ledger)
 
-    reward_on_refund(ledger, records, txn, 50_00, cfg, log, 5, current_period=0)
+    reward_on_refund(ledger, txn, 50_00, log, 5, current_period=0)
     show("refund $50.00", txn, log, ledger)
 
     print()

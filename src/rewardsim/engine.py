@@ -4,9 +4,8 @@ clawback, the redemption gate, and statement-cycle reconciliation.
 All four operations mutate one user's UserLedger and Transactions, which
 carry their own reward state, and emit events on the shared log.  They
 are pure state-machine steps: same inputs, same outputs, no clocks and
-no randomness.  ``records``, the harness's transaction dict, is kept
-unread so that the spanned signatures stay as they are, as ``config``
-is on ``reward_on_refund`` and ``reward_on_chargeback``.
+no randomness.  Each step reads the transaction it acts on, and takes
+the principal already reversed from its record's ``total_refunded``.
 
 Outside ``ledger``, this module alone writes a Transaction.  The harness
 counts a reversal that moves no reward through ``refund_principal`` (a
@@ -51,24 +50,22 @@ _ALLOWED = RedeemDecision(allowed=True, reason="ok")
 
 def reward_on_settlement(
     ledger,
-    records: dict,
     txn: Transaction,
     config: EngineConfig,
     log: EventLog,
     day: int,
     kind: str = "settle",
-    presettle_refunded: int = 0,
 ) -> int:
     """Credit the settlement reward for one transaction.
 
-    The reward is computed on the amount less ``presettle_refunded``, the
+    The reward is computed on the amount less ``total_refunded``, the
     principal refunded while the transaction was pending; the
     transaction's own amount is never mutated.  Returns the reward
     granted (0 when the rate or cap headroom is zero).  Preconditions:
-    ``txn`` is PENDING with ``reward_original == 0``, and
-    ``total_refunded == presettle_refunded < amount``.
+    ``txn`` is PENDING with ``reward_original == 0`` and
+    ``total_refunded < amount``.
     """
-    base = txn.amount - presettle_refunded
+    base = txn.amount - txn.total_refunded
     category, period = txn.category, txn.period
     key = (period, category)
     used = ledger.monthly_used.get(key, 0)
@@ -144,10 +141,8 @@ def chargeback_principal(txn: Transaction) -> None:
 
 def reward_on_refund(
     ledger,
-    records: dict,
     txn: Transaction,
     x: int,
-    config: EngineConfig,
     log: EventLog,
     day: int,
     current_period: int,
@@ -170,9 +165,7 @@ def reward_on_refund(
 
 def reward_on_chargeback(
     ledger,
-    records: dict,
     txn: Transaction,
-    config: EngineConfig,
     log: EventLog,
     day: int,
     current_period: int,
@@ -217,9 +210,7 @@ def redeem(
 
 def statement_cycle_reconcile(
     ledger,
-    records: dict,
     period_txns: list,
-    refunded: dict,
     late_refunds: list,
     period: int,
     config: EngineConfig,
@@ -234,9 +225,8 @@ def statement_cycle_reconcile(
     Phase 1 claws back ``late_refunds``, (transaction, amount) pairs
     refunded after their transaction settled.  Phase 2 settles each
     transaction of ``period_txns`` (the period's purchases, in purchase
-    order) that is still PENDING, net of the principal ``refunded``
-    names for it, which its record already counts; ``refunded`` is
-    read, never changed.  A transaction refunded in full was cancelled
+    order) that is still PENDING, net of the principal its record
+    counts refunded.  A transaction refunded in full was cancelled
     when the refund posted, so it is no longer PENDING.  Finally a
     positive ``grace_days`` pushes the redemption hold out to ``day +
     grace_days``; ``user`` is named on its event.  With none, the hold
@@ -248,17 +238,13 @@ def statement_cycle_reconcile(
     """
     for txn, x in late_refunds:
         reward_on_refund(
-            ledger, records, txn, x, config, log, day,
-            current_period=period, kind="reconcile-clawback",
-            floor_balance_at_zero=floor_balance_at_zero,
+            ledger, txn, x, log, day, current_period=period,
+            kind="reconcile-clawback", floor_balance_at_zero=floor_balance_at_zero,
         )
 
     for txn in period_txns:
         if txn.status is PENDING:
-            reward_on_settlement(
-                ledger, records, txn, config, log, day, kind="reconcile-settle",
-                presettle_refunded=refunded.get(txn.id, 0),
-            )
+            reward_on_settlement(ledger, txn, config, log, day, kind="reconcile-settle")
 
     new_hold = day + grace_days
     if grace_days > 0 and ledger.redemption_hold_until != new_hold:

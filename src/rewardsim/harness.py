@@ -230,11 +230,9 @@ class Simulation:
                 self._due_settlements.append((due, txn))
 
     def _settle_instant(self, day: int, txn: Transaction) -> None:
-        # refunds can land before a delayed settlement; net them out first
-        engine.reward_on_settlement(
-            self.ledger, self.txns, txn, self.config, self.log, day,
-            presettle_refunded=txn.total_refunded,
-        )
+        # refunds can land before a delayed settlement; the engine nets
+        # out what the record counts
+        engine.reward_on_settlement(self.ledger, txn, self.config, self.log, day)
 
     def refund(self, day: int, txn_id: str, x: int) -> None:
         txn = self._require_txn(txn_id)
@@ -254,7 +252,7 @@ class Simulation:
             engine.refund_principal(txn, x)
         elif adjustment == ADJ_IMMEDIATE:
             engine.reward_on_refund(
-                self.ledger, self.txns, txn, x, self.config, self.log, day,
+                self.ledger, txn, x, self.log, day,
                 current_period=self.config.period_of_day(day),
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
@@ -280,7 +278,7 @@ class Simulation:
             # forced reversals never wait for the cycle close; the claw
             # covers refunds still deferred to it, which then lapse
             engine.reward_on_chargeback(
-                self.ledger, self.txns, txn, self.config, self.log, day,
+                self.ledger, txn, self.log, day,
                 current_period=self.config.period_of_day(day),
                 floor_balance_at_zero=self.variant.floors_at_zero,
             )
@@ -305,8 +303,8 @@ class Simulation:
         grace = self.config.grace_days if self.variant.uses_grace_hold else 0
         late, self.late_refunds = self.late_refunds, []
         engine.statement_cycle_reconcile(
-            self.ledger, self.txns, self.period_txns.get(period, []),
-            self.reversed, late, period, self.config, self.log, day,
+            self.ledger, self.period_txns.get(period, []), late, period,
+            self.config, self.log, day,
             grace_days=grace, floor_balance_at_zero=self.variant.floors_at_zero,
             user=self.user,
         )

@@ -53,7 +53,7 @@ class IllegalTransition(Exception):
 
 
 class SequenceGap(ValueError):
-    """Event appended out of sequence."""
+    """A log line whose seq does not follow the line before it."""
 
 
 class LogInvalid(ValueError):
@@ -370,19 +370,6 @@ class EventLog:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def last_seq(self) -> int:
-        return self.events[-1].seq if self.events else 0
-
-    def append(self, event: RewardEvent) -> None:
-        if event.seq != self.last_seq + 1:
-            raise SequenceGap(
-                f"expected seq {self.last_seq + 1}, got {event.seq}"
-            )
-        if event.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {event.kind!r}")
-        self.events.append(event)
-
     def emit(
         self,
         day: int,
@@ -393,7 +380,7 @@ class EventLog:
         category: str = "",
         period: int = 0,
     ) -> RewardEvent:
-        # the next seq is the length: append and read_jsonl keep seqs
+        # the next seq is the length: emit and read_jsonl keep seqs
         # contiguous from 1
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")

@@ -82,8 +82,10 @@ def read_jsonl(path) -> EventLog:
                     )
             if ev.kind not in EVENT_KINDS:
                 raise ParseError(line_no, f"unknown event kind {ev.kind!r}")
-            try:
-                log.append(ev)
-            except SequenceGap as exc:
-                raise SequenceGap(f"line {line_no}: {exc}") from None
+            expected = len(log.events) + 1
+            if ev.seq != expected:
+                raise SequenceGap(
+                    f"line {line_no}: expected seq {expected}, got {ev.seq}"
+                )
+            log.events.append(ev)
     return log

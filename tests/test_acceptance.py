@@ -56,24 +56,24 @@ def grocery_config(variant="defensive-instant", **kw):
 
 def test_01_settle_refund_refund_walkthrough():
     def body():
-        ledger, records, log = UserLedger(), {}, EventLog()
+        ledger, log = UserLedger(), EventLog()
         cfg = grocery_config()
         txn = Transaction(id="t1", user="u1", amount=10000,
                           category="GROCERY", period=0)
-        reward_on_settlement(ledger, records, txn, cfg, log, day=1)
+        reward_on_settlement(ledger, txn, cfg, log, day=1)
         # t1's net reward is read from the log, the source of truth
         assert (txn.reward_original, net_reward_from_log(log), ledger.balance) == (
             500, 500, 500)
         assert txn.status is SETTLED
         assert format_usd(ledger.balance) == "$5.00"
 
-        reward_on_refund(ledger, records, txn, 5000, cfg, log, 3, current_period=0)
+        reward_on_refund(ledger, txn, 5000, log, 3, current_period=0)
         assert (txn.reward_original, net_reward_from_log(log), ledger.balance) == (
             500, 250, 250)
         assert txn.status is PART_REF
         assert format_usd(ledger.balance) == "$2.50"
 
-        reward_on_refund(ledger, records, txn, 5000, cfg, log, 5, current_period=0)
+        reward_on_refund(ledger, txn, 5000, log, 5, current_period=0)
         assert (txn.reward_original, net_reward_from_log(log), ledger.balance) == (
             500, 0, 0)
         assert txn.status is REFUNDED
@@ -84,13 +84,13 @@ def test_01_settle_refund_refund_walkthrough():
 
 def test_02_equal_partial_refunds_claw_equally():
     def body():
-        ledger, records, log = UserLedger(), {}, EventLog()
+        ledger, log = UserLedger(), EventLog()
         cfg = grocery_config()
         txn = Transaction(id="t1", user="u1", amount=10000,
                           category="GROCERY", period=0)
-        reward_on_settlement(ledger, records, txn, cfg, log, day=1)
-        c1 = reward_on_refund(ledger, records, txn, 4000, cfg, log, 3, current_period=0)
-        c2 = reward_on_refund(ledger, records, txn, 4000, cfg, log, 5, current_period=0)
+        reward_on_settlement(ledger, txn, cfg, log, day=1)
+        c1 = reward_on_refund(ledger, txn, 4000, log, 3, current_period=0)
+        c2 = reward_on_refund(ledger, txn, 4000, log, 5, current_period=0)
         assert (c1, c2) == (200, 200)
 
     _verdict(2, "two 40.00 refunds claw exactly 2.00 each", body)

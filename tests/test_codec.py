@@ -55,8 +55,7 @@ def wire_logs():
 @settings(max_examples=100, deadline=None)
 def test_writer_and_reader_match_reference(tmp_path_factory, evs):
     log = EventLog()
-    for ev in evs:
-        log.append(ev)
+    log.events.extend(evs)
     path = tmp_path_factory.getbasetemp() / "codec.jsonl"
     log.write_jsonl(path)
     ref_path = path.with_suffix(".ref.jsonl")
@@ -238,8 +237,7 @@ wire_ints = st.integers(min_value=-(10**18) + 1, max_value=10**18 - 1)
 @settings(max_examples=100, deadline=None)
 def test_ascii_logs_read_on_the_fast_path(tmp_path_factory, rows):
     log = EventLog()
-    for seq, row in enumerate(rows, start=1):
-        log.append(RewardEvent(seq, *row))
+    log.events.extend(RewardEvent(seq, *row) for seq, row in enumerate(rows, start=1))
     path = tmp_path_factory.getbasetemp() / "fast.jsonl"
     log.write_jsonl(path)
     with pytest.MonkeyPatch.context() as mp:
@@ -277,7 +275,7 @@ def test_writer_leaves_the_file_as_it_was_when_a_line_cannot_be_encoded(tmp_path
     # the event that cannot be encoded is in the second block, after a
     # whole block the writer could have written
     log = long_log(BLOCK)
-    log.append(RewardEvent(BLOCK + 1, 9, "purchase", "t", None, 100, "G", 0))
+    log.emit(9, "purchase", "t", None, 100, "G", 0)
     path = tmp_path / "log.jsonl"
     path.write_bytes(b"kept\n")
     with pytest.raises(TypeError):

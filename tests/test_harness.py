@@ -209,15 +209,14 @@ class TestPeriodIndex:
         reconcile = engine.statement_cycle_reconcile
         seen = []
 
-        def checked(ledger, records, period_txns, refunded, late, period,
-                    config, log, *args, **kw):
+        def checked(ledger, period_txns, late, period, config, log, *args, **kw):
             expected = [(e.txn_id, e.amount_minor) for e in log
                         if e.kind == "purchase" and e.period == period]
             assert [(t.id, t.amount) for t in period_txns] == expected
             assert all(t.period == period for t in period_txns)
             seen.append(len(expected))
-            return reconcile(ledger, records, period_txns, refunded, late,
-                             period, config, log, *args, **kw)
+            return reconcile(ledger, period_txns, late, period, config, log,
+                             *args, **kw)
 
         monkeypatch.setattr(engine, "statement_cycle_reconcile", checked)
         events = [ev(d, "purchase", f"t{d}", 1000 + d) for d in range(0, 200, 7)]
@@ -237,7 +236,7 @@ class TestCloseVisits:
         reconcile = engine.statement_cycle_reconcile
 
         def counted(*args, **kw):
-            calls.append(args[5])  # the period closed
+            calls.append(args[3])  # the period closed
             return reconcile(*args, **kw)
 
         monkeypatch.setattr(engine, "statement_cycle_reconcile", counted)

@@ -139,16 +139,6 @@ class TestTransaction:
 
 
 class TestEventLog:
-    def test_sequence_must_be_contiguous(self):
-        log = EventLog()
-        log.emit(day=0, kind="purchase", txn_id="t1", user="u1", amount_minor=100)
-        gap = RewardEvent(
-            seq=3, day=0, kind="settle", txn_id="t1", user="u1",
-            amount_minor=5, category="", period=0,
-        )
-        with pytest.raises(SequenceGap):
-            log.append(gap)
-
     def test_unknown_kind_rejected(self):
         log = EventLog()
         with pytest.raises(ValueError):
@@ -156,14 +146,6 @@ class TestEventLog:
         assert len(log) == 0
         ev = log.emit(day=0, kind="purchase", txn_id="t1", user="u1", amount_minor=1)
         assert ev.seq == 1
-
-    def test_append_refuses_an_unknown_kind(self):
-        log = EventLog()
-        bogus = RewardEvent(1, 0, "bogus", "t1", "u1", 0, "", 0)
-        with pytest.raises(ValueError) as exc:
-            log.append(bogus)
-        assert str(exc.value) == "unknown event kind 'bogus'"
-        assert len(log) == 0
 
     def test_jsonl_round_trip(self, tmp_path):
         log = EventLog()

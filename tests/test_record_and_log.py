@@ -139,8 +139,8 @@ def test_a_record_the_log_does_not_show_fails(monkeypatch):
     # the check reads the record: one cent more than the grant is caught
     settle = engine.reward_on_settlement
 
-    def overstated(ledger, records, txn, *args, **kwargs):
-        r = settle(ledger, records, txn, *args, **kwargs)
+    def overstated(ledger, txn, *args, **kwargs):
+        r = settle(ledger, txn, *args, **kwargs)
         txn.reward_original += 1
         return r
 

@@ -31,17 +31,15 @@ SIGNATURES = {
     ("issuers", "classify"): ("variant", "outcomes"),
     ("issuers", "render_matrix"): ("rows",),
     ("engine", "statement_cycle_reconcile"): (
-        "ledger", "records", "period_txns", "refunded", "late_refunds", "period",
-        "config", "log", "day", "grace_days", "floor_balance_at_zero", "user"),
+        "ledger", "period_txns", "late_refunds", "period", "config", "log", "day",
+        "grace_days", "floor_balance_at_zero", "user"),
     ("engine", "reward_on_settlement"): (
-        "ledger", "records", "txn", "config", "log", "day", "kind",
-        "presettle_refunded"),
+        "ledger", "txn", "config", "log", "day", "kind"),
     ("engine", "reward_on_refund"): (
-        "ledger", "records", "txn", "x", "config", "log", "day", "current_period",
-        "kind", "floor_balance_at_zero"),
-    ("engine", "reward_on_chargeback"): (
-        "ledger", "records", "txn", "config", "log", "day", "current_period",
+        "ledger", "txn", "x", "log", "day", "current_period", "kind",
         "floor_balance_at_zero"),
+    ("engine", "reward_on_chargeback"): (
+        "ledger", "txn", "log", "day", "current_period", "floor_balance_at_zero"),
     ("engine", "redeem"): ("ledger", "y", "today", "config", "log", "user"),
     ("invariants", "integrity_series"): ("log", "config"),
     ("invariants", "check_rrc"): ("log", "delta_days", "config"),
