@@ -34,7 +34,7 @@ from .ledger import (
     Transaction,
     transition,
 )
-from .money import mul_fraction, rate_floor
+from .money import rate_floor
 
 
 class RedeemDecision(NamedTuple):
@@ -100,11 +100,14 @@ def _clawback(
     The clawback is telescoped against the cumulative refunded fraction
     so sequential partial refunds always sum to the exact proportional
     total; a full refund claws back the original reward to the cent.
+    The cumulative claw rounds up, so the reward left on the remaining
+    principal is ``floor(original * remaining / base)``, never above
+    ``floor(rate * remaining)``.
     """
     base, original = txn.claw_base, txn.reward_original
     prev = txn.total_refunded - (txn.amount - base)  # refunds since settlement
-    old_claw = mul_fraction(prev, base, original)
-    new_claw = mul_fraction(prev + x, base, original)
+    old_claw = -(-prev * original // base)
+    new_claw = -(-(prev + x) * original // base)
     r_claw = new_claw - old_claw  # never negative: new_claw is monotone in x
 
     applied = r_claw

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 
 def mul_fraction(numer_amount: int, base: int, of: int) -> int:
-    """Round-half-even of (numer_amount * of) / base.
+    """Round-half-even of (numer_amount * of) / base: the share
+    `numer_amount / base` of `of`.  Exact when the division is exact.
 
-    Used for proportional clawback: `of` is the original reward,
-    `numer_amount / base` the refunded fraction.  Exact when the
-    division is exact.
+    The engine's clawback does not use it: a claw rounds up, so no
+    rounding leaves the user more than the rate.
     """
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")

@@ -260,23 +260,16 @@ class TestSimulate:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert captured.out == ""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "clawbacks round half-even, so the two refunds keep 2 cents of "
-        "reward against an integrity bound of 1 cent (ROADMAP item 19)"))
-    def test_rounded_clawbacks_keep_no_more_than_the_rate(self, tmp_path, capsys):
-        # each 5-cent grant loses mul_fraction(90, 100, 5) = 4.5 cents,
-        # rounded to 4; the rate on the 20 cents left bounds the reward
-        # at 1 cent
-        path, _ = write_scenario(tmp_path, events=[
-            ScenarioEvent(day=1, kind="purchase", txn_id="t1", amount_minor=100,
-                          category="GROCERY"),
-            ScenarioEvent(day=1, kind="purchase", txn_id="t2", amount_minor=100,
-                          category="GROCERY"),
-            ScenarioEvent(day=2, kind="refund", txn_id="t1", amount_minor=90),
-            ScenarioEvent(day=2, kind="refund", txn_id="t2", amount_minor=90),
-        ])
-        code = main(["simulate", "--scenario", str(path)])
-        assert "VIOLATION" not in capsys.readouterr().out
+    def test_rounded_clawbacks_keep_no_more_than_the_rate(self, fixtures_dir, capsys):
+        # two $1.00 purchases at 5%, each refunded $0.90: each 5-cent
+        # grant loses 4.5 cents, rounded up to 5, so no reward is left;
+        # the rate on the 20 cents kept bounds it at 1 cent.  Half-even
+        # rounding kept 2 cents and failed integrity
+        code = main(["simulate", "--scenario",
+                     str(fixtures_dir / "rounded_clawbacks.json")])
+        out = capsys.readouterr().out
+        assert "VIOLATION" not in out
+        assert "net reward: $0.00\ninvariants: ok\n" in out
         assert code == EXIT_OK
 
     def test_lone_surrogate_label_in_a_process(self, tmp_path):

@@ -166,7 +166,7 @@ def test_reader_errors_match_reference(tmp_path, lines):
 
 GOLDEN = ["walkthrough", "ddra_A", "ddra_F", "ddra_defensive_cycle",
           "cross_cycle_B", "empty", "close_refunds_cycle", "delayed_refund_instant",
-          "rrc_blame_cycle", "rrc_blame_F"]
+          "rrc_blame_cycle", "rrc_blame_F", "rounded_clawbacks"]
 
 
 @pytest.mark.parametrize("name", GOLDEN)

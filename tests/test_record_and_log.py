@@ -10,7 +10,8 @@ truth, so once ``run`` has reached quiescence every transaction must be:
   chargeback intents reversed in the log, which is also the harness's
   intent tally ``Simulation.reversed``;
 - left, as its net reward in the log, ``reward_original`` less the
-  telescoped claw of the principal refunded since settlement.  Under
+  telescoped claw of the principal refunded since settlement, that
+  share of ``reward_original`` rounded up.  Under
   ``refund_adjustment == "none"`` nothing is clawed.  Under
   ``floors_at_zero`` a claw may be cut short by the balance, so the
   net reward is not checked there.
@@ -37,7 +38,6 @@ from rewardsim import Scenario, ScenarioInvalid, engine, harness, run
 from rewardsim.adversary import BATTERY, build_ddra_scenario
 from rewardsim.issuers import ADJ_NONE, VARIANTS
 from rewardsim.ledger import GRANT_KINDS, PENDING, REVERSAL_KINDS, REWARD_KINDS
-from rewardsim.money import mul_fraction
 from test_clock import scenarios, under
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
@@ -110,8 +110,8 @@ def check_records(scenario) -> int:
             assert net[txn_id] == txn.reward_original, where
         elif not variant.floors_at_zero:
             since_settlement = txn.total_refunded - (txn.amount - txn.claw_base)
-            clawed = mul_fraction(since_settlement, txn.claw_base,
-                                  txn.reward_original)
+            # the claw's share of the grant, rounded up
+            clawed = -(-since_settlement * txn.reward_original // txn.claw_base)
             assert net[txn_id] == txn.reward_original - clawed, where
     return len(sim.txns)
 
