@@ -9,8 +9,9 @@ record them in ``BENCH_<pr>.json``.
         --pairs 3 --seconds 10 --trace 1
 
 Run from the repository root; only the standard library and ``git`` are
-used.  The parent is ``HEAD`` exported with ``git archive``, so the tree
-holds every committed file, test fixtures included.  The change is a copy
+used.  The parent is ``HEAD``, or the commit ``--parent`` names, exported
+with ``git archive``, so the tree holds every committed file, test
+fixtures included.  The change is a copy
 of the checkout's files as they are: tracked, and untracked but not
 ignored.  Both trees are built under ``.bench_build/``
 and each run is ``perfbench/run.py`` in its own tree, one at a time.
@@ -211,6 +212,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    parser.add_argument("--parent", default="HEAD",
+                        help="the commit the change is compared with (default: HEAD)")
     parser.add_argument("--claim", metavar="METRIC",
                         help="the end-to-end metric this workload's gain is claimed on")
     args = parser.parse_args(argv)
@@ -230,7 +233,7 @@ def main(argv=None) -> int:
     command = " ".join(["python3", "perfbench/run.py", *run_argv])
     name = f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     trees = {side: fresh(side) for side in SIDES}
-    export("HEAD", trees["parent"])
+    export(args.parent, trees["parent"])
     copy_checkout(trees["change"])
     lines = src_lines(trees)
 
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
     prov = runs[0]["parent"]["provenance"]
     doc["what"] = ("Alternating parent/change pairs of perfbench/run.py on the parent "
                    "commit and on this change, each run in its own copy of the tree.")
-    doc["parent_commit"] = git("rev-parse", "HEAD").decode().strip()
+    doc["parent_commit"] = git("rev-parse", args.parent).decode().strip()
     doc["src_lines"] = lines
     doc["host"] = host_line(prov)
     if args.claim:

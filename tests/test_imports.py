@@ -13,7 +13,8 @@ several times slower than a read of a module global.  And that only
 and that no module changes an ``EngineConfig`` after its constructor: a
 loaded scenario's config is shared with every other of equal config.
 And that every ``functools`` cache on a function with parameters is
-typed: ``1``, ``1.0`` and ``True`` are one untyped key."""
+typed: ``1``, ``1.0`` and ``True`` are one untyped key.  And that no
+function takes a parameter it never reads: a step takes what it uses."""
 
 import ast
 import pathlib
@@ -296,3 +297,50 @@ def test_every_cache_of_a_function_with_parameters_is_typed():
              for path in sorted((SRC / "rewardsim").glob("*.py"))
              for line in untyped_caches(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def unread_parameters(source: str) -> list:
+    """``function.parameter`` for each parameter of a function or lambda
+    in ``source`` that its body never reads, nested functions included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if arg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for statement in body for name in ast.walk(statement)
+                if isinstance(name, ast.Name)}
+        function = getattr(node, "name", "<lambda>")
+        found += [f"{function}.{param}" for param in params if param not in read]
+    return found
+
+
+def test_unread_parameters_finds_each_parameter_never_read():
+    source = ("def a(x, y=1, *args, z, **kw):\n"
+              "    return x + z\n"
+              "def b(p, /, q):\n"
+              "    def inner():\n"
+              "        return p\n"
+              "    return inner\n"
+              "class K:\n"
+              "    def m(self, unused):\n"
+              "        return self\n"
+              "f = lambda u, v: u\n")
+    assert unread_parameters(source) == [
+        "a.y", "a.args", "a.kw", "b.q", "m.unused", "<lambda>.v"]
+
+
+# perfbench/workloads.py calls classify(variant, outcomes) positionally,
+# and the benchmark's files change only in a change of their own, so
+# the parameter stays until perfbench calls classify with the outcomes
+# alone
+UNREAD_KEPT = {"issuers.py": ["classify.variant"]}
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "rewardsim").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_function_takes_a_parameter_it_never_reads(path):
+    found = unread_parameters(path.read_text(encoding="utf-8"))
+    assert found == UNREAD_KEPT.get(path.name, [])

@@ -50,3 +50,31 @@ def test_command_line_exit_codes_match_their_comments():
     for argv, code in commented:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(shlex.split(argv)) == int(code), argv
+
+
+def claim_rows() -> list:
+    """(command, status, item, test) of each row of README's claims table."""
+    rows = re.findall(r"^\| (.+?) \| `rewardsim (.+?)` \| (.+?) \| (.+?) \| `(.+?)` \|$",
+                      section("Paper claims"), re.M)
+    return [(command, status, item, test) for _, command, status, item, test in rows]
+
+
+def test_paper_claims_table_agrees_with_the_claims_ledger(monkeypatch):
+    import test_paper_claims as ledger
+
+    rows = claim_rows()
+    tests = [name for name in vars(ledger) if name.startswith("test_")]
+    assert sorted(test for *_, test in rows) == sorted(tests)
+    monkeypatch.chdir(ROOT)
+    for command, status, item, test in rows:
+        marks = [mark for mark in getattr(getattr(ledger, test), "pytestmark", [])
+                 if mark.name == "xfail"]
+        if status == "shown":
+            assert (marks, item) == ([], "—"), test
+        else:
+            (mark,) = marks
+            assert status in ("partly", "not yet"), test
+            assert mark.kwargs["strict"] is True, test
+            assert f"ROADMAP item {item})" in mark.kwargs["reason"], test
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(shlex.split(command)) in (0, 2), command
