@@ -24,6 +24,7 @@ from rewardsim.adversary import CROSS_CYCLE, SAME_CYCLE, run_battery, run_ddra
 from rewardsim.cli import main
 from rewardsim.issuers import FAIL, PARTIAL, PASS, classify, get_variant
 from rewardsim.ledger import LEGAL_TRANSITIONS, PENDING, SETTLED
+from test_clock import under
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -81,12 +82,8 @@ def test_issuers_c_d_e_keep_a_negative_balance_and_claw_back_proportionally():
         assert half.redeemed_minor + half.balance_minor == 12 * 250
     # and rounding keeps no more than the rate: the two refunds of $0.90
     # leave no reward where half-even clawbacks left 2 cents
-    scenario = Scenario.load(FIXTURES / "rounded_clawbacks.json")
-    config = scenario.config
-    kw = {name: getattr(config, name) for name in EngineConfig._fields}
-    under_c = Scenario(scenario.label, EngineConfig(**{**kw, "variant": "C"}),
-                       scenario.events)
-    assert all(s.ok for s in run(under_c).snapshots)
+    scenario = under(Scenario.load(FIXTURES / "rounded_clawbacks.json"), "C")
+    assert all(s.ok for s in run(scenario).snapshots)
 
 
 @pytest.mark.xfail(strict=True, raises=ModuleNotFoundError, reason=(
